@@ -9,11 +9,12 @@ it is verified as a homomorphism law on random pairs.
 
 Pauli matrices here follow the package basis convention (ascending, so
 sigma_z = diag(-1, +1)); they are twice the j=1/2 angular momentum
-operators.
+operators, built once and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +28,13 @@ ROTATION_TOL = 1e-10
 REALITY_TOL = 1e-12
 
 
+@functools.cache
 def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma_x, sigma_y, sigma_z) in the ascending basis."""
-    jx, jy, jz = spin.angular_momentum_operators(spin.SpinSystem(0.5))
-    return 2.0 * jx, 2.0 * jy, 2.0 * jz
+    """(sigma_x, sigma_y, sigma_z) in the ascending basis, read-only."""
+    sigmas = tuple(2.0 * op for op in spin.angular_momentum_operators(spin.SpinSystem(0.5)))
+    for sigma in sigmas:
+        sigma.flags.writeable = False
+    return sigmas
 
 
 def _det2(m: np.ndarray) -> complex:

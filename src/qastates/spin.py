@@ -5,7 +5,13 @@ direction a?" and a sharp answer is one of the eigenvalues m = -j, ..., +j.
 The pair determines a state vector, constructed two independent ways: a
 coefficient recursion that never diagonalizes anything, and an eigensolver
 oracle.  Keeping the routes independent is the point; their agreement is a
-verified claim, not an assumption.
+verified claim, not an assumption.  So the oracle keeps its own in-house
+Jacobi solver and never reuses anything from the recursion; it diagonalizes
+the component operator once per direction and serves every sharp answer
+from that one decomposition (`oracle_catalog`).
+
+The angular momentum operators depend only on j, so they are built once per
+spin magnitude, kept in a small bounded cache and handed out read-only.
 
 Basis convention: the J_z eigenbasis ordered by ascending eigenvalue, so
 index 0 is m = -j and the last index is m = +j.  All operators and kets in
@@ -14,8 +20,9 @@ this module use that order.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +40,8 @@ STATE_RESIDUAL_TOL = 1e-9
 CLOSING_TOL = 1e-8
 # Coefficient magnitude that triggers prefix rescaling mid-recursion.
 _RESCALE_LIMIT = 1e150
+# Spin magnitudes whose operators are kept; a handful covers a request.
+_OPERATOR_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -135,12 +144,18 @@ def ladder_matrices(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
     return jp, jp.conj().T
 
 
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
 def angular_momentum_operators(system: SpinSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jx, Jy, Jz) as dense Hermitian matrices in the ascending basis."""
+    """(Jx, Jy, Jz) as dense Hermitian matrices in the ascending basis.
+
+    Cached per spin magnitude; the arrays are shared, so they are read-only.
+    """
     jp, jm = ladder_matrices(system)
     jx = (jp + jm) / 2.0
     jy = (jp - jm) / 2.0j
     jz = np.diag(system.m_values).astype(complex)
+    for op in (jx, jy, jz):
+        op.flags.writeable = False
     return jx, jy, jz
 
 
@@ -168,12 +183,14 @@ class QuestionAnswerState:
     unit vector of the right dimension, the eigenvalue residual
     ||J_a ket - h ket|| is at most STATE_RESIDUAL_TOL, and the global phase
     follows the package convention (largest-magnitude entry real positive).
+    The residual measured there is kept as `residual`.
     """
 
     system: SpinSystem
     direction: Direction
     answer: float
     ket: np.ndarray
+    residual: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "answer", _snap_answer(self.system, self.answer))
@@ -195,11 +212,7 @@ class QuestionAnswerState:
             raise ValueError("ket does not follow the package phase convention")
         ket.flags.writeable = False
         object.__setattr__(self, "ket", ket)
-
-    @property
-    def residual(self) -> float:
-        op = component_operator(self.system, self.direction)
-        return linalg.norm(op @ self.ket - self.answer * self.ket)
+        object.__setattr__(self, "residual", residual)
 
 
 def _recurrence_up(
@@ -318,7 +331,9 @@ def eigenstate_recursion(
     b = b / nrm
     # Residual of the full eigenvalue equation on the normalized vector;
     # rows used by construction are satisfied to roundoff, so this is
-    # exactly the closing check on the unused rows.
+    # exactly the closing check on the unused rows.  The state constructor
+    # repeats it more tightly, but raises ValueError (bad input); a recursion
+    # that fails to close is an internal failure, so it stays a RuntimeError.
     closing = linalg.norm(component_operator(system, direction) @ b - h * b)
     if closing > CLOSING_TOL:
         raise RuntimeError(
@@ -328,31 +343,39 @@ def eigenstate_recursion(
     return QuestionAnswerState(system, direction, h, ket)
 
 
+def oracle_catalog(system: SpinSystem, direction: Direction) -> list[QuestionAnswerState]:
+    """Every sharp answer's state along one direction, by full diagonalization.
+
+    Independent of the recursion route on purpose.  The component operator
+    is diagonalized once and each answer in `system.m_values` takes its
+    nearest eigenvector.  The spectrum of a component operator is -j, ..., +j
+    with unit gaps, so nearest-eigenvalue selection is unambiguous; anything
+    else is reported as an error rather than silently picked.
+    """
+    dec = linalg.hermitian_eig(component_operator(system, direction))
+    states = []
+    for h in system.m_values.tolist():
+        gaps = np.abs(dec.eigenvalues - h)
+        idx = int(np.argmin(gaps))
+        if gaps[idx] > 1e-6:
+            raise RuntimeError(
+                f"no eigenvalue of the component operator is near {h}: "
+                f"closest is {dec.eigenvalues[idx]!r}"
+            )
+        others = np.delete(gaps, idx)
+        if others.size and float(others.min()) < 1e-3:
+            raise RuntimeError("ambiguous eigenvalue selection; spectrum degenerate?")
+        ket = linalg.fix_phase(dec.eigenvectors[:, idx])
+        states.append(QuestionAnswerState(system, direction, h, ket))
+    return states
+
+
 def eigenstate_oracle(
     system: SpinSystem, direction: Direction, answer: float
 ) -> QuestionAnswerState:
-    """Build the same state by full diagonalization of the component operator.
-
-    Independent of the recursion route on purpose.  The spectrum of a
-    component operator is -j, ..., +j with unit gaps, so nearest-eigenvalue
-    selection is unambiguous; anything else is reported as an error rather
-    than silently picked.
-    """
+    """The oracle state for one answer: its entry of `oracle_catalog`."""
     h = _snap_answer(system, answer)
-    op = component_operator(system, direction)
-    dec = linalg.hermitian_eig(op)
-    gaps = np.abs(dec.eigenvalues - h)
-    idx = int(np.argmin(gaps))
-    if gaps[idx] > 1e-6:
-        raise RuntimeError(
-            f"no eigenvalue of the component operator is near {h}: "
-            f"closest is {dec.eigenvalues[idx]!r}"
-        )
-    others = np.delete(gaps, idx)
-    if others.size and float(others.min()) < 1e-3:
-        raise RuntimeError("ambiguous eigenvalue selection; spectrum degenerate?")
-    ket = linalg.fix_phase(dec.eigenvectors[:, idx])
-    return QuestionAnswerState(system, direction, h, ket)
+    return oracle_catalog(system, direction)[system.m_index(h)]
 
 
 def state_catalog(
@@ -421,7 +444,7 @@ def verify_eigenstates(
     For each sampled direction (plus both axis poles) and every sharp
     answer: the recursion state's eigenvalue residual must stay within
     STATE_RESIDUAL_TOL and its overlap with the oracle state must be at
-    least 1 - eps.
+    least 1 - eps.  The oracle diagonalizes once per direction.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     dirs = [random_direction(rng) for _ in range(samples)]
@@ -429,10 +452,9 @@ def verify_eigenstates(
     witnesses = []
     max_residual = 0.0
     min_overlap = 1.0
-    for di, direction in enumerate(dirs):
-        for h in system.m_values:
+    for direction in dirs:
+        for h, orc in zip(system.m_values, oracle_catalog(system, direction)):
             rec = eigenstate_recursion(system, direction, float(h))
-            orc = eigenstate_oracle(system, direction, float(h))
             residual = rec.residual
             overlap = abs(linalg.inner(rec.ket, orc.ket))
             max_residual = max(max_residual, residual)

@@ -26,6 +26,13 @@ class TestPauli:
         assert np.abs(sy - np.array([[0, 1j], [-1j, 0]])).max() < 1e-15
         assert np.abs(sz - np.diag([-1.0, 1.0])).max() < 1e-15
 
+    def test_built_once_and_read_only(self):
+        first = qubit.pauli_matrices()
+        assert all(a is b for a, b in zip(first, qubit.pauli_matrices()))
+        for sigma in first:
+            with pytest.raises(ValueError):
+                sigma[0, 0] = 1.0
+
     def test_algebra(self):
         sx, sy, sz = qubit.pauli_matrices()
         assert np.abs(linalg.commutator(sx, sy) - 2j * sz).max() < 1e-14

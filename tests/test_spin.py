@@ -188,9 +188,10 @@ class TestRecursionStates:
         rng = np.random.default_rng(round(10 * j))
         for _ in range(3):
             direction = spin.random_direction(rng)
-            for h in s.m_values:
+            oracle = spin.oracle_catalog(s, direction)
+            for h, orc in zip(s.m_values, oracle):
                 rec = spin.eigenstate_recursion(s, direction, float(h))
-                orc = spin.eigenstate_oracle(s, direction, float(h))
+                assert orc.answer == rec.answer
                 assert abs(linalg.inner(rec.ket, orc.ket)) >= 1.0 - 1e-9
                 assert rec.residual <= 1e-9
 
@@ -224,6 +225,111 @@ class TestRecursionStates:
             assert np.abs(fixed - state.ket).max() < 1e-12
 
 
+def per_answer_oracle_ket(system, direction, h):
+    """The oracle's former per-answer path: one diagonalization per answer,
+    nearest-eigenvalue selection, then the phase convention."""
+    dec = linalg.hermitian_eig(spin.component_operator(system, direction))
+    idx = int(np.argmin(np.abs(dec.eigenvalues - h)))
+    return linalg.fix_phase(dec.eigenvectors[:, idx])
+
+
+def degenerate_eig(eigenvalues):
+    """Stand-in for hermitian_eig that returns a fixed spectrum."""
+
+    def fake(a):
+        n = len(eigenvalues)
+        return linalg.EigenDecomposition(
+            np.array(eigenvalues, dtype=float), np.eye(n, dtype=complex)
+        )
+
+    return fake
+
+
+class TestOracleCatalog:
+    # One random direction at j=12.5: the per-answer path costs 26 Jacobi
+    # runs at d=26 per direction.
+    @pytest.mark.parametrize("j, n_random", [(0.5, 3), (3.0, 3), (12.5, 1)])
+    def test_matches_per_answer_path_bit_for_bit(self, j, n_random):
+        s = SpinSystem(j)
+        rng = np.random.default_rng(round(4 * j))
+        directions = [spin.random_direction(rng) for _ in range(n_random)] + [Z, Z.antipode()]
+        for direction in directions:
+            catalog = spin.oracle_catalog(s, direction)
+            assert len(catalog) == s.dim
+            for k, h in enumerate(s.m_values):
+                assert catalog[k].answer == h
+                assert catalog[k].direction == direction
+                assert np.array_equal(
+                    catalog[k].ket, per_answer_oracle_ket(s, direction, float(h))
+                )
+
+    def test_single_answer_view(self):
+        s = SpinSystem(1.5)
+        direction = spin.random_direction(np.random.default_rng(3))
+        catalog = spin.oracle_catalog(s, direction)
+        for k, h in enumerate(s.m_values):
+            state = spin.eigenstate_oracle(s, direction, float(h))
+            assert np.array_equal(state.ket, catalog[k].ket)
+
+    def test_invalid_answer_rejected(self):
+        with pytest.raises(ValueError):
+            spin.eigenstate_oracle(SpinSystem(1.0), X, 0.25)
+
+    def test_ambiguous_spectrum_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "hermitian_eig", degenerate_eig([-0.5, -0.5 + 1e-4]))
+        with pytest.raises(RuntimeError, match="ambiguous"):
+            spin.oracle_catalog(SpinSystem(0.5), X)
+        with pytest.raises(RuntimeError, match="ambiguous"):
+            spin.eigenstate_oracle(SpinSystem(0.5), X, -0.5)
+
+    def test_missing_eigenvalue_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "hermitian_eig", degenerate_eig([0.3, 0.4]))
+        with pytest.raises(RuntimeError, match="no eigenvalue"):
+            spin.oracle_catalog(SpinSystem(0.5), X)
+        with pytest.raises(RuntimeError, match="no eigenvalue"):
+            spin.eigenstate_oracle(SpinSystem(0.5), X, 0.5)
+
+
+class TestOperatorCache:
+    def test_operators_are_read_only(self):
+        for op in spin.angular_momentum_operators(SpinSystem(1.5)):
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                op *= 2.0
+
+    def test_equal_systems_share_operators(self):
+        first = spin.angular_momentum_operators(SpinSystem(2.0))
+        second = spin.angular_momentum_operators(SpinSystem(2))
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_cache_is_bounded(self):
+        for j in np.arange(0.5, 6.0, 0.5):
+            spin.angular_momentum_operators(SpinSystem(float(j)))
+        info = spin.angular_momentum_operators.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 8
+
+    @pytest.mark.parametrize("j", [0.5, 7.0, 25.0])
+    def test_component_operator_matches_uncached_build(self, j):
+        s = SpinSystem(j)
+        jx, jy, jz = spin.angular_momentum_operators.__wrapped__(s)
+        rng = np.random.default_rng(round(2 * j))
+        for direction in [spin.random_direction(rng) for _ in range(3)] + [X, Y, Z]:
+            expected = direction.x * jx + direction.y * jy + direction.z * jz
+            assert np.array_equal(spin.component_operator(s, direction), expected)
+
+    @pytest.mark.parametrize("j", [0.5, 3.0, 12.5])
+    def test_algebra_defects_unchanged(self, j):
+        s = SpinSystem(j)
+        spin.angular_momentum_operators.cache_clear()
+        cold = spin.algebra_defects(s)
+        warm = spin.algebra_defects(s)
+        assert spin.angular_momentum_operators.cache_info().hits >= 1
+        assert cold == warm
+        assert cold["commutator_defect"] <= 1e-11
+        assert cold["casimir_defect"] <= 1e-10
+
+
 class TestStateInvariants:
     def test_wrong_eigenvector_rejected(self):
         s = SpinSystem(0.5)
@@ -244,6 +350,14 @@ class TestStateInvariants:
         state = spin.eigenstate_recursion(SpinSystem(0.5), Z, 0.5)
         with pytest.raises(ValueError):
             state.ket[0] = 1.0
+
+    def test_residual_kept_from_construction(self):
+        s = SpinSystem(2.5)
+        direction = spin.random_direction(np.random.default_rng(11))
+        state = spin.eigenstate_recursion(s, direction, 1.5)
+        op = spin.component_operator(s, direction)
+        assert state.residual == linalg.norm(op @ state.ket - state.answer * state.ket)
+        assert "residual" not in repr(state)
 
 
 class TestCatalogAndTransitions:
