@@ -252,10 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sym_cmd = top.add_parser("symmetry", help="finite symmetry model checkers")
     sym_sub = sym_cmd.add_subparsers(dest="command", required=True)
-    for name, handler, blurb in (
-        ("check", _cmd_symmetry_check, "run every checker on a model"),
-        ("assumptions", _cmd_symmetry_assumptions, "measure, closure, representation, separation"),
-        ("theorem1", _cmd_symmetry_theorem1, "word kernel and state distinctness"),
+    for name, blurb in (
+        ("check", "run every checker on a model"),
+        ("assumptions", "measure, closure, representation, separation"),
+        ("theorem1", "word kernel and state distinctness"),
     ):
         p = sym_sub.add_parser(name, help=blurb)
         p.add_argument("--model", required=True, metavar="PATH|NAME")
@@ -263,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "theorem1":
             p.add_argument("--eps", type=_eps_argument, default=DEFAULT_EPS)
         _add_out(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_symmetry)
 
     p = top.add_parser("report", help="emit the full verification battery")
     p.add_argument("--golden", action="store_true", help="regenerate the golden battery")
@@ -441,53 +441,55 @@ def _cmd_evar_maximal(args) -> tuple[dict, list]:
     return payload, []
 
 
-def _symmetry_reports(model: symmetry.FiniteSymmetryModel, max_len: int, subjects: str, eps: float = DEFAULT_EPS) -> list:
-    lemma1 = symmetry.validate_model(model)
-    if subjects == "check":
-        battery = symmetry.check_assumptions(model, max_len)
-        return [
-            lemma1,
-            *battery[:3],
-            symmetry.detect_multivaluedness(model, max_len),
-            *battery[3:],
-            symmetry.verify_word_kernel(model, max_len),
-            symmetry.verify_theorem1(model, max_len, eps),
-        ]
-    if subjects == "assumptions":
-        battery = symmetry.check_assumptions(model, max_len)
-        return [
-            *battery[:3],
-            symmetry.detect_multivaluedness(model, max_len),
-            *battery[3:],
-        ]
+# Symmetry checkers: each takes (model, max_len, eps) and returns its
+# reports in payload order.  They look the library functions up at call
+# time, so a rebound ``symmetry`` attribute is honoured.
+
+
+def _lemma1(model, max_len: int, eps: float) -> list:
+    return [symmetry.validate_model(model)]
+
+
+def _assumptions(model, max_len: int, eps: float) -> list:
+    # assumption_3b comes from the word scan and sits between 3a and 3c.
+    measure, closure, irreducibility, separation, lemma2 = symmetry.check_assumptions(
+        model, max_len
+    )
+    multivalued = symmetry.detect_multivaluedness(model, max_len)
+    return [measure, closure, irreducibility, multivalued, separation, lemma2]
+
+
+def _theorem1(model, max_len: int, eps: float) -> list:
     return [
         symmetry.verify_word_kernel(model, max_len),
         symmetry.verify_theorem1(model, max_len, eps),
     ]
 
 
-def _cmd_symmetry(args, subjects: str) -> tuple[dict, list]:
+# Checker list of each ``symmetry`` subcommand, in report order.
+SYMMETRY_CHECKERS = {
+    "check": (_lemma1, _assumptions, _theorem1),
+    "assumptions": (_assumptions,),
+    "theorem1": (_theorem1,),
+}
+
+
+def _symmetry_reports(model, max_len: int, checkers, eps: float = DEFAULT_EPS) -> list:
+    return [report for checker in checkers for report in checker(model, max_len, eps)]
+
+
+def _cmd_symmetry(args) -> tuple[dict, list]:
     model, shown = _resolve_model(args.model)
     eps = getattr(args, "eps", DEFAULT_EPS)
-    reports = _symmetry_reports(model, args.max_word_len, subjects, eps)
+    reports = _symmetry_reports(
+        model, args.max_word_len, SYMMETRY_CHECKERS[args.command], eps
+    )
     payload = {
-        "command": f"symmetry {subjects}",
+        "command": f"symmetry {args.command}",
         "parameters": {"model": shown, "max_word_len": args.max_word_len},
         "reports": _report_dicts(reports),
     }
     return payload, reports
-
-
-def _cmd_symmetry_check(args) -> tuple[dict, list]:
-    return _cmd_symmetry(args, "check")
-
-
-def _cmd_symmetry_assumptions(args) -> tuple[dict, list]:
-    return _cmd_symmetry(args, "assumptions")
-
-
-def _cmd_symmetry_theorem1(args) -> tuple[dict, list]:
-    return _cmd_symmetry(args, "theorem1")
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +544,9 @@ def golden_battery(seed: int = DEFAULT_SEED) -> tuple[dict, list]:
         model = symmetry.load_model(symmetry.bundled_model_path(name))
         section(
             f"symmetry {name}",
-            _symmetry_reports(model, symmetry.WORD_DEPTH_DEFAULT, "check"),
+            _symmetry_reports(
+                model, symmetry.WORD_DEPTH_DEFAULT, SYMMETRY_CHECKERS["check"]
+            ),
         )
 
     payload = {

@@ -13,6 +13,13 @@ genuinely multivalued.  Structural checkers reduce each property to a
 Permutations are image tuples: ``p[i]`` is where ``i`` goes.  Products
 follow function composition, so ``compose_permutations(p, q)`` applies ``q``
 first.
+
+Permutations are validated once, at the model boundary: model construction
+and the public permutation functions reject anything but integer bijections
+and name the offending model-file field.  Inside the closure, word and scan
+loops, products of validated permutations are composed without re-checking,
+since a product of bijections is a bijection.  The word scan runs once per
+(model, depth) and its read-only result is shared by every checker.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import types
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,14 +66,44 @@ def identity_permutation(size: int) -> tuple[int, ...]:
     return tuple(range(size))
 
 
-def _as_permutation(value, size: int | None = None) -> tuple[int, ...]:
-    """Validate an image array and return it as a tuple."""
-    perm = tuple(int(x) for x in value)
+def _integer(value, field: str) -> int:
+    """A Python, JSON or numpy integer as an int; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _entries(value, field: str) -> list:
+    """Items of a list-like field; strings and mappings are rejected."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return list(value)
+
+
+def _integers(value, field: str) -> tuple[int, ...]:
+    return tuple(_integer(x, f"{field}[{i}]") for i, x in enumerate(_entries(value, field)))
+
+
+def _as_permutation(
+    value, size: int | None = None, field: str = "permutation"
+) -> tuple[int, ...]:
+    """Validate an image array and return it as a tuple of ints.
+
+    ``field`` names the value in error messages.
+    """
+    perm = _integers(value, field)
     if size is not None and len(perm) != size:
-        raise ValueError(f"permutation acts on {len(perm)} points, expected {size}")
+        raise ValueError(f"{field} acts on {len(perm)} points, expected {size}")
     if sorted(perm) != list(range(len(perm))):
-        raise ValueError(f"not a bijection on {{0..{len(perm) - 1}}}: {list(perm)}")
+        raise ValueError(
+            f"{field} is not a bijection on {{0..{len(perm) - 1}}}: {list(perm)}"
+        )
     return perm
+
+
+def _compose(p: tuple, q: tuple) -> tuple[int, ...]:
+    """Product p*q of permutations already validated on the same points."""
+    return tuple(map(p.__getitem__, q))
 
 
 def compose_permutations(p, q) -> tuple[int, ...]:
@@ -103,7 +141,7 @@ def group_closure(generators: Iterable, phi_size: int | None = None) -> tuple:
     else:
         if phi_size is None:
             raise ValueError("empty generator list needs an explicit phi_size")
-        size = int(phi_size)
+        size = _integer(phi_size, "phi_size")
     identity = identity_permutation(size)
     seen = {identity}
     frontier = [identity]
@@ -111,7 +149,7 @@ def group_closure(generators: Iterable, phi_size: int | None = None) -> tuple:
         new: list[tuple[int, ...]] = []
         for p in frontier:
             for g in gens:
-                q = compose_permutations(g, p)
+                q = _compose(g, p)
                 if q not in seen:
                     seen.add(q)
                     new.append(q)
@@ -149,6 +187,11 @@ class FiniteSymmetryModel:
     to a permutation ``k`` satisfying ``values_b[phi] == values_a[k[phi]]``;
     the reverse direction is derived as the inverse when absent, and a
     supplied reverse must be that inverse.
+
+    Every integer is checked here, once: only ints and numpy integers are
+    accepted.  Errors name the field by its model-file path (see
+    :func:`load_model`), such as ``variables[0].theta`` or
+    ``subgroups["0"][1]``.
     """
 
     phi_size: int
@@ -158,24 +201,26 @@ class FiniteSymmetryModel:
     transfers: Mapping[tuple, tuple] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        size = int(self.phi_size)
+        size = _integer(self.phi_size, "phi_size")
         if size < 1:
             raise ValueError(f"phi_size must be positive, got {self.phi_size}")
         object.__setattr__(self, "phi_size", size)
 
         cleaned = []
         seen_labels = set()
-        for entry in self.variables:
+        for pos, entry in enumerate(self.variables):
             label, values = entry
             if not isinstance(label, str) or not label:
-                raise ValueError(f"variable label must be a nonempty string, got {label!r}")
+                raise ValueError(
+                    f"variables[{pos}].label must be a nonempty string, got {label!r}"
+                )
             if label in seen_labels:
                 raise ValueError(f"duplicate variable label {label!r}")
             seen_labels.add(label)
-            theta = tuple(int(v) for v in values)
+            theta = _integers(values, f"variables[{pos}].theta")
             if len(theta) != size:
                 raise ValueError(
-                    f"variable {label!r} assigns {len(theta)} values, expected {size}"
+                    f"variables[{pos}].theta assigns {len(theta)} values, expected {size}"
                 )
             cleaned.append((label, theta))
         if not cleaned:
@@ -189,7 +234,11 @@ class FiniteSymmetryModel:
         for label, perms in dict(self.generators).items():
             if label not in seen_labels:
                 raise ValueError(f"subgroup entry names unknown variable {label!r}")
-            gens[label] = tuple(_as_permutation(p, size) for p in perms)
+            where = f"subgroups[{json.dumps(label)}]"
+            gens[label] = tuple(
+                _as_permutation(p, size, f"{where}[{i}]")
+                for i, p in enumerate(_entries(perms, where))
+            )
         for label in seen_labels:
             gens.setdefault(label, ())
         object.__setattr__(self, "generators", gens)
@@ -201,7 +250,7 @@ class FiniteSymmetryModel:
                 raise ValueError(f"transfer ({a!r}, {b!r}) names an unknown variable")
             if a == b:
                 raise ValueError(f"transfer ({a!r}, {b!r}) links a variable to itself")
-            transfers[(a, b)] = _as_permutation(perm, size)
+            transfers[(a, b)] = _as_permutation(perm, size, f"transfer[{json.dumps(a + b)}]")
         for (a, b), perm in list(transfers.items()):
             reverse = invert_permutation(perm)
             stored = transfers.get((b, a))
@@ -238,6 +287,11 @@ class FiniteSymmetryModel:
         if label not in self._subgroups:
             raise ValueError(f"unknown variable label {label!r}")
         return self._subgroups[label]
+
+    @cached_property
+    def _word_scans(self) -> dict[int, "WordScan"]:
+        """Word scans already run on this model, keyed by depth."""
+        return {}
 
     @cached_property
     def _element_index(self) -> dict[str, dict[tuple, int]]:
@@ -294,7 +348,7 @@ class FiniteSymmetryModel:
             backward = invert_permutation(forward)
             row = []
             for idx, element in enumerate(self.subgroup(label)):
-                image = compose_permutations(forward, compose_permutations(element, backward))
+                image = _compose(forward, _compose(element, backward))
                 if image not in k0_set:
                     raise ValueError(
                         f"element {idx} of subgroup {label!r} maps outside the "
@@ -337,7 +391,7 @@ class FiniteSymmetryModel:
                 continue
             if stack and stack[-1][0] == label:
                 prev_label, prev_idx = stack.pop()
-                merged = compose_permutations(elements[prev_idx], elements[idx])
+                merged = _compose(elements[prev_idx], elements[idx])
                 midx = self._element_index[label][merged]
                 if midx != 0:
                     stack.append((label, midx))
@@ -396,8 +450,8 @@ def word_image(model: FiniteSymmetryModel, word) -> tuple[tuple, tuple]:
                 f"letter ({label!r}, {idx}) indexes outside the subgroup "
                 f"of order {len(elements)}"
             )
-        k_in_group = compose_permutations(k_in_group, elements[idx])
-        image = compose_permutations(image, model._images_for(label)[idx])
+        k_in_group = _compose(k_in_group, elements[idx])
+        image = _compose(image, model._images_for(label)[idx])
     return k_in_group, image
 
 
@@ -418,7 +472,8 @@ def load_model(source) -> FiniteSymmetryModel:
 
     Permutations are image arrays.  ``distinguished`` indexes into
     ``variables``.  Transfer keys concatenate two variable labels; the
-    reverse direction is derived as the inverse when not supplied.
+    reverse direction is derived as the inverse when not supplied.  Every
+    number must be a JSON integer; errors name the offending field.
     """
     if isinstance(source, Mapping):
         raw: Any = source
@@ -446,8 +501,12 @@ def load_model(source) -> FiniteSymmetryModel:
         variables.append((entry["label"], entry["theta"]))
     labels = [label for label, _ in variables]
 
+    for name in ("subgroups", "transfer"):
+        if not isinstance(raw.get(name, {}), Mapping):
+            raise ValueError(f"field {name!r} must be an object")
+
     index = raw.get("distinguished", 0)
-    if not isinstance(index, int) or not 0 <= index < len(variables):
+    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(variables):
         raise ValueError(f"field 'distinguished' must index a variable, got {index!r}")
 
     transfers = {}
@@ -563,6 +622,11 @@ def regular_representation(model: FiniteSymmetryModel, k, f) -> np.ndarray:
     vec = np.asarray(f, dtype=complex)
     if vec.shape != (model.phi_size,):
         raise ValueError(f"function has shape {vec.shape}, expected ({model.phi_size},)")
+    return _represent(perm, vec)
+
+
+def _represent(perm: tuple, vec: np.ndarray) -> np.ndarray:
+    """``U(k)f`` for a closure element and a complex vector already checked."""
     out = np.empty_like(vec)
     out[np.array(perm)] = vec
     return out
@@ -597,7 +661,9 @@ class WordScan:
     word images over it; ``first_words`` holds the (length, letter order)
     minimal word per (element, image) pair.  ``saturated`` is true when
     every reduced word beyond ``max_len`` can only revisit recorded
-    (element, image) pairs, so the enumeration is exhaustive.
+    (element, image) pairs, so the enumeration is exhaustive.  One scan is
+    shared by every checker of a (model, depth), so both mappings are
+    read-only.
     """
 
     max_len: int
@@ -615,6 +681,21 @@ def _word_sort_key(letters: tuple) -> tuple:
 
 
 def scan_words(model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT) -> WordScan:
+    """Reduced words up to ``max_len`` letters, enumerated once per depth.
+
+    The scan is memoized on the model, so the checkers of one (model,
+    depth) share a single enumeration.
+    """
+    if int(max_len) < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+    max_len = int(max_len)
+    scans = model._word_scans
+    if max_len not in scans:
+        scans[max_len] = _enumerate_words(model, max_len)
+    return scans[max_len]
+
+
+def _enumerate_words(model: FiniteSymmetryModel, max_len: int) -> WordScan:
     """Enumerate reduced words breadth-first up to ``max_len`` letters.
 
     States are deduplicated on (group element, image, last subgroup), which
@@ -622,10 +703,6 @@ def scan_words(model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT) ->
     recorded for an (element, image) pair is the lexicographically first
     one by length then letter order.
     """
-    if int(max_len) < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
-    max_len = int(max_len)
-
     identity = identity_permutation(model.phi_size)
     alphabet: list[tuple[str, int, tuple, tuple]] = []
     for label in sorted(model.labels):
@@ -651,11 +728,7 @@ def scan_words(model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT) ->
         for label, idx, perm, perm_image in alphabet:
             if label == last:
                 continue
-            state = (
-                compose_permutations(element, perm),
-                compose_permutations(image, perm_image),
-                label,
-            )
+            state = (_compose(element, perm), _compose(image, perm_image), label)
             if state in seen:
                 continue
             seen.add(state)
@@ -696,8 +769,10 @@ def scan_words(model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT) ->
         max_len=max_len,
         saturated=deepest < max_len,
         words_visited=visited,
-        fibers={element: tuple(sorted(images)) for element, images in fibers.items()},
-        first_words=first_words,
+        fibers=types.MappingProxyType(
+            {element: tuple(sorted(images)) for element, images in fibers.items()}
+        ),
+        first_words=types.MappingProxyType(first_words),
         transfer_findings=tuple(findings),
         kernel_words=tuple(kernel_words),
         kernel_count=kernel_count,
@@ -891,7 +966,7 @@ def build_question_states(
         inverse = invert_permutation(kappa)
         labels.append(label)
         for i in range(basis.dim):
-            moved = regular_representation(model, inverse, basis.functions[i])
+            moved = _represent(inverse, basis.functions[i])
             coords, residual = basis.coordinates(moved)
             if residual > STABILITY_TOL:
                 raise RuntimeError(
@@ -1200,7 +1275,7 @@ def check_assumptions(
         powers = [k]
         current = k
         while current != identity:
-            current = compose_permutations(current, k)
+            current = _compose(current, k)
             powers.append(current)
         group = frozenset(powers)
         cyclic.setdefault(group, k)
@@ -1318,7 +1393,7 @@ def check_assumptions(
             continue
         elements_checked += 1
         for i in range(basis.dim):
-            moved = regular_representation(model, k, basis.functions[i])
+            moved = _represent(k, basis.functions[i])
             overlap = abs(inner(basis.functions[i], moved))
             max_overlap = max(max_overlap, overlap)
             if overlap > 1.0 - LEMMA2_MARGIN:

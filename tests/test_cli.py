@@ -349,6 +349,50 @@ class TestSymmetryCommands:
         assert code == 2
         assert "mystery" in err
 
+    @pytest.mark.parametrize(
+        "field,edit",
+        [
+            ("variables[0].theta", lambda raw: raw["variables"][0].update(theta=5)),
+            ('subgroups["0"][0]', lambda raw: raw["subgroups"].update({"0": [[0, 1, 2, 3.5]]})),
+            ("phi_size", lambda raw: raw.update(phi_size=4.7)),
+            ("variables[0].theta", lambda raw: raw["variables"][0]["theta"].__setitem__(1, True)),
+        ],
+        ids=["theta_not_a_list", "float_generator_entry", "float_phi_size", "bool_in_theta"],
+    )
+    def test_non_integer_model_fields_exit_2(self, capsys, tmp_path, field, edit):
+        raw = json.loads(
+            symmetry.bundled_model_path("designed_failure").read_text(encoding="utf-8")
+        )
+        edit(raw)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run_cli(capsys, "symmetry", "check", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert field in err
+        assert "Traceback" not in err
+
+    def test_check_scans_words_once_per_model_and_depth(self, capsys, monkeypatch):
+        depths = []
+        enumerate_words = symmetry._enumerate_words
+
+        def counted(model, max_len):
+            depths.append(max_len)
+            return enumerate_words(model, max_len)
+
+        monkeypatch.setattr(symmetry, "_enumerate_words", counted)
+        code, _, _ = run_cli(capsys, "symmetry", "check", "--model", "structural_example")
+        assert code == 1
+        assert depths == [symmetry.WORD_DEPTH_DEFAULT]
+
+        model = symmetry.load_model(symmetry.bundled_model_path("structural_example"))
+        checkers = cli.SYMMETRY_CHECKERS["check"]
+        first = cli._symmetry_reports(model, 4, checkers)
+        assert cli._symmetry_reports(model, 4, checkers) == first
+        assert depths[1:] == [4]
+        cli._symmetry_reports(model, 3, checkers)
+        assert depths[1:] == [4, 3]
+
 
 # ---------------------------------------------------------------------------
 # golden battery

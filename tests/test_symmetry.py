@@ -89,6 +89,99 @@ def single_variable_model():
     )
 
 
+def dihedral4_model():
+    """Left translations of D_4 on 16 points, built like structural_example.
+
+    Point ``2*index(g) + b`` carries element ``g`` of D_4 (acting on the
+    square's corners) and a copy bit ``b``; variable "0" reads off the
+    element, "1" and "2" are its transfers by a reflection and a rotation.
+    """
+    rot, refl = (1, 2, 3, 0), (0, 3, 2, 1)
+    d4 = closure_oracle([rot, refl], 4)
+    index = {g: i for i, g in enumerate(d4)}
+
+    def left_d4(x):
+        out = [0] * 16
+        for g in d4:
+            for b in (0, 1):
+                out[2 * index[g] + b] = 2 * index[mul(x, g)] + b
+        return tuple(out)
+
+    theta0 = tuple(p // 2 for p in range(16))
+    k01, k02 = left_d4(refl), left_d4(rot)
+    k12 = left_d4(mul(refl, rot))  # refl is an involution: refl^-1 * rot
+    gens = (left_d4(rot), left_d4(refl))
+    return sym.FiniteSymmetryModel(
+        phi_size=16,
+        variables=(
+            ("0", theta0),
+            ("1", tuple(theta0[k01[p]] for p in range(16))),
+            ("2", tuple(theta0[k02[p]] for p in range(16))),
+        ),
+        distinguished="0",
+        generators={"0": gens, "1": gens, "2": gens},
+        transfers={("0", "1"): k01, ("0", "2"): k02, ("1", "2"): k12},
+    )
+
+
+def reference_closure(generators, n):
+    """Breadth-first closure through the validating public product."""
+    identity = tuple(range(n))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [
+            q
+            for q in {sym.compose_permutations(g, p) for p in frontier for g in generators}
+            if q not in seen
+        ]
+        seen.update(frontier)
+    return tuple(sorted(seen))
+
+
+def reference_scan(model, max_len):
+    """Word scan through the validating public product and inverse.
+
+    Returns (fibers, first_words, words_visited, kernel_count) with the
+    scan's dedup rule: one state per (element, image, last subgroup).
+    """
+    n = model.phi_size
+    identity = tuple(range(n))
+    alphabet = []
+    for label in sorted(model.labels):
+        elements = reference_closure(model.generators[label], n)
+        forward = model.zero_transfers[label]
+        backward = sym.invert_permutation(forward)
+        for idx in range(1, len(elements)):
+            image = sym.compose_permutations(
+                forward, sym.compose_permutations(elements[idx], backward)
+            )
+            alphabet.append((label, idx, elements[idx], image))
+    seen = {(identity, identity, None)}
+    first_words = {(identity, identity): ()}
+    fibers = {identity: {identity}}
+    kernel_count = 0
+    queue = [((), identity, identity, None)]
+    for letters, element, image, last in queue:
+        if len(letters) == max_len:
+            continue
+        for label, idx, perm, perm_image in alphabet:
+            state = (
+                sym.compose_permutations(element, perm),
+                sym.compose_permutations(image, perm_image),
+                label,
+            )
+            if label == last or state in seen:
+                continue
+            seen.add(state)
+            word = letters + ((label, idx),)
+            first_words.setdefault(state[:2], word)
+            fibers.setdefault(state[0], set()).add(state[1])
+            kernel_count += state[1] == identity
+            queue.append((word, *state))
+    fibers = {element: tuple(sorted(images)) for element, images in fibers.items()}
+    return fibers, first_words, len(seen), kernel_count
+
+
 # ---------------------------------------------------------------------------
 # permutations and closure
 
@@ -112,6 +205,15 @@ class TestPermutations:
             sym.compose_permutations((0, 0, 1), (0, 1, 2))
         with pytest.raises(ValueError):
             sym.invert_permutation((1, 2, 3))
+
+    def test_only_integer_entries(self):
+        with pytest.raises(ValueError, match=r"permutation\[1\] must be an integer"):
+            sym.compose_permutations((0, 1.0, 2), (0, 1, 2))
+        with pytest.raises(ValueError, match="must be an integer"):
+            sym.invert_permutation((True, False))
+        with pytest.raises(ValueError, match="must be a list"):
+            sym.invert_permutation(3)
+        assert sym.compose_permutations(np.array([1, 0]), [np.int64(1), 0]) == (0, 1)
 
 
 class TestGroupClosure:
@@ -541,8 +643,51 @@ class TestWordScan:
         assert report.metrics["saturated"] == 1.0
         assert "exhaustive" in report.notes
 
-    def test_scan_is_deterministic(self, structural):
-        assert sym.scan_words(structural, 4) == sym.scan_words(structural, 4)
+    def test_scan_is_deterministic(self):
+        first, second = (
+            sym.load_model(sym.bundled_model_path("structural_example")) for _ in range(2)
+        )
+        assert sym.scan_words(first, 4) is not sym.scan_words(second, 4)
+        assert sym.scan_words(first, 4) == sym.scan_words(second, 4)
+
+    def test_shared_scan_is_read_only(self, structural):
+        scan = sym.scan_words(structural, 4)
+        assert sym.scan_words(structural, 4) is scan
+        identity = sym.identity_permutation(12)
+        images = scan.fibers[identity]
+        with pytest.raises(TypeError):
+            scan.fibers[identity] = ()
+        with pytest.raises(TypeError):
+            del scan.first_words[(identity, identity)]
+        assert scan.fibers[identity] == images
+        assert scan.first_words[(identity, identity)] == ()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: sym.load_model(sym.bundled_model_path("structural_example")),
+            lambda: sym.load_model(sym.bundled_model_path("designed_failure")),
+            dihedral4_model,
+        ],
+        ids=["structural_example", "designed_failure", "dihedral4"],
+    )
+    def test_trusted_loops_match_validating_reference(self, build):
+        model = build()
+        for label in model.labels:
+            assert model.subgroup(label) == reference_closure(
+                model.generators[label], model.phi_size
+            )
+        assert model.full_group == reference_closure(
+            [*itertools.chain.from_iterable(model.generators.values()),
+             *model.transfers.values()],
+            model.phi_size,
+        )
+        scan = sym.scan_words(model, 4)
+        fibers, first_words, visited, kernel_count = reference_scan(model, 4)
+        assert dict(scan.fibers) == fibers
+        assert dict(scan.first_words) == first_words
+        assert scan.words_visited == visited
+        assert scan.kernel_count == kernel_count
 
     def test_depth_must_be_positive(self, structural):
         with pytest.raises(ValueError, match="max_len"):
