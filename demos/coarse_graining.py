@@ -31,8 +31,7 @@ def main():
             f"basis indices {cls}, projector rank {rank}"
         )
 
-    eye_defect = float(np.abs(sum(cg.projectors) - np.eye(spec.dim)).max())
-    print(f"\nsum of projectors vs identity: {eye_defect:.2e}")
+    print(f"\nsum of projectors vs identity: {cg.identity_defect:.2e}")
     eig_defect = max(
         float(np.abs(a @ p - u * p).max())
         for u, p in zip(cg.coarse_values, cg.projectors)
@@ -45,7 +44,7 @@ def main():
     print(f"relabeled (injective) variable maximal? "
           f"{evariables.is_maximally_accessible(a_kept)}")
 
-    report = evariables.coarse_grain_report(spec, merging)
+    report = evariables.coarse_grain_report(cg, a)
     print(f"\nfull structural check: {report.verdict}")
     for key in ("identity_defect", "orthogonality_defect", "eigenspace_defect"):
         print(f"  {key} = {report.metrics[key]:.2e}")

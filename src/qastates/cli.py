@@ -9,7 +9,8 @@ field order; a human summary goes to stderr.
 
 Exit status: 0 when every emitted report passes or the command is pure
 construction, 1 when any report fails, 2 on usage or model errors (the
-diagnostic names the offending field).
+diagnostic names the offending field) and on any other error, with one
+``error:`` line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from . import evariables, qubit, spin, symmetry
+from . import evariables, linalg, qubit, spin, symmetry
 from .report import VerificationReport, summarize
 
 DEFAULT_EPS = 1e-9
@@ -83,7 +84,7 @@ def parse_state(record: Mapping) -> spin.QuestionAnswerState:
 # argument parsing
 
 
-def _half_integer(flag: str, text: str, low: float, high: float) -> float:
+def _half_integer(text: str, low: float, high: float) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -99,7 +100,7 @@ def _half_integer(flag: str, text: str, low: float, high: float) -> float:
 
 
 def _j_argument(text: str) -> float:
-    return _half_integer("--j", text, 0.5, spin.MAX_J)
+    return _half_integer(text, 0.5, spin.MAX_J)
 
 
 def _dir_argument(text: str) -> spin.Direction:
@@ -400,10 +401,10 @@ def _cmd_evar_coarse_grain(args) -> tuple[dict, list]:
     if mapping is None:
         raise CommandError("--map is required for coarse-grain")
     try:
-        cg, _ = evariables.coarse_grain(spec, mapping)
-        report = evariables.coarse_grain_report(spec, mapping)
+        cg, a = evariables.coarse_grain(spec, mapping)
     except ValueError as exc:
         raise CommandError(f"--map: {exc}")
+    report = evariables.coarse_grain_report(cg, a)
     payload = {
         "command": "evar coarse-grain",
         "parameters": {
@@ -426,16 +427,14 @@ def _cmd_evar_maximal(args) -> tuple[dict, list]:
             _, a = evariables.coarse_grain(spec, mapping)
         except ValueError as exc:
             raise CommandError(f"--map: {exc}")
-    from .linalg import hermitian_eig
-
-    dec = hermitian_eig(a)
+    dec = linalg.hermitian_eig(a)
     payload = {
         "command": "evar maximal",
         "parameters": {
             "values": list(spec.values),
             "map": None if mapping is None else [mapping[v] for v in spec.values],
         },
-        "maximal": bool(evariables.is_maximally_accessible(a)),
+        "maximal": bool(evariables.is_maximally_accessible(dec)),
         "eigenvalues": [float(v) for v in dec.eigenvalues],
     }
     return payload, []
@@ -452,9 +451,7 @@ def _lemma1(model, max_len: int, eps: float) -> list:
 
 def _assumptions(model, max_len: int, eps: float) -> list:
     # assumption_3b comes from the word scan and sits between 3a and 3c.
-    measure, closure, irreducibility, separation, lemma2 = symmetry.check_assumptions(
-        model, max_len
-    )
+    measure, closure, irreducibility, separation, lemma2 = symmetry.check_assumptions(model)
     multivalued = symmetry.detect_multivaluedness(model, max_len)
     return [measure, closure, irreducibility, multivalued, separation, lemma2]
 
@@ -535,8 +532,8 @@ def golden_battery(seed: int = DEFAULT_SEED) -> tuple[dict, list]:
     section(
         "coarse graining",
         [
-            evariables.coarse_grain_report(spec, merging),
-            evariables.coarse_grain_report(spec, keeping),
+            evariables.coarse_grain_report(*evariables.coarse_grain(spec, merging)),
+            evariables.coarse_grain_report(*evariables.coarse_grain(spec, keeping)),
         ],
     )
 
@@ -617,21 +614,26 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    # Exit 1 belongs to failing reports alone: anything raised on the way,
+    # bad input or an internal failure, becomes one error line and exit 2.
     try:
         payload, reports = args.handler(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = render_payload(payload)
+        summary = _summary(payload, reports)
+        if args.out:
+            try:
+                Path(args.out).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise CommandError(f"--out: {exc}")
+        else:
+            sys.stdout.write(text)
+    except Exception as exc:
+        message = str(exc)
+        if not isinstance(exc, (CommandError, ValueError, OSError)):
+            message = f"{type(exc).__name__}: {message}"
+        print("error:", " ".join(message.split()), file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    text = render_payload(payload)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    print(_summary(payload, reports), file=sys.stderr)
+    print(summary, file=sys.stderr)
     return 1 if any(r.verdict == "fail" for r in reports) else 0
 
 

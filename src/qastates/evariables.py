@@ -13,7 +13,7 @@ supported on the class's subspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -94,12 +94,17 @@ class CoarseGraining:
 
     classes[i] lists the basis indices j with t(v_j) = coarse_values[i];
     projectors[i] projects onto their span.  Coarse values are ascending.
+    Construction enforces the resolution of identity and mutual
+    orthogonality to PROJECTOR_TOL; the defects it measured are kept as
+    `identity_defect` and `orthogonality_defect`.
     """
 
     spec: EVariableSpec
     coarse_values: tuple
     classes: tuple
     projectors: tuple
+    identity_defect: float = field(init=False, compare=False, repr=False)
+    orthogonality_defect: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         d = self.spec.dim
@@ -112,6 +117,7 @@ class CoarseGraining:
             raise ValueError("classes must partition the basis indices")
         projectors = tuple(linalg.as_matrix(p).copy() for p in self.projectors)
         total = np.zeros((d, d), dtype=complex)
+        cross_defect = 0.0
         for i, p in enumerate(projectors):
             total += p
             for k in range(i + 1, len(projectors)):
@@ -120,6 +126,7 @@ class CoarseGraining:
                     raise ValueError(
                         f"projectors {i} and {k} overlap: {cross:.3e}"
                     )
+                cross_defect = max(cross_defect, cross)
         sum_defect = float(np.abs(total - np.eye(d)).max())
         if sum_defect > PROJECTOR_TOL:
             raise ValueError(f"projectors do not resolve identity: {sum_defect:.3e}")
@@ -128,6 +135,8 @@ class CoarseGraining:
         object.__setattr__(self, "coarse_values", coarse)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "identity_defect", sum_defect)
+        object.__setattr__(self, "orthogonality_defect", cross_defect)
 
     @property
     def injective(self) -> bool:
@@ -184,11 +193,13 @@ def is_maximally_accessible(a, sep: float = DEFAULT_SEPARATION) -> bool:
     """Whether all eigenspaces are one-dimensional.
 
     True iff consecutive eigenvalue gaps all exceed sep times the spectral
-    norm.  The eigenvalues come from the package eigensolver.
+    norm.  The eigenvalues come from the package eigensolver; ``a`` may be
+    the Hermitian matrix or its `linalg.EigenDecomposition`, when one is
+    already at hand.
     """
     if not (sep > 0.0):
         raise ValueError("separation threshold must be positive")
-    dec = linalg.hermitian_eig(a)
+    dec = a if isinstance(a, linalg.EigenDecomposition) else linalg.hermitian_eig(a)
     if dec.dim == 1:
         return True
     scale = float(np.abs(dec.eigenvalues).max())
@@ -218,21 +229,14 @@ def interpret(cg: CoarseGraining, i: int) -> InterpretedAnswer:
     )
 
 
-def coarse_grain_report(spec: EVariableSpec, t) -> VerificationReport:
-    """Build a coarse graining and verify its structural identities.
+def coarse_grain_report(cg: CoarseGraining, a: np.ndarray) -> VerificationReport:
+    """Verify a coarse graining and its merged operator, as `coarse_grain`
+    returns them.
 
-    Checks the resolution of identity, mutual orthogonality, the eigenspace
-    property A P_i = u_i P_i, agreement of eigenspace dimensions with class
-    sizes, and that maximality detection matches injectivity of t.
+    Reports the resolution of identity and mutual orthogonality that
+    construction enforced, and checks the eigenspace property
+    A P_i = u_i P_i and that maximality detection matches injectivity of t.
     """
-    cg, a = coarse_grain(spec, t)
-    d = spec.dim
-    eye = np.eye(d)
-    sum_defect = float(np.abs(sum(cg.projectors) - eye).max())
-    cross_defect = 0.0
-    for i, p in enumerate(cg.projectors):
-        for k in range(i + 1, len(cg.projectors)):
-            cross_defect = max(cross_defect, float(np.abs(p @ cg.projectors[k]).max()))
     eigen_defect = 0.0
     for u, p in zip(cg.coarse_values, cg.projectors):
         eigen_defect = max(eigen_defect, float(np.abs(a @ p - u * p).max()))
@@ -248,10 +252,6 @@ def coarse_grain_report(spec: EVariableSpec, t) -> VerificationReport:
         )
         separable = min_gap > DEFAULT_SEPARATION * scale
     witnesses = []
-    if sum_defect > PROJECTOR_TOL:
-        witnesses.append({"kind": "identity_resolution", "defect": sum_defect})
-    if cross_defect > PROJECTOR_TOL:
-        witnesses.append({"kind": "orthogonality", "defect": cross_defect})
     if eigen_defect > 1e-10:
         witnesses.append({"kind": "eigenspace", "defect": eigen_defect})
     if separable and maximal != cg.injective:
@@ -267,10 +267,10 @@ def coarse_grain_report(spec: EVariableSpec, t) -> VerificationReport:
         subject="coarse_grain",
         verdict=verdict,
         metrics={
-            "dim": float(d),
+            "dim": float(cg.spec.dim),
             "classes": float(len(cg.classes)),
-            "identity_defect": sum_defect,
-            "orthogonality_defect": cross_defect,
+            "identity_defect": cg.identity_defect,
+            "orthogonality_defect": cg.orthogonality_defect,
             "eigenspace_defect": eigen_defect,
             "injective": float(cg.injective),
         },

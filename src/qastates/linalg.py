@@ -145,7 +145,6 @@ def hermitian_eig(a) -> EigenDecomposition:
     h = (a + a.conj().T) / 2.0
     v = np.eye(n, dtype=complex)
     if n == 1 or scale == 0.0:
-        order = np.arange(n)
         vals = h.diagonal().real.copy()
         order = np.argsort(vals, kind="stable")
         return EigenDecomposition(vals[order], v[:, order])

@@ -161,6 +161,20 @@ def group_closure(generators: Iterable, phi_size: int | None = None) -> tuple:
 # model
 
 
+def _variable_labels(variables: Sequence) -> tuple[str, ...]:
+    """Labels of ``(label, theta)`` pairs: distinct nonempty strings."""
+    labels: list[str] = []
+    for pos, (label, _) in enumerate(variables):
+        if not isinstance(label, str) or not label:
+            raise ValueError(
+                f"variables[{pos}].label must be a nonempty string, got {label!r}"
+            )
+        if label in labels:
+            raise ValueError(f"duplicate variable label {label!r}")
+        labels.append(label)
+    return tuple(labels)
+
+
 def _split_transfer_key(key: str, labels: Sequence[str]) -> tuple[str, str]:
     """Resolve a concatenated transfer key like "01" into its label pair."""
     options = [
@@ -206,17 +220,9 @@ class FiniteSymmetryModel:
             raise ValueError(f"phi_size must be positive, got {self.phi_size}")
         object.__setattr__(self, "phi_size", size)
 
+        seen_labels = set(_variable_labels(self.variables))
         cleaned = []
-        seen_labels = set()
-        for pos, entry in enumerate(self.variables):
-            label, values = entry
-            if not isinstance(label, str) or not label:
-                raise ValueError(
-                    f"variables[{pos}].label must be a nonempty string, got {label!r}"
-                )
-            if label in seen_labels:
-                raise ValueError(f"duplicate variable label {label!r}")
-            seen_labels.add(label)
+        for pos, (label, values) in enumerate(self.variables):
             theta = _integers(values, f"variables[{pos}].theta")
             if len(theta) != size:
                 raise ValueError(
@@ -499,7 +505,7 @@ def load_model(source) -> FiniteSymmetryModel:
         if not isinstance(entry, Mapping) or set(entry) != {"label", "theta"}:
             raise ValueError(f"variables[{pos}] must be an object with 'label' and 'theta'")
         variables.append((entry["label"], entry["theta"]))
-    labels = [label for label, _ in variables]
+    labels = _variable_labels(variables)
 
     for name in ("subgroups", "transfer"):
         if not isinstance(raw.get(name, {}), Mapping):
@@ -1216,9 +1222,7 @@ def _cycles(perm: tuple) -> list[list[int]]:
     return cycles
 
 
-def check_assumptions(
-    model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT
-) -> tuple[VerificationReport, ...]:
+def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, ...]:
     """Reports for the measure, closure, representation, and separation checks.
 
     Returns five reports in order: invariant measure (assumption_1),
@@ -1327,59 +1331,39 @@ def check_assumptions(
         )
 
     # assumption_3c: separating basis pairs through relabeled arguments.
+    # Basis function i is the level indicator with amplitude 1/sqrt(size_i)
+    # in slot i.  The full symmetric group moves a slot anywhere, so the
+    # only argument that can separate i from j is slot j, and it does iff
+    # the two amplitudes differ: pair (i, j) fails iff the sizes are equal.
     sizes = [len(level) for level in basis.levels]
-    amplitudes = [1.0 / math.sqrt(s) for s in sizes]
-    separation_witnesses = []
-    pairs_checked = 0
-    pairs_failing = 0
-    literal = math.factorial(basis.dim) <= 5040
-    value_list = list(range(basis.dim))
-    for i, j in itertools.permutations(range(basis.dim), 2):
-        pairs_checked += 1
-
-        def tilde(index: int, slot: int) -> float:
-            return amplitudes[index] if slot == index else 0.0
-
-        found = False
-        for theta_1 in value_list:
-            target = tilde(j, theta_1)
-            if literal:
-                clash = any(
-                    tilde(i, g[theta_1]) == target
-                    for g in itertools.permutations(value_list)
-                )
-            else:
-                # The full symmetric group is transitive: g(theta_1) sweeps
-                # every slot, so compare against the value set directly.
-                clash = any(tilde(i, slot) == target for slot in value_list)
-            if not clash:
-                found = True
-                break
-        if not found:
-            pairs_failing += 1
-            if len(separation_witnesses) < _WITNESS_CAP:
-                separation_witnesses.append(
-                    {
-                        "i": i,
-                        "j": j,
-                        "value_i": basis.values[i],
-                        "value_j": basis.values[j],
-                        "level_sizes": [sizes[i], sizes[j]],
-                    }
-                )
+    failing = [
+        (i, j)
+        for i, j in itertools.permutations(range(basis.dim), 2)
+        if sizes[i] == sizes[j]
+    ]
+    separation_witnesses = [
+        {
+            "i": i,
+            "j": j,
+            "value_i": basis.values[i],
+            "value_j": basis.values[j],
+            "level_sizes": [sizes[i], sizes[j]],
+        }
+        for i, j in failing[:_WITNESS_CAP]
+    ]
     separation = VerificationReport(
         subject="assumption_3c",
-        verdict="fail" if pairs_failing else "pass",
+        verdict="fail" if failing else "pass",
         metrics={
             "dim": basis.dim,
-            "pairs_checked": pairs_checked,
-            "pairs_failing": pairs_failing,
+            "pairs_checked": basis.dim * (basis.dim - 1),
+            "pairs_failing": len(failing),
         },
         witnesses=tuple(separation_witnesses),
         notes=(
             "pairs of equal-size level sets cannot be separated: both indicator "
             "amplitudes take the same nonzero value"
-            if pairs_failing
+            if failing
             else "every ordered basis pair admits a separating argument"
         ),
     )

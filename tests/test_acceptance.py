@@ -135,17 +135,17 @@ def test_coarse_graining_projector_identities():
         coarse = np.cumsum(0.5 + rng.uniform(0.0, 1.0, size=classes))
         merging = {v: float(coarse[c]) for v, c in zip(spec.values, labels)}
 
-        report = evariables.coarse_grain_report(spec, merging)
+        cg, a = evariables.coarse_grain(spec, merging)
+        report = evariables.coarse_grain_report(cg, a)
         assert report.verdict == "pass", report.notes
         assert report.metrics["identity_defect"] <= 1e-11
         assert report.metrics["orthogonality_defect"] <= 1e-11
         assert report.metrics["eigenspace_defect"] <= 1e-10
         assert report.metrics["injective"] == 0.0
-        cg, a = evariables.coarse_grain(spec, merging)
         assert evariables.is_maximally_accessible(a) == cg.injective
 
         keeping = {v: v for v in spec.values}
-        control = evariables.coarse_grain_report(spec, keeping)
+        control = evariables.coarse_grain_report(*evariables.coarse_grain(spec, keeping))
         assert control.verdict == "pass", control.notes
         assert control.metrics["injective"] == 1.0
         _, b = evariables.coarse_grain(spec, keeping)

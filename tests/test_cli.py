@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qastates import cli, spin, symmetry
+from qastates import cli, evariables, linalg, spin, symmetry
 
 GOLDEN = Path(__file__).parent / "golden" / "battery.json"
 
@@ -171,6 +171,15 @@ class TestSpinCommands:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
 
+    @pytest.mark.parametrize("h", ["inf", "nan"])
+    def test_non_finite_answer_names_flag(self, capsys, h):
+        code, out, err = run_cli(
+            capsys, "spin", "state", "--j", "1", "--dir", "0,0,1", "--h", h
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --h: ")
+
     def test_near_unit_direction_accepted(self, capsys):
         code, record, _ = run_json(
             capsys, "spin", "state", "--j", "0.5", "--dir", "0,0,0.9999999", "--h", "0.5"
@@ -227,6 +236,24 @@ class TestEvarCommands:
         )
         assert code == 0
         assert payload["maximal"] is False
+
+    def test_each_command_builds_once(self, capsys, monkeypatch):
+        calls = []
+        for module, name in ((linalg, "hermitian_eig"), (evariables, "coarse_grain")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        args = ("--values", "1,2,3,4", "--map", "1,1,2,2")
+        assert run_cli(capsys, "evar", "maximal", *args)[0] == 0
+        assert calls == ["coarse_grain", "hermitian_eig"]
+        calls.clear()
+        assert run_cli(capsys, "evar", "coarse-grain", *args)[0] == 0
+        # One coarse graining, and one diagonalization for the maximality check.
+        assert calls == ["coarse_grain", "hermitian_eig"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -356,8 +383,16 @@ class TestSymmetryCommands:
             ('subgroups["0"][0]', lambda raw: raw["subgroups"].update({"0": [[0, 1, 2, 3.5]]})),
             ("phi_size", lambda raw: raw.update(phi_size=4.7)),
             ("variables[0].theta", lambda raw: raw["variables"][0]["theta"].__setitem__(1, True)),
+            # The label sits in transfer key "01" too; the label is named.
+            ("variables[1].label", lambda raw: raw["variables"][1].update(label=1)),
         ],
-        ids=["theta_not_a_list", "float_generator_entry", "float_phi_size", "bool_in_theta"],
+        ids=[
+            "theta_not_a_list",
+            "float_generator_entry",
+            "float_phi_size",
+            "bool_in_theta",
+            "int_label",
+        ],
     )
     def test_non_integer_model_fields_exit_2(self, capsys, tmp_path, field, edit):
         raw = json.loads(
@@ -436,6 +471,49 @@ class TestReportCommand:
             "symmetry structural_example",
             "symmetry designed_failure",
         ]
+
+
+# ---------------------------------------------------------------------------
+# exit contract
+
+
+class TestExitContract:
+    @pytest.mark.parametrize(
+        "module,name,error,argv",
+        [
+            (spin, "eigenstate_recursion", RuntimeError,
+             ("spin", "state", "--j", "1", "--dir", "0,0,1", "--h", "1")),
+            (spin, "oracle_catalog", RuntimeError, ("spin", "verify", "--j", "1", "--samples", "1")),
+            (symmetry, "verify_theorem1", KeyError,
+             ("symmetry", "check", "--model", "structural_example")),
+        ],
+        ids=["spin_state", "spin_verify", "symmetry_check"],
+    )
+    def test_internal_error_exits_2(self, capsys, monkeypatch, module, name, error, argv):
+        def broken(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(module, name, broken)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {error.__name__}: ")
+        assert "injected failure" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "state.json"
+        code, out, err = run_cli(
+            capsys,
+            "spin", "state", "--j", "1", "--dir", "0,0,1", "--h", "1",
+            "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --out: ")
+        assert err.count("\n") == 1
+        assert not target.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,12 @@ class TestMaximalAccessibility:
         with pytest.raises(ValueError):
             ev.is_maximally_accessible(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_accepts_a_decomposition(self):
+        for diagonal in ([1.0, 2.0, 3.0], [1.0, 1.0, 2.0]):
+            a = np.diag(diagonal).astype(complex)
+            dec = linalg.hermitian_eig(a)
+            assert ev.is_maximally_accessible(dec) == ev.is_maximally_accessible(a)
+
     def test_maximality_iff_injective(self):
         rng = np.random.default_rng(12)
         spec = random_spec(rng, 4)
@@ -222,7 +228,7 @@ class TestInterpret:
 class TestReport:
     def test_report_passes_on_good_merge(self):
         spec = ev.EVariableSpec.standard("lam", (1.0, 2.0, 3.0))
-        rep = ev.coarse_grain_report(spec, {1.0: 10.0, 2.0: 10.0, 3.0: 20.0})
+        rep = ev.coarse_grain_report(*ev.coarse_grain(spec, {1.0: 10.0, 2.0: 10.0, 3.0: 20.0}))
         assert rep.subject == "coarse_grain"
         assert rep.verdict == "pass"
         assert rep.metrics["classes"] == 2.0
@@ -232,5 +238,23 @@ class TestReport:
         rng = np.random.default_rng(77)
         for _ in range(5):
             spec = random_spec(rng, int(rng.integers(2, 7)))
-            rep = ev.coarse_grain_report(spec, {v: round(v) for v in spec.values})
+            rep = ev.coarse_grain_report(*ev.coarse_grain(spec, {v: round(v) for v in spec.values}))
             assert rep.verdict == "pass"
+
+    def test_report_reads_the_stored_defects(self):
+        rng = np.random.default_rng(78)
+        for _ in range(5):
+            spec = random_spec(rng, int(rng.integers(2, 7)))
+            cg, a = ev.coarse_grain(spec, {v: round(v) for v in spec.values})
+            rep = ev.coarse_grain_report(cg, a)
+            assert rep.metrics["identity_defect"] == cg.identity_defect
+            assert rep.metrics["orthogonality_defect"] == cg.orthogonality_defect
+            # The stored values are the defects measured from the projectors.
+            eye = np.eye(spec.dim)
+            assert cg.identity_defect == float(np.abs(sum(cg.projectors) - eye).max())
+            cross = [
+                float(np.abs(p @ q).max())
+                for i, p in enumerate(cg.projectors)
+                for q in cg.projectors[i + 1 :]
+            ]
+            assert cg.orthogonality_defect == max(cross, default=0.0)

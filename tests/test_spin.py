@@ -196,11 +196,23 @@ class TestRecursionStates:
                 assert rec.residual <= 1e-9
 
     def test_near_pole_direction_still_works(self):
-        direction = Direction.normalized(1e-7, 0.0, 1.0)
-        s = SpinSystem(2.0)
-        for h in s.m_values:
-            state = spin.eigenstate_recursion(s, direction, float(h))
-            assert state.residual <= 1e-9
+        # The fragile zone just off either pole, at every answer: transverse
+        # magnitudes from just above POLE_THRESHOLD up to 1e-2, where the
+        # recursion junction sits at or near an end.  The oracle is compared
+        # up to j = 12.5; at j = 25 the residual bound carries the check.
+        for j in (3.0, 12.5, 25.0):
+            s = SpinSystem(j)
+            for transverse in (2e-8, 1e-6, 1e-4, 1e-2):
+                for z in (1.0, -1.0):
+                    direction = Direction.normalized(0.6 * transverse, 0.8 * transverse, z)
+                    oracle = spin.oracle_catalog(s, direction) if j <= 12.5 else None
+                    for k, h in enumerate(s.m_values):
+                        where = f"j={j}, transverse={transverse}, z={z}, h={h}"
+                        state = spin.eigenstate_recursion(s, direction, float(h))
+                        assert state.residual <= spin.STATE_RESIDUAL_TOL, where
+                        if oracle is not None:
+                            overlap = abs(linalg.inner(state.ket, oracle[k].ket))
+                            assert overlap >= 1.0 - 1e-9, where
 
     def test_rescaling_path_high_j(self):
         # Steep coefficient growth forces the mid-recursion rescaling.
@@ -210,10 +222,11 @@ class TestRecursionStates:
         assert state.residual <= 1e-9
 
     def test_invalid_answer_rejected(self):
-        with pytest.raises(ValueError):
-            spin.eigenstate_recursion(SpinSystem(1.0), X, 0.25)
-        with pytest.raises(ValueError):
-            spin.eigenstate_recursion(SpinSystem(1.0), X, 1.5)
+        for bad in (0.25, 1.5, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                spin.eigenstate_recursion(SpinSystem(1.0), X, bad)
+            with pytest.raises(ValueError):
+                SpinSystem(1.0).m_index(bad)
 
     def test_phase_convention_applied(self):
         rng = np.random.default_rng(23)

@@ -890,6 +890,26 @@ class TestCheckAssumptions:
         assert separation.verdict == "fail"
         assert separation.witnesses[0]["level_sizes"] == [2, 2]
 
+        # Level-size patterns at every dimension from 2 to 9: the closed form
+        # must agree where S_dim is small enough to enumerate and beyond it.
+        for dim in range(2, 10):
+            patterns = (
+                (list(range(1, dim + 1)), 0),  # all sizes distinct
+                (list(range(1, dim)) + [1], 2),  # one size shared by two levels
+                ([2] * dim, dim * (dim - 1)),  # all sizes equal
+            )
+            for sizes, failing in patterns:
+                theta = tuple(v for v, size in enumerate(sizes) for _ in range(size))
+                model = sym.FiniteSymmetryModel(len(theta), (("0", theta),), "0", {})
+                _, _, _, separation, _ = sym.check_assumptions(model)
+                assert separation.metrics["dim"] == dim
+                assert separation.metrics["pairs_checked"] == dim * (dim - 1)
+                assert separation.metrics["pairs_failing"] == failing, sizes
+                assert separation.verdict == ("fail" if failing else "pass"), sizes
+                assert len(separation.witnesses) == min(failing, 32)
+                for w in separation.witnesses:
+                    assert sizes[w["i"]] == sizes[w["j"]] and w["i"] != w["j"]
+
     def test_subgroup_fixing_levels_fails_lemma2(self):
         # The swap fixes both level sets, so it fixes both indicators.
         model = sym.FiniteSymmetryModel(
