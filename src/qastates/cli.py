@@ -5,7 +5,9 @@ eigenstates, ``qubit`` covers the two-level geometry, ``evar`` the
 coarse-graining of accessible variables, ``symmetry`` the finite-model
 checkers, and ``report --golden`` regenerates the full deterministic
 battery.  Structured JSON goes to stdout (or ``--out``) with a stable
-field order; a human summary goes to stderr.
+field order; a human summary goes to stderr.  The argument parser is built
+once per process: every ``main`` call parses into a fresh namespace, so
+in-process callers running many commands pay for it once.
 
 Exit status: 0 when every emitted report passes or the command is pure
 construction, 1 when any report fails, 2 on usage or model errors (the
@@ -16,6 +18,7 @@ diagnostic names the offending field) and on any other error, with one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -58,8 +61,25 @@ def emit_state(state: spin.QuestionAnswerState, form: str = "json") -> dict:
     }
 
 
+def _json_number(value, field: str) -> float:
+    """A finite JSON number (int or float) as a float; bools, strings and
+    anything else are rejected, naming the field."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"{field} must be a finite JSON number, got {value!r}")
+
+
 def parse_state(record: Mapping) -> spin.QuestionAnswerState:
-    """Rebuild a state from its record, validating every field."""
+    """Rebuild a state from its record, validating every field.
+
+    Only JSON numbers are read as numbers, and each error names its field
+    (``j``, ``dir[2]``, ``amplitudes[3][1]``).
+    """
     if not isinstance(record, Mapping):
         raise ValueError("state record must be a JSON object")
     expected = {"j", "dir", "h", "amplitudes"}
@@ -67,17 +87,28 @@ def parse_state(record: Mapping) -> spin.QuestionAnswerState:
         raise ValueError(
             f"state record fields must be {sorted(expected)}, got {sorted(record)}"
         )
-    system = spin.SpinSystem(float(record["j"]))
-    direction_values = [float(c) for c in record["dir"]]
-    if len(direction_values) != 3:
+    system = spin.SpinSystem(_json_number(record["j"], "j"))
+    components = record["dir"]
+    if not isinstance(components, list) or len(components) != 3:
         raise ValueError("field 'dir' must hold three components")
-    direction = spin.Direction(*direction_values)
+    x, y, z = (_json_number(c, f"dir[{k}]") for k, c in enumerate(components))
+    try:
+        direction = spin.Direction(x, y, z)
+    except ValueError as exc:
+        raise ValueError(f"dir: {exc}")
     pairs = record["amplitudes"]
+    if not isinstance(pairs, list):
+        raise ValueError(f"amplitudes must be a list of [re, im] pairs, got {pairs!r}")
     ket = np.empty(len(pairs), dtype=complex)
     for i, pair in enumerate(pairs):
-        re, im = pair
-        ket[i] = complex(float(re), float(im))
-    return spin.QuestionAnswerState(system, direction, float(record["h"]), ket)
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(
+                f"amplitudes[{i}] must be a two-element [re, im] list, got {pair!r}"
+            )
+        re, im = (_json_number(x, f"amplitudes[{i}][{k}]") for k, x in enumerate(pair))
+        ket[i] = complex(re, im)
+    h = _json_number(record["h"], "h")
+    return spin.QuestionAnswerState(system, direction, h, ket)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +219,10 @@ def _add_sampling(parser: argparse.ArgumentParser, samples: int) -> None:
     parser.add_argument("--seed", type=_seed_argument, default=DEFAULT_SEED)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call; each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qastates",
         description="Build question-answer states and verify their structural claims.",
@@ -404,7 +438,11 @@ def _cmd_evar_coarse_grain(args) -> tuple[dict, list]:
         cg, a = evariables.coarse_grain(spec, mapping)
     except ValueError as exc:
         raise CommandError(f"--map: {exc}")
-    report = evariables.coarse_grain_report(cg, a)
+    try:
+        # The merged operator's eigenvalues are the --map values.
+        report = evariables.coarse_grain_report(cg, a)
+    except ValueError as exc:
+        raise CommandError(f"--map: {exc}")
     payload = {
         "command": "evar coarse-grain",
         "parameters": {
@@ -427,7 +465,10 @@ def _cmd_evar_maximal(args) -> tuple[dict, list]:
             _, a = evariables.coarse_grain(spec, mapping)
         except ValueError as exc:
             raise CommandError(f"--map: {exc}")
-    dec = linalg.hermitian_eig(a)
+    try:
+        dec = linalg.hermitian_eig(a)
+    except ValueError as exc:
+        raise CommandError(f"{'--values' if mapping is None else '--map'}: {exc}")
     payload = {
         "command": "evar maximal",
         "parameters": {
@@ -578,8 +619,12 @@ def _json_default(obj: Any):
 
 
 def render_payload(payload: Mapping) -> str:
-    """Stable JSON text for a payload: fixed field order, trailing newline."""
-    return json.dumps(payload, indent=2, default=_json_default) + "\n"
+    """Stable JSON text for a payload: fixed field order, trailing newline.
+
+    Strict JSON: a NaN or infinite value raises ValueError instead of
+    printing as ``NaN`` or ``Infinity``.
+    """
+    return json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n"
 
 
 def _summary(payload: Mapping, reports) -> str:

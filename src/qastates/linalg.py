@@ -131,13 +131,21 @@ def hermitian_eig(a) -> EigenDecomposition:
 
     Each sweep conjugates by two-dimensional unitary rotations chosen to zero
     one off-diagonal entry at a time; off-diagonal mass decreases until it is
-    negligible relative to the Frobenius norm.  Before returning, the
-    eigenpair residuals and the orthonormality of the eigenvector matrix are
-    checked against RESIDUAL_TOL and ORTHO_TOL; failure to converge raises
-    instead of returning bad output.
+    negligible relative to the Frobenius norm.  A matrix whose entries or
+    computed Frobenius norm are not finite (entries beyond about 1e154
+    overflow it) is rejected with ValueError.  Before returning, the
+    eigenpair residuals and the orthonormality of the eigenvector matrix
+    are checked against RESIDUAL_TOL and ORTHO_TOL, in a form that NaN
+    fails; failure to converge raises instead of returning bad output.
     """
     a = as_matrix(a)
-    scale = frobenius(a)
+    with np.errstate(over="ignore"):
+        scale = frobenius(a)
+    if not math.isfinite(scale):
+        raise ValueError(
+            "matrix entries must be finite, and small enough that the "
+            "Frobenius norm does not overflow"
+        )
     if frobenius(a - a.conj().T) > HERM_TOL * max(1.0, scale):
         raise ValueError("matrix is not Hermitian within tolerance")
     n = a.shape[0]
@@ -201,10 +209,10 @@ def hermitian_eig(a) -> EigenDecomposition:
     spectral = max(float(np.abs(vals).max()), 1e-300)
     sym = (a + a.conj().T) / 2.0
     residual = float(np.abs(sym @ vecs - vecs * vals[np.newaxis, :]).max())
-    if residual > RESIDUAL_TOL * spectral:
+    if not residual <= RESIDUAL_TOL * spectral:
         raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")
     ortho = float(np.abs(vecs.conj().T @ vecs - np.eye(n)).max())
-    if ortho > ORTHO_TOL:
+    if not ortho <= ORTHO_TOL:
         raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
     return EigenDecomposition(vals, vecs)
 

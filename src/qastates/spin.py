@@ -10,8 +10,10 @@ Jacobi solver and never reuses anything from the recursion; it diagonalizes
 the component operator once per direction and serves every sharp answer
 from that one decomposition (`oracle_catalog`).
 
-The angular momentum operators depend only on j, so they are built once per
-spin magnitude, kept in a small bounded cache and handed out read-only.
+The ladder coefficients and the angular momentum operators depend only on
+j, so they are built once per spin magnitude, kept in small bounded caches
+and handed out read-only.  The recursion and the operators read the same
+ladder table: a shared input, like j itself, after which the routes part.
 
 The recursion holds one recurrence: its downward pass is the upward one run
 on the mirrored basis (m -> -m).  Each constructed state is checked once,
@@ -41,7 +43,8 @@ POLE_THRESHOLD = 1e-8
 STATE_RESIDUAL_TOL = 1e-9
 # Coefficient magnitude that triggers prefix rescaling mid-recursion.
 _RESCALE_LIMIT = 1e150
-# Spin magnitudes whose operators are kept; a handful covers a request.
+# Spin magnitudes whose ladder tables and operators are kept; a handful
+# covers a request.
 _OPERATOR_CACHE_SIZE = 4
 
 
@@ -136,12 +139,23 @@ def ladder_coefficients(system: SpinSystem, m: float) -> tuple[float, float]:
     return raising, lowering
 
 
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _ladder_table(system: SpinSystem) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(raising, lowering) coefficients at every basis index, index 0 at m=-j.
+
+    Built once per spin magnitude by `ladder_coefficients` itself, so a
+    lookup is bit-equal to the call it replaces.
+    """
+    raising, lowering = zip(
+        *(ladder_coefficients(system, m) for m in system.m_values.tolist())
+    )
+    return raising, lowering
+
+
 def ladder_matrices(system: SpinSystem) -> tuple[np.ndarray, np.ndarray]:
     """(J+, J-) in the ascending basis; J- is the adjoint of J+."""
-    d = system.dim
-    jp = np.zeros((d, d), dtype=complex)
-    for k, m in enumerate(system.m_values[:-1]):
-        jp[k + 1, k] = ladder_coefficients(system, m)[0]
+    raising = _ladder_table(system)[0]
+    jp = np.diag(np.array(raising[:-1], dtype=complex), k=-1)
     return jp, jp.conj().T
 
 
@@ -200,11 +214,11 @@ class QuestionAnswerState:
             raise ValueError(
                 f"ket has dimension {ket.shape[0]}, expected {self.system.dim}"
             )
-        if abs(linalg.norm(ket) - 1.0) > 1e-10:
+        if not abs(linalg.norm(ket) - 1.0) <= 1e-10:
             raise ValueError("ket must be normalized")
         op = component_operator(self.system, self.direction)
         residual = linalg.norm(op @ ket - self.answer * ket)
-        if residual > STATE_RESIDUAL_TOL:
+        if not residual <= STATE_RESIDUAL_TOL:
             raise ValueError(
                 f"ket is not an eigenvector: residual {residual:.3e} "
                 f"exceeds {STATE_RESIDUAL_TOL:g}"
@@ -227,16 +241,17 @@ def _recurrence_up(
     by normalization later anyway.
     """
     j = system.j
+    raising, lowering = _ladder_table(system)
     up = complex(direction.x, direction.y)  # multiplies the lowering ladder
     dn = up.conjugate()  # multiplies the raising ladder
     b = np.zeros(k_end + 1, dtype=complex)
     b[0] = 1.0
     for k in range(k_end):
         m = -j + k
-        denom = 0.5 * up * ladder_coefficients(system, m + 1.0)[1]
+        denom = 0.5 * up * lowering[k + 1]
         num = (h - direction.z * m) * b[k]
         if k > 0:
-            num -= 0.5 * dn * ladder_coefficients(system, m - 1.0)[0] * b[k - 1]
+            num -= 0.5 * dn * raising[k - 1] * b[k - 1]
         b[k + 1] = num / denom
         peak = abs(b[k + 1])
         if peak > _RESCALE_LIMIT:

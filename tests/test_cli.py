@@ -7,6 +7,7 @@ of the determinism contract.
 """
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -86,6 +87,34 @@ class TestStateRecords:
             cli.parse_state(bad_dir)
         with pytest.raises(ValueError, match="JSON object"):
             cli.parse_state([1, 2])
+        # Only JSON numbers are numbers, and each error names its field.
+        amplitudes = good["amplitudes"]
+        for message, edit in [
+            ("^j must be a finite JSON number", {"j": True}),
+            ("^j must be a finite JSON number", {"j": "0.5"}),
+            ("^h must be a finite JSON number", {"h": "0.5"}),
+            ("^h must be a finite JSON number", {"h": None}),
+            (r"^dir\[0\] must be", {"dir": ["0", 0, 1]}),
+            (r"^dir\[2\] must be", {"dir": [0, 0, True]}),
+            ("^field 'dir' must hold three components", {"dir": "0,0,1"}),
+            ("^dir: direction must be unit length", {"dir": [0, 0, 2]}),
+            (r"^amplitudes\[1\]\[0\] must be", {"amplitudes": [amplitudes[0], ["1", 0.0]]}),
+            (r"^amplitudes\[0\]\[1\] must be", {"amplitudes": [[0.0, False], amplitudes[1]]}),
+            (r"^amplitudes\[1\]\[1\] must be", {"amplitudes": [amplitudes[0], [0.0, math.nan]]}),
+            (r"^amplitudes\[0\]\[0\] must be", {"amplitudes": [[10**400, 0.0], amplitudes[1]]}),
+            (r"^amplitudes\[1\] must be a two-element", {"amplitudes": [amplitudes[0], [1.0]]}),
+            (r"^amplitudes\[0\] must be a two-element", {"amplitudes": [[1.0, 0.0, 0.0]]}),
+            (r"^amplitudes\[0\] must be a two-element", {"amplitudes": [(1.0, 0.0)]}),
+            ("^amplitudes must be a list", {"amplitudes": "[[0, 0], [1, 0]]"}),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                cli.parse_state({**good, **edit})
+        # The lax parser read this record as j=1 along +z with answer 1.
+        with pytest.raises(ValueError, match="^j must be a finite JSON number"):
+            cli.parse_state(
+                {"j": True, "dir": ["0", 0, True], "h": "1",
+                 "amplitudes": [[0, 0], [0, 0], [1, 0]]}
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +283,23 @@ class TestEvarCommands:
         assert run_cli(capsys, "evar", "coarse-grain", *args)[0] == 0
         # One coarse graining, and one diagonalization for the maximality check.
         assert calls == ["coarse_grain", "hermitian_eig"]
+
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [
+            ("--values", ("evar", "maximal", "--values", "1,1e300,1e308")),
+            ("--map", ("evar", "maximal", "--values", "1,2,3", "--map", "1,1e300,1e308")),
+            ("--map", ("evar", "coarse-grain", "--values", "1,2,3", "--map", "1,1e300,1e308")),
+        ],
+        ids=["maximal_values", "maximal_map", "coarse_grain_map"],
+    )
+    def test_overflowing_operator_exits_2(self, capsys, flag, argv):
+        # Before, this printed "Infinity" in its JSON and exited 0.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -514,6 +560,47 @@ class TestExitContract:
         assert err.startswith("error: --out: ")
         assert err.count("\n") == 1
         assert not target.exists()
+
+
+    def test_payload_is_strict_json(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                cli.render_payload({"eigenvalues": [1.0, value]})
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def solo_call(capsys, argv):
+    """One main call on a freshly built parser."""
+    cli._build_parser.cache_clear()
+    return run_cli(capsys, *argv)
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+        assert cli._build_parser().prog == "qastates"
+
+    def test_calls_on_a_shared_parser_are_independent(self, capsys):
+        calls = [
+            ("spin", "state", "--j", "1", "--dir", "0,0,1", "--h", "7", "--bogus"),
+            ("spin", "state", "--j", "1.5", "--dir", "0.6,0,0.8", "--h", "-0.5"),
+            ("spin", "catalog", "--help"),
+            ("evar", "maximal", "--values", "1,2,3"),
+        ]
+        alone = [solo_call(capsys, argv) for argv in calls]
+        assert [code for code, _, _ in alone] == [2, 0, 0, 0]
+        cli._build_parser.cache_clear()
+        shared = [run_cli(capsys, *argv) for argv in calls]
+        assert shared == alone
+        # The shared parser keeps no value from an earlier call.
+        parser = cli._build_parser()
+        first = parser.parse_args(["evar", "maximal", "--values", "1,2", "--map", "1,1"])
+        second = parser.parse_args(["evar", "maximal", "--values", "1,2"])
+        assert first is not second
+        assert second.outcome_map is None
 
 
 # ---------------------------------------------------------------------------

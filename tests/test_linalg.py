@@ -222,6 +222,14 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             linalg.hermitian_eig(np.zeros((2, 3)))
 
+    def test_rejects_non_finite_entries_and_scale(self):
+        # 1e308 is finite, but the Frobenius norm of this matrix overflows;
+        # before, NaN slipped through the residual and orthonormality checks
+        # and an infinite eigenvalue came back.
+        for diagonal in ([1.0, 1e300, 1e308], [1.0, math.nan, 2.0], [1.0, math.inf, 2.0]):
+            with pytest.raises(ValueError, match="finite"):
+                linalg.hermitian_eig(np.diag(diagonal))
+
     def test_zero_matrix(self):
         dec = linalg.hermitian_eig(np.zeros((3, 3), dtype=complex))
         assert dec.eigenvalues == pytest.approx([0.0, 0.0, 0.0])

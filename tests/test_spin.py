@@ -89,6 +89,73 @@ class TestLadder:
             spin.ladder_coefficients(SpinSystem(1.0), 0.5)
 
 
+def reference_recurrence_up(system, direction, h, k_end):
+    """The upward recurrence with each coefficient taken from a fresh
+    `ladder_coefficients` call; returns (coefficients, rescale count)."""
+    j = system.j
+    up = complex(direction.x, direction.y)
+    dn = up.conjugate()
+    b = np.zeros(k_end + 1, dtype=complex)
+    b[0] = 1.0
+    rescales = 0
+    for k in range(k_end):
+        m = -j + k
+        denom = 0.5 * up * spin.ladder_coefficients(system, m + 1.0)[1]
+        num = (h - direction.z * m) * b[k]
+        if k > 0:
+            num -= 0.5 * dn * spin.ladder_coefficients(system, m - 1.0)[0] * b[k - 1]
+        b[k + 1] = num / denom
+        peak = abs(b[k + 1])
+        if peak > spin._RESCALE_LIMIT:
+            b[: k + 2] /= peak
+            rescales += 1
+    return b, rescales
+
+
+class TestLadderTable:
+    def test_table_equals_ladder_coefficients(self):
+        for two_j in range(1, 51):
+            s = SpinSystem(two_j / 2)
+            raising, lowering = spin._ladder_table(s)
+            expected = [spin.ladder_coefficients(s, m) for m in s.m_values.tolist()]
+            assert list(zip(raising, lowering)) == expected
+
+    def test_recurrence_matches_per_step_reference(self):
+        rng = np.random.default_rng(5)
+        rescales = 0
+        for j in (0.5, 3.0, 12.5, 25.0):
+            s = SpinSystem(j)
+            directions = [spin.random_direction(rng) for _ in range(3)] + [
+                Direction.normalized(1e-7, 0.0, -1.0),
+                Direction.normalized(3e-8, 0.0, 1.0),
+                Direction.normalized(0.6e-4, 0.8e-4, -1.0),
+            ]
+            for direction in directions:
+                for h in s.m_values.tolist():
+                    expected, count = reference_recurrence_up(s, direction, h, s.dim - 1)
+                    got = spin._recurrence_up(s, direction, h, s.dim - 1)
+                    assert np.array_equal(got, expected), (j, direction, h)
+                    rescales += count
+        # The near-pole directions at high j drive the rescale branch.
+        assert rescales > 0
+
+    def test_catalog_builds_the_table_once(self, monkeypatch):
+        s = SpinSystem(25.0)
+        spin._ladder_table.cache_clear()
+        spin.angular_momentum_operators.cache_clear()
+        calls = []
+        original = spin.ladder_coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(spin, "ladder_coefficients", counted)
+        direction = spin.random_direction(np.random.default_rng(25))
+        assert len(spin.state_catalog(s, [direction])) == s.dim
+        assert len(calls) <= s.dim
+
+
 class TestOperators:
     def test_spin_half_matrices(self):
         # Ascending basis (m=-1/2 first): half the usual matrices with the
@@ -354,6 +421,12 @@ class TestStateInvariants:
         s = SpinSystem(0.5)
         with pytest.raises(ValueError):
             spin.QuestionAnswerState(s, Z, 0.5, np.array([0.0, 2.0]))
+
+    def test_non_finite_ket_rejected(self):
+        s = SpinSystem(0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="normalized"):
+                spin.QuestionAnswerState(s, Z, 0.5, np.array([bad, 1.0]))
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
