@@ -36,9 +36,11 @@ from . import linalg
 from .report import VerificationReport
 
 MAX_J = 25.0
-# Below this transverse magnitude |a_x + i a_y| the recursion denominator is
-# meaningless and the axis branch is used instead.
-POLE_THRESHOLD = 1e-8
+# Below this transverse magnitude t = |a_x + i a_y| the axis basis vector is
+# used instead of the recursion.  Its residual is t*sqrt((j(j+1) - m^2)/2),
+# at most 1.8e-10 at j = 25, so it always meets STATE_RESIDUAL_TOL.  The
+# recursion itself runs clean far below this, down to t = 1e-300.
+POLE_THRESHOLD = 1e-11
 # Guaranteed on every constructed state: ||J_a ket - h ket|| <= this.
 STATE_RESIDUAL_TOL = 1e-9
 # Coefficient magnitude that triggers prefix rescaling mid-recursion.
@@ -181,12 +183,13 @@ def component_operator(system: SpinSystem, direction: Direction) -> np.ndarray:
 
 
 def _snap_answer(system: SpinSystem, h: float) -> float:
-    k = round(h + system.j) if math.isfinite(h) else -1
-    if abs((h + system.j) - k) > 1e-9 or not (0 <= k < system.dim):
+    try:
+        k = system.m_index(h)
+    except ValueError:
         raise ValueError(
             f"answer {h!r} is not sharp for j={system.j}; "
             f"valid answers are m = -j, ..., +j in integer steps"
-        )
+        ) from None
     return float(-system.j + k)
 
 
@@ -290,9 +293,11 @@ def eigenstate_recursion(
     construction must balance on their own: that is checked once, by the
     residual bound of `QuestionAnswerState`.
 
-    Directions within POLE_THRESHOLD of the z axis make the recurrence
-    denominator vanish; there the operator is already diagonal and the state
-    is the corresponding basis vector exactly.
+    Directions within POLE_THRESHOLD of the z axis take the axis branch:
+    the state is the basis vector of the nearer pole, whose residual is at
+    most POLE_THRESHOLD * sqrt(j(j+1)/2), below STATE_RESIDUAL_TOL for
+    every j.  The recursion would still run there, but its denominator
+    overflows once the transverse component is subnormal.
     """
     h = _snap_answer(system, answer)
     j = system.j

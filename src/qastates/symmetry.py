@@ -20,6 +20,9 @@ and name the offending model-file field.  Inside the closure, word and scan
 loops, products of validated permutations are composed without re-checking,
 since a product of bijections is a bijection.  The word scan runs once per
 (model, depth) and its read-only result is shared by every checker.
+Theorem 1 is read off one Gram matrix over all built states: its same-label
+entries give the orthonormality defect and its off-diagonal magnitudes the
+collisions.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .linalg import inner, norm, phase_equal
+from .linalg import inner, norm
 from .report import VerificationReport
 
 # Default breadth-first word enumeration depth.
@@ -376,6 +379,19 @@ class FiniteSymmetryModel:
 
     # -- words -------------------------------------------------------------
 
+    def _letter(self, entry) -> tuple[str, int, tuple]:
+        """A ``(label, index)`` letter checked against its subgroup, with
+        that subgroup's elements."""
+        label, idx = entry
+        elements = self.subgroup(label)
+        idx = int(idx)
+        if not 0 <= idx < len(elements):
+            raise ValueError(
+                f"letter ({label!r}, {idx}) indexes outside the subgroup "
+                f"of order {len(elements)}"
+            )
+        return label, idx, elements
+
     def word(self, letters: Iterable) -> "GroupWord":
         """Validated, reduced word over this model's subgroups.
 
@@ -385,14 +401,7 @@ class FiniteSymmetryModel:
         """
         stack: list[tuple[str, int]] = []
         for entry in letters:
-            label, idx = entry
-            elements = self.subgroup(label)
-            idx = int(idx)
-            if not 0 <= idx < len(elements):
-                raise ValueError(
-                    f"letter ({label!r}, {idx}) indexes outside the subgroup "
-                    f"of order {len(elements)}"
-                )
+            label, idx, elements = self._letter(entry)
             if idx == 0:
                 continue
             if stack and stack[-1][0] == label:
@@ -417,9 +426,6 @@ class GroupWord:
     """
 
     letters: tuple = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(tuple(l) for l in self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -448,14 +454,7 @@ def word_image(model: FiniteSymmetryModel, word) -> tuple[tuple, tuple]:
     k_in_group = identity
     image = identity
     for entry in letters:
-        label, idx = entry
-        elements = model.subgroup(label)
-        idx = int(idx)
-        if not 0 <= idx < len(elements):
-            raise ValueError(
-                f"letter ({label!r}, {idx}) indexes outside the subgroup "
-                f"of order {len(elements)}"
-            )
+        label, idx, elements = model._letter(entry)
         k_in_group = _compose(k_in_group, elements[idx])
         image = _compose(image, model._images_for(label)[idx])
     return k_in_group, image
@@ -682,10 +681,6 @@ class WordScan:
     kernel_count: int
 
 
-def _word_sort_key(letters: tuple) -> tuple:
-    return (len(letters), letters)
-
-
 def scan_words(model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT) -> WordScan:
     """Reduced words up to ``max_len`` letters, enumerated once per depth.
 
@@ -705,9 +700,10 @@ def _enumerate_words(model: FiniteSymmetryModel, max_len: int) -> WordScan:
     """Enumerate reduced words breadth-first up to ``max_len`` letters.
 
     States are deduplicated on (group element, image, last subgroup), which
-    preserves both reachability and minimal-word order: the first word
-    recorded for an (element, image) pair is the lexicographically first
-    one by length then letter order.
+    preserves both reachability and minimal-word order: with the alphabet
+    sorted, the queue holds words in (length, letter) order, so the first
+    word recorded for an (element, image) pair is the first one in that
+    order, and ``first_words`` is filled in that order too.
     """
     identity = identity_permutation(model.phi_size)
     alphabet: list[tuple[str, int, tuple, tuple]] = []
@@ -753,14 +749,11 @@ def _enumerate_words(model: FiniteSymmetryModel, max_len: int) -> WordScan:
 
     findings = []
     for (a, b), target in sorted(model.transfers.items()):
-        entries = sorted(
-            (
-                (letters, image)
-                for (element, image), letters in first_words.items()
-                if element == target
-            ),
-            key=lambda item: _word_sort_key(item[0]),
-        )
+        entries = [
+            (letters, image)
+            for (element, image), letters in first_words.items()
+            if element == target
+        ]
         if not entries:
             findings.append(TransferFinding(a, b, "none"))
             continue
@@ -1008,6 +1001,11 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
     witnesses: list[dict] = []
     violations = {"transfer": 0, "relabeling": 0, "partition": 0}
 
+    def violation(kind: str, record: dict) -> None:
+        violations[kind] += 1
+        if len(witnesses) < _WITNESS_CAP:
+            witnesses.append(record)
+
     relations_checked = 0
     for (a, b), perm in sorted(model.transfers.items()):
         theta_a = model.theta(a)
@@ -1015,37 +1013,35 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
         relations_checked += 1
         for phi in range(model.phi_size):
             if theta_b[phi] != theta_a[perm[phi]]:
-                violations["transfer"] += 1
-                if len(witnesses) < _WITNESS_CAP:
-                    witnesses.append(
-                        {
-                            "violation": "transfer_relation",
-                            "from": a,
-                            "to": b,
-                            "phi": phi,
-                            "expected": theta_b[phi],
-                            "got": theta_a[perm[phi]],
-                        }
-                    )
+                violation(
+                    "transfer",
+                    {
+                        "violation": "transfer_relation",
+                        "from": a,
+                        "to": b,
+                        "phi": phi,
+                        "expected": theta_b[phi],
+                        "got": theta_a[perm[phi]],
+                    },
+                )
 
-    zero_values = sorted(set(model.theta(model.distinguished)))
+    theta_zero = model.theta(model.distinguished)
+    zero_values = sorted(set(theta_zero))
     for label in model.labels:
         if label == model.distinguished:
             continue
         forward = model.zero_transfers.get(label)
         if forward is None:
-            violations["relabeling"] += 1
-            if len(witnesses) < _WITNESS_CAP:
-                witnesses.append(
-                    {
-                        "violation": "relabeling_unreachable",
-                        "variable": label,
-                        "reason": "no transfer chain from the distinguished variable",
-                    }
-                )
+            violation(
+                "relabeling",
+                {
+                    "violation": "relabeling_unreachable",
+                    "variable": label,
+                    "reason": "no transfer chain from the distinguished variable",
+                },
+            )
             continue
         theta = model.theta(label)
-        theta_zero = model.theta(model.distinguished)
         mapping: dict[int, set] = {}
         for phi in range(model.phi_size):
             mapping.setdefault(theta[phi], set()).add(theta_zero[forward[phi]])
@@ -1055,16 +1051,15 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
             images = sorted(mapping[value])
             if len(images) != 1:
                 broken = True
-                violations["relabeling"] += 1
-                if len(witnesses) < _WITNESS_CAP:
-                    witnesses.append(
-                        {
-                            "violation": "relabeling_not_functional",
-                            "variable": label,
-                            "value": value,
-                            "images": images,
-                        }
-                    )
+                violation(
+                    "relabeling",
+                    {
+                        "violation": "relabeling_not_functional",
+                        "variable": label,
+                        "value": value,
+                        "images": images,
+                    },
+                )
             else:
                 relabeling[value] = images[0]
         if not broken:
@@ -1074,28 +1069,26 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
             for image, sources in sorted(hits.items()):
                 if len(sources) > 1:
                     broken = True
-                    violations["relabeling"] += 1
-                    if len(witnesses) < _WITNESS_CAP:
-                        witnesses.append(
-                            {
-                                "violation": "relabeling_not_injective",
-                                "variable": label,
-                                "values": sorted(sources),
-                                "image": image,
-                            }
-                        )
+                    violation(
+                        "relabeling",
+                        {
+                            "violation": "relabeling_not_injective",
+                            "variable": label,
+                            "values": sorted(sources),
+                            "image": image,
+                        },
+                    )
             if sorted(relabeling.values()) != zero_values and not broken:
                 broken = True
-                violations["relabeling"] += 1
-                if len(witnesses) < _WITNESS_CAP:
-                    witnesses.append(
-                        {
-                            "violation": "relabeling_range_mismatch",
-                            "variable": label,
-                            "range": sorted(set(relabeling.values())),
-                            "distinguished_range": zero_values,
-                        }
-                    )
+                violation(
+                    "relabeling",
+                    {
+                        "violation": "relabeling_range_mismatch",
+                        "variable": label,
+                        "range": sorted(set(relabeling.values())),
+                        "distinguished_range": zero_values,
+                    },
+                )
         if not broken:
             witnesses.append(
                 {
@@ -1113,18 +1106,16 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
                 bucket.setdefault(theta[perm[phi]], phi)
             for value, bucket in sorted(images.items()):
                 if len(bucket) > 1:
-                    violations["partition"] += 1
-                    points = sorted(bucket.values())[:2]
-                    if len(witnesses) < _WITNESS_CAP:
-                        witnesses.append(
-                            {
-                                "violation": "partition_not_preserved",
-                                "variable": label,
-                                "generator": gen_index,
-                                "value": value,
-                                "phi_pair": points,
-                            }
-                        )
+                    violation(
+                        "partition",
+                        {
+                            "violation": "partition_not_preserved",
+                            "variable": label,
+                            "generator": gen_index,
+                            "value": value,
+                            "phi_pair": sorted(bucket.values())[:2],
+                        },
+                    )
 
     failed = sum(violations.values()) > 0
     notes = (
@@ -1173,36 +1164,25 @@ def induced_transformations(
     return tuple(matches)
 
 
-def _level_permutation(basis: HilbertBasis, perm: tuple) -> tuple[int, ...] | None:
-    """Index permutation induced on level sets, or None if not respected."""
-    level_index = {}
-    for i, level in enumerate(basis.levels):
-        for phi in level:
-            level_index[phi] = i
-    out = []
-    for level in basis.levels:
-        targets = {level_index[perm[phi]] for phi in level}
-        if len(targets) != 1:
-            return None
-        out.append(targets.pop())
-    return tuple(out)
-
-
 def _require_level_action(model: FiniteSymmetryModel, basis: HilbertBasis) -> dict:
     """Level permutations of every distinguished-subgroup element.
 
     The representation checkers need the distinguished subgroup to act on
     the level sets; a model violating that is rejected outright.
     """
+    level_index = {phi: i for i, level in enumerate(basis.levels) for phi in level}
     actions = {}
     for k in model.subgroup(model.distinguished):
-        action = _level_permutation(basis, k)
-        if action is None:
-            raise ValueError(
-                "a distinguished-subgroup element does not permute the "
-                "distinguished level sets; representation checks are undefined"
-            )
-        actions[k] = action
+        action = []
+        for level in basis.levels:
+            targets = {level_index[k[phi]] for phi in level}
+            if len(targets) != 1:
+                raise ValueError(
+                    "a distinguished-subgroup element does not permute the "
+                    "distinguished level sets; representation checks are undefined"
+                )
+            action.append(targets.pop())
+        actions[k] = tuple(action)
     return actions
 
 
@@ -1305,30 +1285,24 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
                 "proper_invariant_subspace": subspace,
             }
         )
-    if cyclic:
-        irreducibility = VerificationReport(
-            subject="assumption_3a",
-            verdict="undetermined",
-            metrics={
-                "dim": basis.dim,
-                "cyclic_subgroups": len(cyclic),
-                "reducible_subgroups": len(reducible_witnesses),
-            },
-            witnesses=tuple(reducible_witnesses),
-            notes=(
-                "reducible: every nontrivial cyclic subgroup leaves a proper "
-                f"subspace of the {basis.dim}-dimensional level span invariant "
-                "(the uniform level superposition is always fixed); the literal "
-                "irreducibility condition cannot hold for dimension >= 2"
-            ),
-        )
-    else:
-        irreducibility = VerificationReport(
-            subject="assumption_3a",
-            verdict="pass",
-            metrics={"dim": basis.dim, "cyclic_subgroups": 0, "reducible_subgroups": 0},
-            notes="vacuous: the distinguished subgroup is trivial",
-        )
+    irreducibility = VerificationReport(
+        subject="assumption_3a",
+        verdict="undetermined" if cyclic else "pass",
+        metrics={
+            "dim": basis.dim,
+            "cyclic_subgroups": len(cyclic),
+            "reducible_subgroups": len(reducible_witnesses),
+        },
+        witnesses=tuple(reducible_witnesses),
+        notes=(
+            "reducible: every nontrivial cyclic subgroup leaves a proper "
+            f"subspace of the {basis.dim}-dimensional level span invariant "
+            "(the uniform level superposition is always fixed); the literal "
+            "irreducibility condition cannot hold for dimension >= 2"
+            if cyclic
+            else "vacuous: the distinguished subgroup is trivial"
+        ),
+    )
 
     # assumption_3c: separating basis pairs through relabeled arguments.
     # Basis function i is the level indicator with amplitude 1/sqrt(size_i)
@@ -1391,27 +1365,18 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
                         }
                     )
     if elements_checked == 0:
-        lemma2 = VerificationReport(
-            subject="lemma2",
-            verdict="pass",
-            metrics={"elements_checked": 0, "max_self_overlap": 0.0},
-            notes="vacuous: the distinguished subgroup is trivial",
-        )
+        lemma2_notes = "vacuous: the distinguished subgroup is trivial"
+    elif lemma2_witnesses:
+        lemma2_notes = "a nontrivial subgroup element fixes a basis function up to phase"
     else:
-        lemma2 = VerificationReport(
-            subject="lemma2",
-            verdict="fail" if lemma2_witnesses else "pass",
-            metrics={
-                "elements_checked": elements_checked,
-                "max_self_overlap": max_overlap,
-            },
-            witnesses=tuple(lemma2_witnesses),
-            notes=(
-                "a nontrivial subgroup element fixes a basis function up to phase"
-                if lemma2_witnesses
-                else "no nontrivial subgroup element fixes any basis function"
-            ),
-        )
+        lemma2_notes = "no nontrivial subgroup element fixes any basis function"
+    lemma2 = VerificationReport(
+        subject="lemma2",
+        verdict="fail" if lemma2_witnesses else "pass",
+        metrics={"elements_checked": elements_checked, "max_self_overlap": max_overlap},
+        witnesses=tuple(lemma2_witnesses),
+        notes=lemma2_notes,
+    )
 
     return (measure, closure, irreducibility, separation, lemma2)
 
@@ -1423,10 +1388,12 @@ def verify_theorem1(
 ) -> VerificationReport:
     """Orthonormality and pairwise distinctness of the built states.
 
-    Each built label's states must have an identity Gram matrix within
-    ``eps``, and no two states with different (label, level) indices may
-    agree up to a global phase.  With no non-distinguished label built the
-    verdict is undetermined.
+    One Gram matrix is built over all states.  Its entries between states
+    of one label must match the identity within ``eps``; any two states
+    with different (label, level) indices whose overlap magnitude is at
+    least ``1 - eps`` agree up to a global phase and count as a collision.
+    Collisions are listed in row-major order of the pairs.  With no
+    non-distinguished label built the verdict is undetermined.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -1441,30 +1408,21 @@ def verify_theorem1(
             notes=f"no non-distinguished states available ({reasons})",
         )
 
-    max_gram_defect = 0.0
-    for label in built.labels:
-        rows = np.array([s[2] for s in built.states if s[0] == label])
-        gram = np.conjugate(rows) @ rows.T
-        defect = float(np.max(np.abs(gram - np.eye(rows.shape[0]))))
-        max_gram_defect = max(max_gram_defect, defect)
-
-    collisions = 0
+    names = np.array([label for label, _, _ in built.states])
+    rows = np.array([coords for _, _, coords in built.states])
+    gram = np.conjugate(rows) @ rows.T
+    same_label = names[:, None] == names[None, :]
+    max_gram_defect = float(np.max(np.abs(gram - np.eye(len(rows)))[same_label]))
+    overlaps = np.abs(gram)
+    pairs = np.argwhere(np.triu(overlaps >= 1.0 - eps, k=1))
+    collisions = len(pairs)
     witnesses = []
-    for idx_u, idx_v in itertools.combinations(range(len(built.states)), 2):
-        label_u, i_u, coords_u = built.states[idx_u]
-        label_v, i_v, coords_v = built.states[idx_v]
-        if phase_equal(coords_u, coords_v, eps):
-            collisions += 1
-            if len(witnesses) < _WITNESS_CAP:
-                witnesses.append(
-                    {
-                        "a": label_u,
-                        "i": i_u,
-                        "b": label_v,
-                        "j": i_v,
-                        "overlap": float(abs(inner(coords_u, coords_v))),
-                    }
-                )
+    for u, v in pairs[:_WITNESS_CAP]:
+        label_u, i_u, _ = built.states[u]
+        label_v, i_v, _ = built.states[v]
+        witnesses.append(
+            {"a": label_u, "i": i_u, "b": label_v, "j": i_v, "overlap": float(overlaps[u, v])}
+        )
 
     failed = max_gram_defect > eps or collisions > 0
     notes_parts = []

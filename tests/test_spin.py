@@ -269,7 +269,7 @@ class TestRecursionStates:
         # up to j = 12.5; at j = 25 the residual bound carries the check.
         for j in (3.0, 12.5, 25.0):
             s = SpinSystem(j)
-            for transverse in (2e-8, 1e-6, 1e-4, 1e-2):
+            for transverse in (1e-10, 1e-9, 5e-9, 2e-8, 1e-6, 1e-4, 1e-2):
                 for z in (1.0, -1.0):
                     direction = Direction.normalized(0.6 * transverse, 0.8 * transverse, z)
                     oracle = spin.oracle_catalog(s, direction) if j <= 12.5 else None

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from qastates import linalg
 from qastates import symmetry as sym
 
 SEED = 20240817
@@ -89,35 +90,39 @@ def single_variable_model():
     )
 
 
-def dihedral4_model():
-    """Left translations of D_4 on 16 points, built like structural_example.
+def dihedral_model(n, order=("0", "1", "2")):
+    """Left translations of D_n on 4n points, built like structural_example.
 
-    Point ``2*index(g) + b`` carries element ``g`` of D_4 (acting on the
-    square's corners) and a copy bit ``b``; variable "0" reads off the
+    Point ``2*index(g) + b`` carries element ``g`` of D_n (acting on the
+    n-gon's corners) and a copy bit ``b``; variable "0" reads off the
     element, "1" and "2" are its transfers by a reflection and a rotation.
+    ``order`` lists the variables in the order the model stores them.
     """
-    rot, refl = (1, 2, 3, 0), (0, 3, 2, 1)
-    d4 = closure_oracle([rot, refl], 4)
-    index = {g: i for i, g in enumerate(d4)}
+    rot = tuple((i + 1) % n for i in range(n))
+    refl = tuple(-i % n for i in range(n))
+    group = closure_oracle([rot, refl], n)
+    index = {g: i for i, g in enumerate(group)}
+    size = 2 * len(group)
 
-    def left_d4(x):
-        out = [0] * 16
-        for g in d4:
+    def left_dn(x):
+        out = [0] * size
+        for g in group:
             for b in (0, 1):
                 out[2 * index[g] + b] = 2 * index[mul(x, g)] + b
         return tuple(out)
 
-    theta0 = tuple(p // 2 for p in range(16))
-    k01, k02 = left_d4(refl), left_d4(rot)
-    k12 = left_d4(mul(refl, rot))  # refl is an involution: refl^-1 * rot
-    gens = (left_d4(rot), left_d4(refl))
+    theta0 = tuple(p // 2 for p in range(size))
+    k01, k02 = left_dn(refl), left_dn(rot)
+    k12 = left_dn(mul(refl, rot))  # refl is an involution: refl^-1 * rot
+    gens = (left_dn(rot), left_dn(refl))
+    thetas = {
+        "0": theta0,
+        "1": tuple(theta0[k01[p]] for p in range(size)),
+        "2": tuple(theta0[k02[p]] for p in range(size)),
+    }
     return sym.FiniteSymmetryModel(
-        phi_size=16,
-        variables=(
-            ("0", theta0),
-            ("1", tuple(theta0[k01[p]] for p in range(16))),
-            ("2", tuple(theta0[k02[p]] for p in range(16))),
-        ),
+        phi_size=size,
+        variables=tuple((label, thetas[label]) for label in order),
         distinguished="0",
         generators={"0": gens, "1": gens, "2": gens},
         transfers={("0", "1"): k01, ("0", "2"): k02, ("1", "2"): k12},
@@ -180,6 +185,58 @@ def reference_scan(model, max_len):
             queue.append((word, *state))
     fibers = {element: tuple(sorted(images)) for element, images in fibers.items()}
     return fibers, first_words, len(seen), kernel_count
+
+
+def reference_findings(model, max_len):
+    """Transfer findings from the reference scan's first words, with the
+    candidates sorted by (length, letters)."""
+    _, first_words, _, _ = reference_scan(model, max_len)
+    findings = []
+    for (a, b), target in sorted(model.transfers.items()):
+        entries = sorted(
+            ((letters, image) for (element, image), letters in first_words.items()
+             if element == target),
+            key=lambda entry: (len(entry[0]), entry[0]),
+        )
+        if not entries:
+            findings.append(sym.TransferFinding(a, b, "none"))
+            continue
+        other = next((e for e in entries if e[1] != entries[0][1]), None)
+        if other is None:
+            findings.append(sym.TransferFinding(a, b, "single", (entries[0],)))
+        else:
+            findings.append(sym.TransferFinding(a, b, "pair", (entries[0], other)))
+    return tuple(findings)
+
+
+def reference_theorem1(model, max_len, eps):
+    """Theorem 1 metrics and witnesses from a Gram matrix per label and a
+    phase comparison of every state pair."""
+    built = sym.build_question_states(model, max_len)
+    defect = 0.0
+    for label in built.labels:
+        rows = np.array([coords for name, _, coords in built.states if name == label])
+        gram = np.conjugate(rows) @ rows.T
+        defect = max(defect, float(np.max(np.abs(gram - np.eye(len(rows))))))
+    witnesses = [
+        {"a": a, "i": i, "b": b, "j": j, "overlap": abs(linalg.inner(u, v))}
+        for (a, i, u), (b, j, v) in itertools.combinations(built.states, 2)
+        if linalg.phase_equal(u, v, eps)
+    ]
+    return defect, witnesses
+
+
+def family():
+    """The bundled models and D_3..D_6 with the variables stored both in
+    label order and reversed."""
+    models = {
+        name: sym.load_model(sym.bundled_model_path(name))
+        for name in ("structural_example", "designed_failure")
+    }
+    for n in range(3, 7):
+        models[f"D{n}"] = dihedral_model(n)
+        models[f"D{n}_reversed"] = dihedral_model(n, ("2", "1", "0"))
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +477,39 @@ class TestValidateModel:
         witness = next(w for w in report.witnesses if "violation" in w)
         assert witness["violation"] == "partition_not_preserved"
         assert witness["variable"] == "0"
+
+    def test_violations_counted_past_witness_cap(self):
+        # Neighbouring points share a value and every map shifts by one, so
+        # 40 transfer relations fail, then 20 relabelings and 20 partitions.
+        size = 40
+        theta = tuple(phi // 2 for phi in range(size))
+        shift = tuple((phi + 1) % size for phi in range(size))
+        model = sym.FiniteSymmetryModel(
+            phi_size=size,
+            variables=(("0", theta), ("1", theta)),
+            distinguished="0",
+            generators={"0": (shift,)},
+            transfers={("0", "1"): shift},
+        )
+        expected = [
+            {
+                "violation": "transfer_relation",
+                "from": a,
+                "to": b,
+                "phi": phi,
+                "expected": model.theta(b)[phi],
+                "got": model.theta(a)[perm[phi]],
+            }
+            for (a, b), perm in sorted(model.transfers.items())
+            for phi in range(size)
+            if model.theta(b)[phi] != model.theta(a)[perm[phi]]
+        ]
+        report = sym.validate_model(model)
+        assert report.verdict == "fail"
+        assert report.metrics["transfer_violations"] == len(expected) == 40
+        assert report.metrics["relabeling_violations"] == 20
+        assert report.metrics["partition_violations"] == 20
+        assert list(report.witnesses) == expected[:32]
 
     def test_designed_failure_fails_with_both_kinds(self, failing):
         report = sym.validate_model(failing)
@@ -667,7 +757,7 @@ class TestWordScan:
         [
             lambda: sym.load_model(sym.bundled_model_path("structural_example")),
             lambda: sym.load_model(sym.bundled_model_path("designed_failure")),
-            dihedral4_model,
+            lambda: dihedral_model(4),
         ],
         ids=["structural_example", "designed_failure", "dihedral4"],
     )
@@ -692,6 +782,15 @@ class TestWordScan:
     def test_depth_must_be_positive(self, structural):
         with pytest.raises(ValueError, match="max_len"):
             sym.scan_words(structural, 0)
+
+    @pytest.mark.parametrize("max_len", [3, 6])
+    def test_findings_take_words_in_length_letter_order(self, max_len):
+        # The scan reads its candidate words in recording order; they must
+        # come out as if sorted by (length, letters), whatever order the
+        # model stores its variables in.
+        for name, model in family().items():
+            scan = sym.scan_words(model, max_len)
+            assert scan.transfer_findings == reference_findings(model, max_len), name
 
 
 class TestWordKernel:
@@ -961,3 +1060,27 @@ class TestTheorem1:
     def test_eps_validated(self, structural):
         with pytest.raises(ValueError, match="eps"):
             sym.verify_theorem1(structural, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-9, 0.5])
+    def test_matches_pairwise_reference(self, eps):
+        for name, model in family().items():
+            report = sym.verify_theorem1(model, eps=eps)
+            if report.verdict == "undetermined":
+                assert name == "designed_failure"
+                continue
+            defect, witnesses = reference_theorem1(model, sym.WORD_DEPTH_DEFAULT, eps)
+            assert report.metrics["max_gram_defect"] == pytest.approx(defect, abs=1e-15), name
+            assert report.metrics["collisions"] == len(witnesses), name
+            assert len(report.witnesses) == min(len(witnesses), 32), name
+            for got, want in zip(report.witnesses, witnesses):
+                assert got == {**want, "overlap": pytest.approx(want["overlap"], abs=1e-15)}
+
+    def test_collisions_counted_past_witness_cap(self):
+        model = dihedral_model(6)
+        report = sym.verify_theorem1(model)
+        _, witnesses = reference_theorem1(model, sym.WORD_DEPTH_DEFAULT, 1e-9)
+        assert report.metrics["collisions"] == len(witnesses) == 36
+        assert len(report.witnesses) == 32
+        assert [(w["a"], w["i"], w["b"], w["j"]) for w in report.witnesses] == [
+            (w["a"], w["i"], w["b"], w["j"]) for w in witnesses[:32]
+        ]
