@@ -4,10 +4,13 @@ Subcommands mirror the library: ``spin`` builds and checks component
 eigenstates, ``qubit`` covers the two-level geometry, ``evar`` the
 coarse-graining of accessible variables, ``symmetry`` the finite-model
 checkers, and ``report --golden`` regenerates the full deterministic
-battery.  Structured JSON goes to stdout (or ``--out``) with a stable
-field order; a human summary goes to stderr.  The argument parser is built
-once per process: every ``main`` call parses into a fresh namespace, so
-in-process callers running many commands pay for it once.
+battery.  Each handler returns ``(payload, reports, summary)``: structured
+JSON goes to stdout (or ``--out``) with a stable field order, and the
+summary, written by the handler that built the payload, goes to stderr.
+Each flag is checked once, by its argparse type; ``--j`` is checked by
+:class:`spin.SpinSystem` itself.  The argument parser is built once per
+process: every ``main`` call parses into a fresh namespace, so in-process
+callers running many commands pay for it once.
 
 Exit status: 0 when every emitted report passes or the command is pure
 construction, 1 when any report fails, 2 on usage or model errors (the
@@ -32,7 +35,6 @@ from .report import VerificationReport, summarize
 
 DEFAULT_EPS = 1e-9
 DEFAULT_SEED = 0
-_SEED_LIMIT = 2**64
 
 
 class CommandError(Exception):
@@ -115,23 +117,12 @@ def parse_state(record: Mapping) -> spin.QuestionAnswerState:
 # argument parsing
 
 
-def _half_integer(text: str, low: float, high: float) -> float:
+def _spin_system(text: str) -> spin.SpinSystem:
+    """``--j``, accepted exactly when :class:`spin.SpinSystem` accepts it."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a decimal number, got {text!r}")
-    if not math.isfinite(value) or abs(2.0 * value - round(2.0 * value)) > 1e-9:
-        raise argparse.ArgumentTypeError(f"must be a half-integer, got {text!r}")
-    value = round(2.0 * value) / 2.0
-    if not low <= value <= high:
-        raise argparse.ArgumentTypeError(
-            f"must lie in [{low:g}, {high:g}], got {text!r}"
-        )
-    return value
-
-
-def _j_argument(text: str) -> float:
-    return _half_integer(text, 0.5, spin.MAX_J)
+        return spin.SpinSystem(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _dir_argument(text: str) -> spin.Direction:
@@ -150,34 +141,28 @@ def _dir_argument(text: str) -> spin.Direction:
     return spin.Direction.normalized(x, y, z)
 
 
-def _eps_argument(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a decimal number, got {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
-    return value
+def _number(convert, kind: str, accept, requirement: str):
+    """An argparse type: ``convert`` the text (failing as "must be
+    <kind>"), then require ``accept(value)`` (failing as "must
+    <requirement>")."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _seed_argument(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
-    if not 0 <= value < _SEED_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be a 64-bit unsigned integer, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+_eps_argument = _number(float, "a decimal number", lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_seed_argument = _number(
+    int, "an integer", lambda v: 0 <= v < 2**64, "be a 64-bit unsigned integer"
+)
+_positive_int = _number(int, "an integer", lambda v: v >= 1, "be at least 1")
 
 
 def _float_list(flag: str, text: str) -> list[float]:
@@ -233,26 +218,26 @@ def _build_parser() -> argparse.ArgumentParser:
     spin_sub = spin_cmd.add_subparsers(dest="command", required=True)
 
     p = spin_sub.add_parser("state", help="build one state and print its record")
-    p.add_argument("--j", type=_j_argument, required=True)
+    p.add_argument("--j", type=_spin_system, required=True, dest="system", metavar="J")
     p.add_argument("--dir", type=_dir_argument, required=True, metavar="X,Y,Z")
     p.add_argument("--h", type=float, required=True)
     _add_out(p)
     p.set_defaults(handler=_cmd_spin_state)
 
     p = spin_sub.add_parser("verify", help="recursion vs oracle, plus per-direction completeness")
-    p.add_argument("--j", type=_j_argument, required=True)
+    p.add_argument("--j", type=_spin_system, required=True, dest="system", metavar="J")
     _add_sampling(p, samples=100)
     _add_out(p)
     p.set_defaults(handler=_cmd_spin_verify)
 
     p = spin_sub.add_parser("catalog", help="all states for one direction")
-    p.add_argument("--j", type=_j_argument, required=True)
+    p.add_argument("--j", type=_spin_system, required=True, dest="system", metavar="J")
     p.add_argument("--dir", type=_dir_argument, required=True, metavar="X,Y,Z")
     _add_out(p)
     p.set_defaults(handler=_cmd_spin_catalog)
 
     p = spin_sub.add_parser("overlap", help="ray collisions between opposite questions")
-    p.add_argument("--j", type=_j_argument, required=True)
+    p.add_argument("--j", type=_spin_system, required=True, dest="system", metavar="J")
     _add_sampling(p, samples=100)
     _add_out(p)
     p.set_defaults(handler=_cmd_spin_overlap)
@@ -310,78 +295,80 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (payload, reports)
+# handlers: each returns (payload, reports, summary); the summary goes to stderr
 
 
 def _report_dicts(reports) -> list[dict]:
     return [r.to_json_dict() for r in reports]
 
 
-def _cmd_spin_state(args) -> tuple[dict, list]:
-    system = spin.SpinSystem(args.j)
-    h = _validated_answer(system, args.h)
-    state = spin.eigenstate_recursion(system, args.dir, h)
-    return emit_state(state), []
+def _report_summary(reports) -> str:
+    """One line per report; a repeated subject is numbered ``prop2.2``."""
+    named: dict[str, VerificationReport] = {}
+    for r in reports:
+        key = r.subject
+        n = 2
+        while key in named:
+            key = f"{r.subject}.{n}"
+            n += 1
+        named[key] = r
+    return summarize(named)
 
 
-def _cmd_spin_verify(args) -> tuple[dict, list]:
-    system = spin.SpinSystem(args.j)
-    rng = np.random.default_rng(args.seed)
-    reports = [
-        spin.verify_eigenstates(system, samples=args.samples, eps=args.eps, rng=rng),
-        spin.verify_orthogonality(system, samples=args.samples, eps=args.eps, rng=rng),
-    ]
+def _reports_payload(args, parameters: dict, reports: list, **fields) -> tuple[dict, list, str]:
+    """Handler result of a report command: the payload (command, parameters,
+    any extra ``fields``, then the reports), the reports, and their summary."""
     payload = {
-        "command": "spin verify",
-        "parameters": {
-            "j": system.j,
-            "samples": args.samples,
-            "eps": args.eps,
-            "seed": args.seed,
-        },
+        "command": f"{args.group} {args.command}",
+        "parameters": parameters,
+        **fields,
         "reports": _report_dicts(reports),
     }
-    return payload, reports
+    return payload, reports, _report_summary(reports)
 
 
-def _cmd_spin_catalog(args) -> tuple[dict, list]:
-    system = spin.SpinSystem(args.j)
-    states = spin.state_catalog(system, [args.dir])
+def _cmd_spin_state(args) -> tuple[dict, list, str]:
+    h = _validated_answer(args.system, args.h)
+    record = emit_state(spin.eigenstate_recursion(args.system, args.dir, h))
+    return record, [], f"state built: j={record['j']:g}, h={record['h']:g}"
+
+
+def _cmd_spin_verify(args) -> tuple[dict, list, str]:
+    rng = np.random.default_rng(args.seed)
+    reports = [
+        spin.verify_eigenstates(args.system, samples=args.samples, eps=args.eps, rng=rng),
+        spin.verify_orthogonality(args.system, samples=args.samples, eps=args.eps, rng=rng),
+    ]
+    parameters = {"j": args.system.j, "samples": args.samples, "eps": args.eps, "seed": args.seed}
+    return _reports_payload(args, parameters, reports)
+
+
+def _cmd_spin_catalog(args) -> tuple[dict, list, str]:
+    states = spin.state_catalog(args.system, [args.dir])
     kets = np.array([s.ket for s in states])
     gram = np.conjugate(kets) @ kets.T
     defect = float(np.max(np.abs(gram - np.eye(len(states)))))
     payload = {
         "command": "spin catalog",
         "parameters": {
-            "j": system.j,
+            "j": args.system.j,
             "dir": [args.dir.x, args.dir.y, args.dir.z],
         },
         "states": [emit_state(s) for s in states],
         "gram_defect": defect,
     }
-    return payload, []
+    return payload, [], f"built {len(states)} states; gram defect {defect:.3e}"
 
 
-def _cmd_spin_overlap(args) -> tuple[dict, list]:
-    system = spin.SpinSystem(args.j)
+def _cmd_spin_overlap(args) -> tuple[dict, list, str]:
     rng = np.random.default_rng(args.seed)
-    report = spin.verify_ray_collisions(system, samples=args.samples, eps=args.eps, rng=rng)
-    payload = {
-        "command": "spin overlap",
-        "parameters": {
-            "j": system.j,
-            "samples": args.samples,
-            "eps": args.eps,
-            "seed": args.seed,
-        },
-        "reports": _report_dicts([report]),
-    }
-    return payload, [report]
+    report = spin.verify_ray_collisions(args.system, samples=args.samples, eps=args.eps, rng=rng)
+    parameters = {"j": args.system.j, "samples": args.samples, "eps": args.eps, "seed": args.seed}
+    return _reports_payload(args, parameters, [report])
 
 
-def _cmd_qubit_bloch(args) -> tuple[dict, list]:
-    system = spin.SpinSystem(0.5)
-    state = spin.eigenstate_recursion(system, args.dir, 0.5)
+def _cmd_qubit_bloch(args) -> tuple[dict, list, str]:
+    state = spin.eigenstate_recursion(spin.SpinSystem(0.5), args.dir, 0.5)
     bloch = qubit.bloch_direction(state.ket)
     payload = {
         "command": "qubit bloch",
@@ -390,27 +377,18 @@ def _cmd_qubit_bloch(args) -> tuple[dict, list]:
         "bloch": [bloch.x, bloch.y, bloch.z],
         "roundtrip_angle": spin.angle_between(args.dir, bloch),
     }
-    return payload, []
+    return payload, [], f"bloch direction ({bloch.x:.6f}, {bloch.y:.6f}, {bloch.z:.6f})"
 
 
-def _cmd_qubit_prop2(args) -> tuple[dict, list]:
+def _cmd_qubit_prop2(args) -> tuple[dict, list, str]:
     rng = np.random.default_rng(args.seed)
     pairs = max(1, args.samples // 2)
     reports = [
         qubit.verify_prop2(samples=args.samples, eps=args.eps, rng=rng),
         qubit.verify_homomorphism(pairs=pairs, rng=rng),
     ]
-    payload = {
-        "command": "qubit prop2",
-        "parameters": {
-            "samples": args.samples,
-            "pairs": pairs,
-            "eps": args.eps,
-            "seed": args.seed,
-        },
-        "reports": _report_dicts(reports),
-    }
-    return payload, reports
+    parameters = {"samples": args.samples, "pairs": pairs, "eps": args.eps, "seed": args.seed}
+    return _reports_payload(args, parameters, reports)
 
 
 def _parse_evar_inputs(args) -> tuple[evariables.EVariableSpec, dict | None]:
@@ -419,44 +397,32 @@ def _parse_evar_inputs(args) -> tuple[evariables.EVariableSpec, dict | None]:
         spec = evariables.EVariableSpec.standard("theta", values)
     except ValueError as exc:
         raise CommandError(f"--values: {exc}")
-    mapping = None
-    if getattr(args, "outcome_map", None) is not None:
-        mapped = _float_list("--map", args.outcome_map)
-        if len(mapped) != len(values):
-            raise CommandError(
-                f"--map lists {len(mapped)} outcomes for {len(values)} values"
-            )
-        mapping = dict(zip(spec.values, mapped))
-    return spec, mapping
+    if args.outcome_map is None:
+        return spec, None
+    mapped = _float_list("--map", args.outcome_map)
+    if len(mapped) != len(values):
+        raise CommandError(f"--map lists {len(mapped)} outcomes for {len(values)} values")
+    return spec, dict(zip(spec.values, mapped))
 
 
-def _cmd_evar_coarse_grain(args) -> tuple[dict, list]:
+def _cmd_evar_coarse_grain(args) -> tuple[dict, list, str]:
     spec, mapping = _parse_evar_inputs(args)
-    if mapping is None:
-        raise CommandError("--map is required for coarse-grain")
     try:
         cg, a = evariables.coarse_grain(spec, mapping)
-    except ValueError as exc:
-        raise CommandError(f"--map: {exc}")
-    try:
         # The merged operator's eigenvalues are the --map values.
         report = evariables.coarse_grain_report(cg, a)
     except ValueError as exc:
         raise CommandError(f"--map: {exc}")
-    payload = {
-        "command": "evar coarse-grain",
-        "parameters": {
-            "values": list(spec.values),
-            "map": [mapping[v] for v in spec.values],
-        },
-        "coarse_values": list(cg.coarse_values),
-        "classes": [list(c) for c in cg.classes],
-        "reports": _report_dicts([report]),
-    }
-    return payload, [report]
+    return _reports_payload(
+        args,
+        {"values": list(spec.values), "map": [mapping[v] for v in spec.values]},
+        [report],
+        coarse_values=list(cg.coarse_values),
+        classes=[list(c) for c in cg.classes],
+    )
 
 
-def _cmd_evar_maximal(args) -> tuple[dict, list]:
+def _cmd_evar_maximal(args) -> tuple[dict, list, str]:
     spec, mapping = _parse_evar_inputs(args)
     if mapping is None:
         a = evariables.operator_from_maximal(spec)
@@ -469,16 +435,17 @@ def _cmd_evar_maximal(args) -> tuple[dict, list]:
         dec = linalg.hermitian_eig(a)
     except ValueError as exc:
         raise CommandError(f"{'--values' if mapping is None else '--map'}: {exc}")
+    maximal = bool(evariables.is_maximally_accessible(dec))
     payload = {
         "command": "evar maximal",
         "parameters": {
             "values": list(spec.values),
             "map": None if mapping is None else [mapping[v] for v in spec.values],
         },
-        "maximal": bool(evariables.is_maximally_accessible(dec)),
+        "maximal": maximal,
         "eigenvalues": [float(v) for v in dec.eigenvalues],
     }
-    return payload, []
+    return payload, [], f"maximal: {maximal}"
 
 
 # Symmetry checkers: each takes (model, max_len, eps) and returns its
@@ -516,18 +483,13 @@ def _symmetry_reports(model, max_len: int, checkers, eps: float = DEFAULT_EPS) -
     return [report for checker in checkers for report in checker(model, max_len, eps)]
 
 
-def _cmd_symmetry(args) -> tuple[dict, list]:
+def _cmd_symmetry(args) -> tuple[dict, list, str]:
     model, shown = _resolve_model(args.model)
     eps = getattr(args, "eps", DEFAULT_EPS)
     reports = _symmetry_reports(
         model, args.max_word_len, SYMMETRY_CHECKERS[args.command], eps
     )
-    payload = {
-        "command": f"symmetry {args.command}",
-        "parameters": {"model": shown, "max_word_len": args.max_word_len},
-        "reports": _report_dicts(reports),
-    }
-    return payload, reports
+    return _reports_payload(args, {"model": shown, "max_word_len": args.max_word_len}, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +557,11 @@ def golden_battery(seed: int = DEFAULT_SEED) -> tuple[dict, list]:
     return payload, all_reports
 
 
-def _cmd_report(args) -> tuple[dict, list]:
+def _cmd_report(args) -> tuple[dict, list, str]:
     if not args.golden:
         raise CommandError("report requires --golden")
     payload, reports = golden_battery(args.seed)
-    return payload, reports
+    return payload, reports, _report_summary(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -627,31 +589,6 @@ def render_payload(payload: Mapping) -> str:
     return json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n"
 
 
-def _summary(payload: Mapping, reports) -> str:
-    if reports:
-        named: dict[str, VerificationReport] = {}
-        for r in reports:
-            key = r.subject
-            n = 2
-            while key in named:
-                key = f"{r.subject}.{n}"
-                n += 1
-            named[key] = r
-        return summarize(named)
-    command = payload.get("command")
-    if command == "spin catalog":
-        n = len(payload["states"])
-        return f"built {n} states; gram defect {payload['gram_defect']:.3e}"
-    if command == "qubit bloch":
-        x, y, z = payload["bloch"]
-        return f"bloch direction ({x:.6f}, {y:.6f}, {z:.6f})"
-    if command == "evar maximal":
-        return f"maximal: {payload['maximal']}"
-    if "amplitudes" in payload:
-        return f"state built: j={payload['j']:g}, h={payload['h']:g}"
-    return "done"
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -662,9 +599,8 @@ def main(argv=None) -> int:
     # Exit 1 belongs to failing reports alone: anything raised on the way,
     # bad input or an internal failure, becomes one error line and exit 2.
     try:
-        payload, reports = args.handler(args)
+        payload, reports, summary = args.handler(args)
         text = render_payload(payload)
-        summary = _summary(payload, reports)
         if args.out:
             try:
                 Path(args.out).write_text(text, encoding="utf-8")

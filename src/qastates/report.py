@@ -65,10 +65,6 @@ class VerificationReport:
         if self.verdict == "fail" and not self.witnesses:
             raise ValueError(f"failing report for {self.subject!r} carries no witnesses")
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
     def to_json_dict(self) -> dict[str, Any]:
         """Plain dict with a stable field order, ready for json.dumps."""
         return {

@@ -57,14 +57,14 @@ class SpinSystem:
     j: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.j):
+        # The distance to the nearest half-integer, exact and free of the
+        # overflow that rounding 2j meets near 1e308.
+        offset = math.remainder(self.j, 0.5) if math.isfinite(self.j) else math.nan
+        if not 2.0 * abs(offset) <= 1e-12:
             raise ValueError(f"j must be a half-integer, got {self.j!r}")
-        two_j = round(2.0 * self.j)
-        if abs(2.0 * self.j - two_j) > 1e-12:
-            raise ValueError(f"j must be a half-integer, got {self.j!r}")
-        if two_j < 1 or self.j > MAX_J:
+        if self.j - offset < 0.5 or self.j > MAX_J:
             raise ValueError(f"j must lie in [1/2, {MAX_J:g}], got {self.j!r}")
-        object.__setattr__(self, "j", two_j / 2.0)
+        object.__setattr__(self, "j", self.j - offset)
 
     @property
     def dim(self) -> int:

@@ -360,9 +360,9 @@ class FiniteSymmetryModel:
                 image = _compose(forward, _compose(element, backward))
                 if image not in k0_set:
                     raise ValueError(
-                        f"element {idx} of subgroup {label!r} maps outside the "
-                        "distinguished subgroup closure; the model cannot support "
-                        "word images"
+                        f"subgroups[{json.dumps(label)}]: element {idx} of subgroup {label!r} "
+                        "maps outside the distinguished subgroup closure; the model "
+                        "cannot support word images"
                     )
                 row.append(image)
             images[label] = tuple(row)
@@ -372,7 +372,7 @@ class FiniteSymmetryModel:
         images = self._letter_images.get(label)
         if images is None:
             raise ValueError(
-                f"no transfer chain from {self.distinguished!r} to {label!r}; "
+                f"transfer: no transfer chain from {self.distinguished!r} to {label!r}; "
                 "word letters over that subgroup are undefined"
             )
         return images
@@ -465,7 +465,7 @@ def word_image(model: FiniteSymmetryModel, word) -> tuple[tuple, tuple]:
 
 
 def load_model(source) -> FiniteSymmetryModel:
-    """Load a model from a JSON file path, JSON text, or a parsed mapping.
+    """Load a model from a file path or a parsed mapping.
 
     Schema::
 
@@ -602,8 +602,10 @@ def hilbert_subspace(model: FiniteSymmetryModel) -> HilbertBasis:
     theta = model.theta(model.distinguished)
     values = sorted(set(theta))
     if len(values) < 2:
+        pos = model.labels.index(model.distinguished)
         raise ValueError(
-            f"distinguished variable takes {len(values)} value(s); need at least 2"
+            f"variables[{pos}].theta: distinguished variable takes "
+            f"{len(values)} value(s); need at least 2"
         )
     levels = tuple(
         tuple(phi for phi, v in enumerate(theta) if v == value) for value in values
@@ -1178,6 +1180,7 @@ def _require_level_action(model: FiniteSymmetryModel, basis: HilbertBasis) -> di
             targets = {level_index[k[phi]] for phi in level}
             if len(targets) != 1:
                 raise ValueError(
+                    f"subgroups[{json.dumps(model.distinguished)}]: "
                     "a distinguished-subgroup element does not permute the "
                     "distinguished level sets; representation checks are undefined"
                 )

@@ -194,11 +194,36 @@ class TestSpinCommands:
             ("spin", "verify", "--j", "1", "--seed", "-3"),
             ("spin", "verify", "--j", "1", "--eps", "2"),
             ("spin", "nonsense",),
+            ("spin", "state", "--j", "0", "--dir", "0,0,1", "--h", "0"),
+            ("spin", "state", "--j", "25.5", "--dir", "0,0,1", "--h", "0.5"),
+            ("spin", "state", "--j", "nan", "--dir", "0,0,1", "--h", "0.5"),
+            # More than 1e-12 from 2.5: once snapped to 2.5 and accepted.
+            ("spin", "state", "--j", "2.5000000001", "--dir", "0,0,1", "--h", "0.5"),
+            # Once an OverflowError traceback from rounding 2j.
+            ("spin", "verify", "--j", "1e308"),
         ],
     )
     def test_usage_errors_exit_2(self, capsys, argv):
-        code, _, _ = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_j_accepts_every_half_integer(self, capsys):
+        for two_j in range(1, 51):
+            j = f"{two_j / 2:g}"
+            code, record, _ = run_json(
+                capsys, "spin", "state", "--j", j, "--dir", "0,0,1", "--h", j
+            )
+            assert code == 0
+            assert record["j"] == spin.SpinSystem(float(j)).j == two_j / 2
+
+    @pytest.mark.parametrize("j", ["2.5000000001", "0.7", "26", "1e308"])
+    def test_j_rejection_names_flag(self, capsys, j):
+        code, out, err = run_cli(capsys, "spin", "catalog", "--j", j, "--dir", "0,0,1")
+        assert code == 2
+        assert out == ""
+        assert "error: argument --j: j must " in err
 
     @pytest.mark.parametrize("h", ["inf", "nan"])
     def test_non_finite_answer_names_flag(self, capsys, h):
@@ -317,6 +342,10 @@ class TestEvarCommands:
 
 # ---------------------------------------------------------------------------
 # symmetry commands
+
+
+# The transposition (1 2) on the 12 points of structural_example.
+SWAP_1_2 = [0, 2, 1, *range(3, 12)]
 
 
 def passing_model_file(tmp_path):
@@ -453,6 +482,34 @@ class TestSymmetryCommands:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field,edit",
+        [
+            ("variables[0].theta", lambda raw: raw["variables"][0].update(theta=[0] * 12)),
+            ('subgroups["0"]', lambda raw: raw["subgroups"].update({"0": [SWAP_1_2]})),
+            ('subgroups["1"]', lambda raw: raw["subgroups"].update({"1": [SWAP_1_2]})),
+            ("transfer", lambda raw: raw.update(transfer={"01": raw["transfer"]["01"]})),
+        ],
+        ids=[
+            "constant_distinguished_theta",
+            "distinguished_subgroup_splits_levels",
+            "image_outside_distinguished_subgroup",
+            "no_transfer_chain",
+        ],
+    )
+    def test_unusable_model_names_field(self, capsys, tmp_path, field, edit):
+        raw = json.loads(
+            symmetry.bundled_model_path("structural_example").read_text(encoding="utf-8")
+        )
+        edit(raw)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run_cli(capsys, "symmetry", "check", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field}: ")
+        assert "Traceback" not in err
+
     def test_check_scans_words_once_per_model_and_depth(self, capsys, monkeypatch):
         depths = []
         enumerate_words = symmetry._enumerate_words
@@ -566,6 +623,94 @@ class TestExitContract:
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 cli.render_payload({"eigenvalues": [1.0, value]})
+
+
+# ---------------------------------------------------------------------------
+# stderr summaries and report payloads
+
+
+def summary_lines(reports) -> list[str]:
+    """The summary of a report command, a repeated subject numbered
+    ``subject.2``, ``subject.3``, ..."""
+    seen: dict[str, int] = {}
+    lines = []
+    for r in reports:
+        seen[r["subject"]] = seen.get(r["subject"], 0) + 1
+        n = seen[r["subject"]]
+        name = r["subject"] if n == 1 else f"{r['subject']}.{n}"
+        lines.append(f"{name}: {r['verdict']} ({len(r['witnesses'])} witnesses)")
+    return lines
+
+
+class TestSummaries:
+    @pytest.mark.parametrize(
+        "argv,summary",
+        [
+            (("spin", "state", "--j", "1.5", "--dir", "0.6,0,0.8", "--h", "-0.5"),
+             lambda p: "state built: j=1.5, h=-0.5"),
+            (("spin", "catalog", "--j", "2.5", "--dir", "0.6,0,0.8"),
+             lambda p: f"built 6 states; gram defect {p['gram_defect']:.3e}"),
+            (("evar", "maximal", "--values", "1,2,3"), lambda p: "maximal: True"),
+            (("evar", "maximal", "--values", "1,2,3", "--map", "1,1,2"),
+             lambda p: "maximal: False"),
+        ],
+        ids=["spin_state", "spin_catalog", "evar_maximal", "evar_maximal_map"],
+    )
+    def test_construction_summary(self, capsys, argv, summary):
+        code, payload, err = run_json(capsys, *argv)
+        assert code == 0
+        assert err == summary(payload) + "\n"
+
+    def test_bloch_summary_reads_the_bloch_vector(self, capsys):
+        code, _, err = run_cli(capsys, "qubit", "bloch", "--dir", "0,1,0")
+        assert code == 0
+        assert err == "bloch direction (0.000000, 1.000000, 0.000000)\n"
+
+    @pytest.mark.parametrize(
+        "argv,fields",
+        [
+            (("spin", "verify", "--j", "1", "--samples", "2"), []),
+            (("spin", "overlap", "--j", "1", "--samples", "2"), []),
+            (("qubit", "prop2", "--samples", "4"), []),
+            (("evar", "coarse-grain", "--values", "1,2,3", "--map", "1,1,2"),
+             ["coarse_values", "classes"]),
+            (("symmetry", "check", "--model", "designed_failure"), []),
+            (("symmetry", "assumptions", "--model", "designed_failure"), []),
+            (("symmetry", "theorem1", "--model", "designed_failure"), []),
+        ],
+        ids=[
+            "spin_verify",
+            "spin_overlap",
+            "qubit_prop2",
+            "evar_coarse_grain",
+            "symmetry_check",
+            "symmetry_assumptions",
+            "symmetry_theorem1",
+        ],
+    )
+    def test_report_payload_and_summary(self, capsys, argv, fields):
+        code, payload, err = run_json(capsys, *argv)
+        assert code == int(any(r["verdict"] == "fail" for r in payload["reports"]))
+        assert payload["command"] == f"{argv[0]} {argv[1]}"
+        assert list(payload) == ["command", "parameters", *fields, "reports"]
+        assert err.splitlines() == summary_lines(payload["reports"])
+
+    def test_prop2_summary_numbers_the_repeated_subject(self, capsys):
+        code, payload, err = run_json(capsys, "qubit", "prop2", "--samples", "10")
+        assert code == 0
+        witnesses = [len(r["witnesses"]) for r in payload["reports"]]
+        assert err == (
+            f"prop2: pass ({witnesses[0]} witnesses)\n"
+            f"prop2.2: pass ({witnesses[1]} witnesses)\n"
+        )
+
+    def test_golden_summary(self, capsys):
+        code, payload, err = run_json(capsys, "report", "--golden")
+        assert code == 1
+        reports = [r for section in payload["sections"] for r in section["reports"]]
+        assert err.splitlines() == summary_lines(reports)
+        assert err.startswith("prop1: pass (0 witnesses)\ncor1: pass (0 witnesses)\n")
+        assert "\nprop1.2: " in err and "\nprop1.4: " in err
 
 
 # ---------------------------------------------------------------------------
