@@ -53,7 +53,7 @@ def main():
                         ("designed_failure", failing)):
         reports = battery(model)
         print(f"\n{name} battery:")
-        print("  " + summarize({r.subject: r for r in reports}).replace("\n", "\n  "))
+        print("  " + summarize(reports).replace("\n", "\n  "))
 
     # The designed failure carries concrete witnesses, not just verdicts.
     lemma1 = symmetry.validate_model(failing)

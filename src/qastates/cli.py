@@ -302,19 +302,6 @@ def _report_dicts(reports) -> list[dict]:
     return [r.to_json_dict() for r in reports]
 
 
-def _report_summary(reports) -> str:
-    """One line per report; a repeated subject is numbered ``prop2.2``."""
-    named: dict[str, VerificationReport] = {}
-    for r in reports:
-        key = r.subject
-        n = 2
-        while key in named:
-            key = f"{r.subject}.{n}"
-            n += 1
-        named[key] = r
-    return summarize(named)
-
-
 def _reports_payload(args, parameters: dict, reports: list, **fields) -> tuple[dict, list, str]:
     """Handler result of a report command: the payload (command, parameters,
     any extra ``fields``, then the reports), the reports, and their summary."""
@@ -324,7 +311,7 @@ def _reports_payload(args, parameters: dict, reports: list, **fields) -> tuple[d
         **fields,
         "reports": _report_dicts(reports),
     }
-    return payload, reports, _report_summary(reports)
+    return payload, reports, summarize(reports)
 
 
 def _cmd_spin_state(args) -> tuple[dict, list, str]:
@@ -345,9 +332,7 @@ def _cmd_spin_verify(args) -> tuple[dict, list, str]:
 
 def _cmd_spin_catalog(args) -> tuple[dict, list, str]:
     states = spin.state_catalog(args.system, [args.dir])
-    kets = np.array([s.ket for s in states])
-    gram = np.conjugate(kets) @ kets.T
-    defect = float(np.max(np.abs(gram - np.eye(len(states)))))
+    defect = linalg.gram_defect(np.array([s.ket for s in states]).T)
     payload = {
         "command": "spin catalog",
         "parameters": {
@@ -561,7 +546,7 @@ def _cmd_report(args) -> tuple[dict, list, str]:
     if not args.golden:
         raise CommandError("report requires --golden")
     payload, reports = golden_battery(args.seed)
-    return payload, reports, _report_summary(reports)
+    return payload, reports, summarize(reports)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,15 @@ PROJECTOR_TOL = 1e-11
 DEFAULT_SEPARATION = 1e-6
 
 
+def _require_value_gaps(values, problem: str) -> None:
+    """Reject ascending values whose smallest gap is within VALUE_GAP_FRACTION of their range."""
+    if len(values) >= 2:
+        rng = values[-1] - values[0]
+        min_gap = min(b - a for a, b in zip(values, values[1:]))
+        if min_gap <= VALUE_GAP_FRACTION * rng:
+            raise ValueError(f"{problem}: gap {min_gap:.3e} vs range {rng:.3e}")
+
+
 @dataclass(frozen=True)
 class EVariableSpec:
     """A maximal accessible variable: distinct outcome values attached to an
@@ -46,22 +55,15 @@ class EVariableSpec:
                 raise ValueError("values must be finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
-        if len(values) >= 2:
-            rng = values[-1] - values[0]
-            min_gap = min(b - a for a, b in zip(values, values[1:]))
-            if min_gap <= VALUE_GAP_FRACTION * rng:
-                raise ValueError(
-                    f"values too close: gap {min_gap:.3e} vs range {rng:.3e}"
-                )
+        _require_value_gaps(values, "values too close")
         basis = tuple(linalg.as_vector(b).copy() for b in self.basis)
         if len(basis) != len(values):
             raise ValueError("need exactly one basis vector per value")
         dim = basis[0].shape[0]
         if dim != len(basis) or any(b.shape[0] != dim for b in basis):
             raise ValueError("basis must be a complete orthonormal set")
-        gram = np.array([[linalg.inner(a, b) for b in basis] for a in basis])
-        defect = float(np.abs(gram - np.eye(dim)).max())
-        if defect > 1e-10:
+        defect = linalg.gram_defect(np.column_stack(basis))
+        if not defect <= 1e-10:
             raise ValueError(f"basis not orthonormal: Gram defect {defect:.3e}")
         for b in basis:
             b.flags.writeable = False
@@ -122,13 +124,13 @@ class CoarseGraining:
             total += p
             for k in range(i + 1, len(projectors)):
                 cross = float(np.abs(p @ projectors[k]).max())
-                if cross > PROJECTOR_TOL:
+                if not cross <= PROJECTOR_TOL:
                     raise ValueError(
                         f"projectors {i} and {k} overlap: {cross:.3e}"
                     )
                 cross_defect = max(cross_defect, cross)
         sum_defect = float(np.abs(total - np.eye(d)).max())
-        if sum_defect > PROJECTOR_TOL:
+        if not sum_defect <= PROJECTOR_TOL:
             raise ValueError(f"projectors do not resolve identity: {sum_defect:.3e}")
         for p in projectors:
             p.flags.writeable = False
@@ -167,14 +169,7 @@ def coarse_grain(spec: EVariableSpec, t) -> tuple[CoarseGraining, np.ndarray]:
     """
     mapped = _evaluate_map(t, spec.values)
     coarse = sorted(set(mapped))
-    if len(coarse) >= 2:
-        rng = coarse[-1] - coarse[0]
-        min_gap = min(b - a for a, b in zip(coarse, coarse[1:]))
-        if min_gap <= VALUE_GAP_FRACTION * rng:
-            raise ValueError(
-                f"coarse values too close to separate: gap {min_gap:.3e} "
-                f"vs range {rng:.3e}"
-            )
+    _require_value_gaps(coarse, "coarse values too close to separate")
     classes = tuple(
         tuple(j for j, u in enumerate(mapped) if u == ui) for ui in coarse
     )

@@ -5,6 +5,9 @@ Hermitian eigensolver is a cyclic Jacobi iteration written out in full so it
 can serve as an independent route against states constructed by recursion
 elsewhere in the package; it does not call numpy.linalg.  Matrix sizes here
 stay small (dimension 60 or less), where Jacobi is accurate and fast enough.
+Orthonormality and unitarity checks across the package measure one defect,
+max |C†C - I| over the columns C, with `gram_defect` (Theorem 1 alone masks
+its Gram matrix to same-label pairs).
 """
 
 from __future__ import annotations
@@ -78,14 +81,22 @@ def fix_phase(v) -> np.ndarray:
 
     Ties in magnitude within PHASE_TIE_TOL are broken by lowest index, which
     keeps the choice stable under perturbations that do not cross the window.
+    The zero vector and vectors with a NaN or infinite entry raise ValueError.
     """
     v = as_vector(v)
     mags = np.abs(v)
-    top = float(mags.max())
-    if top == 0.0:
-        raise ValueError("cannot fix the phase of the zero vector")
+    top = float(mags.max())  # NaN if any entry is NaN
+    if not 0.0 < top < math.inf:
+        what = "the zero vector" if top == 0.0 else "a vector with non-finite entries"
+        raise ValueError(f"cannot fix the phase of {what}")
     anchor = int(np.flatnonzero(mags >= top - PHASE_TIE_TOL)[0])
     return v * (v[anchor].conjugate() / mags[anchor])
+
+
+def gram_defect(columns) -> float:
+    """max |C†C - I|, how far the columns of the array C are from
+    orthonormal.  NaN in gives NaN out, which ``not defect <= tol`` rejects."""
+    return float(np.abs(columns.conj().T @ columns - np.eye(columns.shape[1])).max())
 
 
 def projector(vectors, tol: float = ORTHO_TOL) -> np.ndarray:
@@ -97,9 +108,8 @@ def projector(vectors, tol: float = ORTHO_TOL) -> np.ndarray:
     if any(c.shape[0] != dim for c in cols):
         raise ValueError("projector vectors must share one dimension")
     basis = np.column_stack(cols)
-    gram = basis.conj().T @ basis
-    defect = float(np.abs(gram - np.eye(len(cols))).max())
-    if defect > tol:
+    defect = gram_defect(basis)
+    if not defect <= tol:
         raise ValueError(f"vectors are not orthonormal: Gram defect {defect:.3e}")
     return basis @ basis.conj().T
 
@@ -211,7 +221,7 @@ def hermitian_eig(a) -> EigenDecomposition:
     residual = float(np.abs(sym @ vecs - vecs * vals[np.newaxis, :]).max())
     if not residual <= RESIDUAL_TOL * spectral:
         raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")
-    ortho = float(np.abs(vecs.conj().T @ vecs - np.eye(n)).max())
+    ortho = gram_defect(vecs)
     if not ortho <= ORTHO_TOL:
         raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
     return EigenDecomposition(vals, vecs)

@@ -59,8 +59,8 @@ class SpecialUnitary2:
         m = linalg.as_matrix(self.matrix)
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
-        unitary_defect = float(np.abs(m.conj().T @ m - np.eye(2)).max())
-        if unitary_defect > UNITARY_TOL:
+        unitary_defect = linalg.gram_defect(m)
+        if not unitary_defect <= UNITARY_TOL:
             raise ValueError(f"not unitary: defect {unitary_defect:.3e}")
         if abs(_det2(m) - 1.0) > UNITARY_TOL:
             raise ValueError(f"determinant is not 1: {_det2(m)!r}")
@@ -79,8 +79,8 @@ class Rotation3:
         r = np.asarray(self.matrix, dtype=float)
         if r.shape != (3, 3):
             raise ValueError("expected a 3x3 real matrix")
-        ortho_defect = float(np.abs(r.T @ r - np.eye(3)).max())
-        if ortho_defect > ROTATION_TOL:
+        ortho_defect = linalg.gram_defect(r)
+        if not ortho_defect <= ROTATION_TOL:
             raise ValueError(f"not orthogonal: defect {ortho_defect:.3e}")
         if abs(_det3(r) - 1.0) > ROTATION_TOL:
             raise ValueError(f"determinant is not 1: {_det3(r)!r}")

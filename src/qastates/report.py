@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 SUBJECTS = (
     "prop1",
@@ -76,9 +76,13 @@ class VerificationReport:
         }
 
 
-def summarize(reports: Mapping[str, VerificationReport]) -> str:
-    """One human-readable line per report, for stderr summaries."""
+def summarize(reports: Iterable[VerificationReport]) -> str:
+    """One human-readable line per report, in order, for stderr summaries;
+    a repeated subject is numbered from 2, as in ``prop2.2``."""
+    counts: dict[str, int] = {}
     lines = []
-    for name, rep in reports.items():
+    for rep in reports:
+        n = counts[rep.subject] = counts.get(rep.subject, 0) + 1
+        name = rep.subject if n == 1 else f"{rep.subject}.{n}"
         lines.append(f"{name}: {rep.verdict} ({len(rep.witnesses)} witnesses)")
     return "\n".join(lines)

@@ -16,10 +16,12 @@ first.
 
 Permutations are validated once, at the model boundary: model construction
 and the public permutation functions reject anything but integer bijections
-and name the offending model-file field.  Inside the closure, word and scan
-loops, products of validated permutations are composed without re-checking,
-since a product of bijections is a bijection.  The word scan runs once per
-(model, depth) and its read-only result is shared by every checker.
+and name the offending model-file field.  Inside the model, products and
+inverses are computed unchecked (`_compose`, `_invert`), except in
+`zero_transfers` and `build_question_states`' kappas, whose products the
+benchmark counts as `symmetry.compose_permutations` calls.  The word scan
+runs once per (model, depth) and its read-only result is shared by every
+checker.
 Theorem 1 is read off one Gram matrix over all built states: its same-label
 entries give the orthonormality defect and its off-diagonal magnitudes the
 collisions.
@@ -109,20 +111,20 @@ def _compose(p: tuple, q: tuple) -> tuple[int, ...]:
     return tuple(map(p.__getitem__, q))
 
 
+def _invert(p: tuple) -> tuple[int, ...]:
+    """Inverse of a permutation already validated: the points sorted by image."""
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
 def compose_permutations(p, q) -> tuple[int, ...]:
     """Product p*q acting as the function composition p after q."""
     p = _as_permutation(p)
-    q = _as_permutation(q, len(p))
-    return tuple(p[q[i]] for i in range(len(p)))
+    return _compose(p, _as_permutation(q, len(p)))
 
 
 def invert_permutation(p) -> tuple[int, ...]:
     """Inverse permutation."""
-    p = _as_permutation(p)
-    out = [0] * len(p)
-    for i, image in enumerate(p):
-        out[image] = i
-    return tuple(out)
+    return _invert(_as_permutation(p))
 
 
 def group_closure(generators: Iterable, phi_size: int | None = None) -> tuple:
@@ -261,7 +263,7 @@ class FiniteSymmetryModel:
                 raise ValueError(f"transfer ({a!r}, {b!r}) links a variable to itself")
             transfers[(a, b)] = _as_permutation(perm, size, f"transfer[{json.dumps(a + b)}]")
         for (a, b), perm in list(transfers.items()):
-            reverse = invert_permutation(perm)
+            reverse = _invert(perm)
             stored = transfers.get((b, a))
             if stored is None:
                 transfers[(b, a)] = reverse
@@ -354,7 +356,7 @@ class FiniteSymmetryModel:
             forward = self.zero_transfers.get(label)
             if forward is None:
                 continue
-            backward = invert_permutation(forward)
+            backward = _invert(forward)
             row = []
             for idx, element in enumerate(self.subgroup(label)):
                 image = _compose(forward, _compose(element, backward))
@@ -384,7 +386,7 @@ class FiniteSymmetryModel:
         that subgroup's elements."""
         label, idx = entry
         elements = self.subgroup(label)
-        idx = int(idx)
+        idx = _integer(idx, f"letter {label!r} index")
         if not 0 <= idx < len(elements):
             raise ValueError(
                 f"letter ({label!r}, {idx}) indexes outside the subgroup "
@@ -689,9 +691,9 @@ def scan_words(model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT) ->
     The scan is memoized on the model, so the checkers of one (model,
     depth) share a single enumeration.
     """
-    if int(max_len) < 1:
+    max_len = _integer(max_len, "max_len")
+    if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    max_len = int(max_len)
     scans = model._word_scans
     if max_len not in scans:
         scans[max_len] = _enumerate_words(model, max_len)
@@ -960,11 +962,11 @@ def build_question_states(
             )
             continue
         (_, image_1), (_, image_2) = finding.words
-        kappa = compose_permutations(invert_permutation(image_1), image_2)
+        kappa = compose_permutations(_invert(image_1), image_2)
         kappas[label] = kappa
         if kappa == identity:
             degenerate.append(label)
-        inverse = invert_permutation(kappa)
+        inverse = _invert(kappa)
         labels.append(label)
         for i in range(basis.dim):
             moved = _represent(inverse, basis.functions[i])
@@ -1154,7 +1156,8 @@ def induced_transformations(
     """
     theta = model.theta(label)
     values = set(theta)
-    mapping = {int(k): int(v) for k, v in dict(value_map).items()}
+    pairs = dict(value_map).items()
+    mapping = {_integer(k, "value_map key"): _integer(v, f"value_map[{k!r}]") for k, v in pairs}
     if set(mapping) != values or set(mapping.values()) != values:
         raise ValueError(
             f"value map must permute the range of {label!r}: {sorted(values)}"

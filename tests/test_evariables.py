@@ -39,8 +39,15 @@ class TestEVariableSpec:
             ev.EVariableSpec.standard("x", (2.0, 1.0))
 
     def test_rejects_tiny_gap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             ev.EVariableSpec.standard("x", (0.0, 1e-12, 1.0))
+        assert str(info.value) == "values too close: gap 1.000e-12 vs range 1.000e+00"
+
+    def test_rejects_nan_basis(self):
+        v = np.array([np.nan, 0.0], dtype=complex)
+        w = np.array([0.0, 1.0], dtype=complex)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            ev.EVariableSpec("x", (1.0, 2.0), (v, w))
 
     def test_rejects_non_orthonormal_basis(self):
         v = np.array([1.0, 0.0], dtype=complex)
@@ -126,8 +133,19 @@ class TestCoarseGrain:
 
     def test_ill_posed_coarse_values_rejected(self):
         spec = ev.EVariableSpec.standard("lam", (1.0, 2.0, 3.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             ev.coarse_grain(spec, {1.0: 0.0, 2.0: 1e-15, 3.0: 1.0})
+        assert str(info.value) == (
+            "coarse values too close to separate: gap 1.000e-15 vs range 1.000e+00"
+        )
+
+    def test_rejects_nan_projectors(self):
+        spec = ev.EVariableSpec.standard("x", (1.0, 2.0))
+        nan = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match="do not resolve identity: nan"):
+            ev.CoarseGraining(spec, (1.0,), ((0, 1),), (nan,))
+        with pytest.raises(ValueError, match="projectors 0 and 1 overlap: nan"):
+            ev.CoarseGraining(spec, (1.0, 2.0), ((0,), (1,)), (nan, np.diag([0.0, 1.0])))
 
     def test_coarse_values_ascending(self):
         spec = ev.EVariableSpec.standard("lam", (1.0, 2.0, 3.0))

@@ -6,6 +6,7 @@ which the package itself never calls.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,8 +106,17 @@ class TestFixPhase:
         assert fixed[0].imag == pytest.approx(0.0)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot fix the phase of the zero vector$"):
             linalg.fix_phase([0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "v", [[math.nan, 1.0], [1.0, complex(0.0, math.nan)], [math.inf, 1.0], [1.0, -math.inf]]
+    )
+    def test_non_finite_vector_rejected_without_warning(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite entries"):
+                linalg.fix_phase(v)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.floats(0.0, 2.0 * math.pi))
@@ -117,6 +127,26 @@ class TestFixPhase:
         a = linalg.fix_phase(v)
         b = linalg.fix_phase(np.exp(1j * angle) * v)
         assert np.abs(a - b).max() < 1e-12
+
+
+class TestGramDefect:
+    def test_identity_has_zero_defect(self):
+        assert linalg.gram_defect(np.eye(4, dtype=complex)) == 0.0
+        # Orthonormal columns of a tall matrix, and a unitary matrix.
+        assert linalg.gram_defect(np.eye(3, 2)) == 0.0
+        assert linalg.gram_defect(SY) == 0.0
+
+    def test_known_non_orthogonal_pair(self):
+        # Columns e0 and (0.6, 0.8): the off-diagonal overlap 0.6 dominates.
+        columns = np.array([[1.0, 0.6], [0.0, 0.8]], dtype=complex)
+        assert linalg.gram_defect(columns) == pytest.approx(0.6, abs=1e-15)
+        # A column of norm 2 misses the diagonal by 4 - 1.
+        assert linalg.gram_defect(np.diag([2.0, 1.0])) == 3.0
+
+    def test_nan_propagates_so_a_tolerance_check_fails(self):
+        defect = linalg.gram_defect(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+        assert math.isnan(defect)
+        assert not defect <= 1e-10
 
 
 class TestProjector:
@@ -142,6 +172,10 @@ class TestProjector:
         w = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
         with pytest.raises(ValueError):
             linalg.projector([v, w])
+
+    def test_nan_vector_rejected(self):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            linalg.projector([[math.nan, 0.0]])
 
 
 class TestCommutator:

@@ -96,6 +96,10 @@ class TestSpecialUnitary2:
         with pytest.raises(ValueError):
             qubit.SpecialUnitary2(np.diag([1.0, 2.0]).astype(complex))
 
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            qubit.SpecialUnitary2(np.full((2, 2), np.nan, dtype=complex))
+
     def test_rejects_unit_determinant_violation(self):
         # Unitary but determinant -1.
         with pytest.raises(ValueError):
@@ -163,6 +167,10 @@ class TestRotation3:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
             qubit.Rotation3(np.ones((3, 3)))
+
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(ValueError, match="not orthogonal"):
+            qubit.Rotation3(np.full((3, 3), np.nan))
 
 
 class TestBatteries:

@@ -522,6 +522,24 @@ class TestVerificationBatteries:
         assert len(rep.witnesses) == 20
         assert rep.metrics["worst_collision_overlap"] >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, math.nan])
+    def test_ray_collisions_reject_eps_outside_unit_interval(self, eps):
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\), got "):
+            spin.verify_ray_collisions(SpinSystem(1.0), samples=0, eps=eps)
+
+    def test_ray_collisions_compare_overlaps_directly(self, monkeypatch):
+        # Constructed states are unit kets, so no phase_equal (and no norm
+        # re-check) is needed; a loose eps makes separated pairs collide.
+        def unused(*args, **kwargs):
+            raise AssertionError("phase_equal called")
+
+        monkeypatch.setattr(linalg, "phase_equal", unused)
+        rep = spin.verify_ray_collisions(
+            SpinSystem(1.0), samples=10, eps=0.999999, rng=np.random.default_rng(2)
+        )
+        assert rep.verdict == "fail"
+        assert {w["kind"] for w in rep.witnesses} == {"separated_pair_collided"}
+
     def test_batteries_deterministic(self):
         a = spin.verify_eigenstates(SpinSystem(1.0), samples=5, rng=np.random.default_rng(7))
         b = spin.verify_eigenstates(SpinSystem(1.0), samples=5, rng=np.random.default_rng(7))

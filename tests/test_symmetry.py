@@ -226,6 +226,45 @@ def reference_theorem1(model, max_len, eps):
     return defect, witnesses
 
 
+def reference_zero_transfers(model):
+    """Transfer chains from the distinguished variable, composed through
+    the validating public product."""
+    reached = {model.distinguished: tuple(range(model.phi_size))}
+    queue = [model.distinguished]
+    for a in queue:
+        for (x, y), perm in sorted(model.transfers.items()):
+            if x == a and y not in reached:
+                reached[y] = sym.compose_permutations(reached[a], perm)
+                queue.append(y)
+    return reached
+
+
+def reference_letter_images(model):
+    """k_0a * k * k_a0 for every subgroup element, through the validating
+    public product and inverse."""
+    images = {}
+    for label, forward in reference_zero_transfers(model).items():
+        backward = sym.invert_permutation(forward)
+        images[label] = tuple(
+            sym.compose_permutations(forward, sym.compose_permutations(element, backward))
+            for element in model.subgroup(label)
+        )
+    return images
+
+
+def reference_kappas(model, max_len):
+    """(first image)^-1 * (second image) of each canonical pair from the
+    distinguished variable, through the validating public functions."""
+    kappas = {model.distinguished: tuple(range(model.phi_size))}
+    for finding in sym.scan_words(model, max_len).transfer_findings:
+        if finding.from_label == model.distinguished and finding.status == "pair":
+            (_, image_1), (_, image_2) = finding.words
+            kappas[finding.to_label] = sym.compose_permutations(
+                sym.invert_permutation(image_1), image_2
+            )
+    return kappas
+
+
 def family():
     """The bundled models and D_3..D_6 with the variables stored both in
     label order and reversed."""
@@ -257,6 +296,13 @@ class TestPermutations:
         assert sym.invert_permutation(RHO) == RHO2
         assert mul(RHO, sym.invert_permutation(RHO)) == (0, 1, 2)
 
+    def test_invert_random_permutations(self):
+        rng = np.random.default_rng(SEED)
+        for n in (1, 2, 7, 96):
+            p = tuple(int(i) for i in rng.permutation(n))
+            inverse = sym.invert_permutation(p)
+            assert mul(p, inverse) == mul(inverse, p) == tuple(range(n))
+
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             sym.compose_permutations((0, 0, 1), (0, 1, 2))
@@ -271,6 +317,40 @@ class TestPermutations:
         with pytest.raises(ValueError, match="must be a list"):
             sym.invert_permutation(3)
         assert sym.compose_permutations(np.array([1, 0]), [np.int64(1), 0]) == (0, 1)
+
+
+class TestTrustedPermutationProducts:
+    """Products and inverses computed inside the model, mostly without
+    validation, must equal the validating public functions on both bundled
+    models and on D_3..D_6 (variables stored in either order)."""
+
+    @staticmethod
+    def chained(model):
+        """The model with only the 0->1 and 1->2 transfers stored, so the
+        chain to "2" is a product of two maps."""
+        links = {key: model.transfers[key] for key in (("0", "1"), ("1", "2"))}
+        return sym.FiniteSymmetryModel(
+            model.phi_size, model.variables, model.distinguished, model.generators, links
+        )
+
+    def models(self):
+        models = family()
+        models.update({f"D{n}_chained": self.chained(models[f"D{n}"]) for n in range(3, 7)})
+        return models
+
+    def test_zero_transfers(self):
+        for name, model in self.models().items():
+            assert model.zero_transfers == reference_zero_transfers(model), name
+
+    def test_letter_images(self):
+        for name, model in self.models().items():
+            assert model._letter_images == reference_letter_images(model), name
+
+    @pytest.mark.parametrize("max_len", [3, sym.WORD_DEPTH_DEFAULT])
+    def test_question_state_kappas(self, max_len):
+        for name, model in family().items():
+            kappas = sym.build_question_states(model, max_len).kappas
+            assert kappas == reference_kappas(model, max_len), name
 
 
 class TestGroupClosure:
@@ -630,6 +710,21 @@ class TestWords:
         mixed = structural.word([("0", i_tau), ("1", i_rho)])
         assert mixed.letters == (("0", i_tau), ("1", i_rho))
 
+    def test_letter_index_must_be_an_integer(self, structural):
+        # A float index used to be truncated: 1.9 read as element 1.
+        with pytest.raises(ValueError, match="letter '0' index must be an integer, got 1.9"):
+            structural.word([("0", 1.9)])
+        with pytest.raises(ValueError, match="letter '0' index must be an integer, got 1.9"):
+            sym.word_image(structural, [("0", 1.9)])
+        assert structural.word([("0", np.int64(1))]).letters == (("0", 1),)
+
+    def test_letter_index_may_not_be_a_bool(self, structural):
+        # True used to be read as element 1.
+        with pytest.raises(ValueError, match="letter '0' index must be an integer, got True"):
+            structural.word([("0", True)])
+        with pytest.raises(ValueError, match="must be an integer, got True"):
+            sym.word_image(structural, [("0", True)])
+
     def test_word_rejects_bad_letters(self, structural):
         with pytest.raises(ValueError, match="unknown variable"):
             structural.word([("9", 1)])
@@ -783,6 +878,14 @@ class TestWordScan:
         with pytest.raises(ValueError, match="max_len"):
             sym.scan_words(structural, 0)
 
+    def test_depth_must_be_an_integer(self, structural):
+        # 3.7 used to run a depth-3 scan.
+        with pytest.raises(ValueError, match="max_len must be an integer, got 3.7"):
+            sym.scan_words(structural, 3.7)
+        with pytest.raises(ValueError, match="max_len must be an integer, got True"):
+            sym.scan_words(structural, True)
+        assert sym.scan_words(structural, np.int64(3)) is sym.scan_words(structural, 3)
+
     @pytest.mark.parametrize("max_len", [3, 6])
     def test_findings_take_words_in_length_letter_order(self, max_len):
         # The scan reads its candidate words in recording order; they must
@@ -866,6 +969,15 @@ class TestInducedTransformations:
         # Swapping only two of six values cannot be realized by translations.
         mapping = {0: 1, 1: 0, 2: 2, 3: 3, 4: 4, 5: 5}
         assert sym.induced_transformations(structural, "0", mapping) == ()
+
+    def test_value_map_entries_must_be_integers(self, quad):
+        # {0.0: 0.9, 1: 1} used to be read as the identity map.
+        with pytest.raises(ValueError, match="value_map key must be an integer, got 0.0"):
+            sym.induced_transformations(quad, "0", {0.0: 0.9, 1: 1})
+        with pytest.raises(ValueError, match=r"value_map\[0\] must be an integer, got 0.9"):
+            sym.induced_transformations(quad, "0", {0: 0.9, 1: 1})
+        with pytest.raises(ValueError, match="must be an integer, got True"):
+            sym.induced_transformations(quad, "0", {0: True, 1: 0})
 
     def test_rejects_non_permutation_of_range(self, quad):
         with pytest.raises(ValueError, match="permute"):
