@@ -11,12 +11,19 @@ from qastates.report import summarize
 
 
 def battery(model):
-    reports = [symmetry.validate_model(model)]
-    reports.extend(symmetry.check_assumptions(model))
-    reports.append(symmetry.detect_multivaluedness(model))
-    reports.append(symmetry.verify_word_kernel(model))
-    reports.append(symmetry.verify_theorem1(model))
-    return reports
+    """Every checker's report, in the order `qastates symmetry check` emits them."""
+    measure, closure, irreducibility, separation, lemma2 = symmetry.check_assumptions(model)
+    return [
+        symmetry.validate_model(model),
+        measure,
+        closure,
+        irreducibility,
+        symmetry.detect_multivaluedness(model),
+        separation,
+        lemma2,
+        symmetry.verify_word_kernel(model),
+        symmetry.verify_theorem1(model),
+    ]
 
 
 def main():

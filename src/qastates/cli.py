@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -35,10 +35,6 @@ from .report import VerificationReport, summarize
 
 DEFAULT_EPS = 1e-9
 DEFAULT_SEED = 0
-
-
-class CommandError(Exception):
-    """Invalid usage or model input; maps to exit status 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +165,14 @@ def _float_list(flag: str, text: str) -> list[float]:
     try:
         return [float(p) for p in text.split(",")]
     except ValueError:
-        raise CommandError(f"{flag} must be comma-separated decimals, got {text!r}")
+        raise ValueError(f"{flag} must be comma-separated decimals, got {text!r}")
 
 
 def _validated_answer(system: spin.SpinSystem, h: float) -> float:
     try:
         system.m_index(h)
     except ValueError as exc:
-        raise CommandError(f"--h: {exc}")
+        raise ValueError(f"--h: {exc}")
     return h
 
 
@@ -189,9 +185,9 @@ def _resolve_model(text: str) -> tuple[symmetry.FiniteSymmetryModel, str]:
         try:
             bundled = symmetry.bundled_model_path(text)
         except ValueError:
-            raise CommandError(f"--model: {text!r} is neither a file nor a bundled model name")
+            raise ValueError(f"--model: {text!r} is neither a file nor a bundled model name")
         return symmetry.load_model(bundled), text
-    raise CommandError(f"--model: no such file: {text!r}")
+    raise ValueError(f"--model: no such file: {text!r}")
 
 
 def _add_out(parser: argparse.ArgumentParser) -> None:
@@ -381,12 +377,12 @@ def _parse_evar_inputs(args) -> tuple[evariables.EVariableSpec, dict | None]:
     try:
         spec = evariables.EVariableSpec.standard("theta", values)
     except ValueError as exc:
-        raise CommandError(f"--values: {exc}")
+        raise ValueError(f"--values: {exc}")
     if args.outcome_map is None:
         return spec, None
     mapped = _float_list("--map", args.outcome_map)
     if len(mapped) != len(values):
-        raise CommandError(f"--map lists {len(mapped)} outcomes for {len(values)} values")
+        raise ValueError(f"--map lists {len(mapped)} outcomes for {len(values)} values")
     return spec, dict(zip(spec.values, mapped))
 
 
@@ -397,7 +393,7 @@ def _cmd_evar_coarse_grain(args) -> tuple[dict, list, str]:
         # The merged operator's eigenvalues are the --map values.
         report = evariables.coarse_grain_report(cg, a)
     except ValueError as exc:
-        raise CommandError(f"--map: {exc}")
+        raise ValueError(f"--map: {exc}")
     return _reports_payload(
         args,
         {"values": list(spec.values), "map": [mapping[v] for v in spec.values]},
@@ -415,11 +411,11 @@ def _cmd_evar_maximal(args) -> tuple[dict, list, str]:
         try:
             _, a = evariables.coarse_grain(spec, mapping)
         except ValueError as exc:
-            raise CommandError(f"--map: {exc}")
+            raise ValueError(f"--map: {exc}")
     try:
         dec = linalg.hermitian_eig(a)
     except ValueError as exc:
-        raise CommandError(f"{'--values' if mapping is None else '--map'}: {exc}")
+        raise ValueError(f"{'--values' if mapping is None else '--map'}: {exc}")
     maximal = bool(evariables.is_maximally_accessible(dec))
     payload = {
         "command": "evar maximal",
@@ -544,7 +540,7 @@ def golden_battery(seed: int = DEFAULT_SEED) -> tuple[dict, list]:
 
 def _cmd_report(args) -> tuple[dict, list, str]:
     if not args.golden:
-        raise CommandError("report requires --golden")
+        raise ValueError("report requires --golden")
     payload, reports = golden_battery(args.seed)
     return payload, reports, summarize(reports)
 
@@ -553,25 +549,14 @@ def _cmd_report(args) -> tuple[dict, list, str]:
 # entry point
 
 
-def _json_default(obj: Any):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def render_payload(payload: Mapping) -> str:
     """Stable JSON text for a payload: fixed field order, trailing newline.
 
     Strict JSON: a NaN or infinite value raises ValueError instead of
-    printing as ``NaN`` or ``Infinity``.
+    printing as ``NaN`` or ``Infinity``.  Payloads hold Python types only
+    (numpy floats are ``float`` subclasses); anything else raises TypeError.
     """
-    return json.dumps(payload, indent=2, default=_json_default, allow_nan=False) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def main(argv=None) -> int:
@@ -590,12 +575,12 @@ def main(argv=None) -> int:
             try:
                 Path(args.out).write_text(text, encoding="utf-8")
             except OSError as exc:
-                raise CommandError(f"--out: {exc}")
+                raise ValueError(f"--out: {exc}")
         else:
             sys.stdout.write(text)
     except Exception as exc:
         message = str(exc)
-        if not isinstance(exc, (CommandError, ValueError, OSError)):
+        if not isinstance(exc, (ValueError, OSError)):
             message = f"{type(exc).__name__}: {message}"
         print("error:", " ".join(message.split()), file=sys.stderr)
         return 2

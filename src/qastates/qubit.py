@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, spin
-from .report import VerificationReport
+from .report import VerificationReport, check_eps
 
 UNITARY_TOL = 1e-10
 ROTATION_TOL = 1e-10
@@ -168,6 +168,7 @@ def verify_prop2(
     the state for answer +1/2 by the spin recursion, and demand phase
     equality with v.  The Bloch direction itself must round-trip too.
     """
+    check_eps(eps)
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)

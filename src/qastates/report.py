@@ -4,6 +4,7 @@ Every checker in the package reduces its outcome to the same small record so
 the command line tool can serialize batteries of checks uniformly.  The
 record is deliberately strict: unknown subjects and verdicts are rejected,
 metrics must be finite numbers, and a failing verdict must carry witnesses.
+The verifiers share one tolerance rule, :func:`check_eps`.
 """
 
 from __future__ import annotations
@@ -74,6 +75,13 @@ class VerificationReport:
             "witnesses": [dict(w) for w in self.witnesses],
             "notes": self.notes,
         }
+
+
+def check_eps(eps: float) -> None:
+    """The one rule for a verifier's tolerance: ``eps`` lies in (0, 1), so
+    NaN, 0, 1 and anything outside are rejected."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
 
 def summarize(reports: Iterable[VerificationReport]) -> str:

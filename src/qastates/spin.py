@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .report import VerificationReport
+from .report import VerificationReport, check_eps
 
 MAX_J = 25.0
 # Below this transverse magnitude t = |a_x + i a_y| the axis basis vector is
@@ -445,6 +445,7 @@ def verify_eigenstates(
     are only recorded: `QuestionAnswerState` already rejects any above
     STATE_RESIDUAL_TOL.
     """
+    check_eps(eps)
     rng = rng if rng is not None else np.random.default_rng(0)
     dirs = [random_direction(rng) for _ in range(samples)]
     dirs += [Direction(0.0, 0.0, 1.0), Direction(0.0, 0.0, -1.0)]
@@ -493,6 +494,7 @@ def verify_orthogonality(
     The Gram matrix of the full answer catalog for one direction must match
     the identity entrywise within eps.
     """
+    check_eps(eps)
     rng = rng if rng is not None else np.random.default_rng(0)
     witnesses = []
     max_defect = 0.0
@@ -539,8 +541,7 @@ def verify_ray_collisions(
     exact collision.  Phase-equal means an overlap magnitude of at least
     1 - eps, read directly: `QuestionAnswerState` guarantees unit kets.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     rng = rng if rng is not None else np.random.default_rng(0)
     collisions = []
     failures = []

@@ -22,6 +22,11 @@ inverses are computed unchecked (`_compose`, `_invert`), except in
 benchmark counts as `symmetry.compose_permutations` calls.  The word scan
 runs once per (model, depth) and its read-only result is shared by every
 checker.
+The distinguished subgroup acts on the level span by permuting the level
+indicators.  That action is computed in one place, as a level permutation
+per element (`_require_level_action`), and lemma2 and the question states
+read it, so every representation checker refuses a model whose
+distinguished subgroup splits a level set.
 Theorem 1 is read off one Gram matrix over all built states: its same-label
 entries give the orthonormality defect and its off-diagonal magnitudes the
 collisions.
@@ -43,14 +48,10 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .linalg import inner, norm
-from .report import VerificationReport
+from .report import VerificationReport, check_eps
 
 # Default breadth-first word enumeration depth.
 WORD_DEPTH_DEFAULT = 6
-
-# Representation stability: coefficients of a transformed basis function
-# outside the spanned subspace, and Gram defects of built states.
-STABILITY_TOL = 1e-12
 
 # A subgroup element may not keep any basis function fixed up to phase
 # closer than this margin.
@@ -631,11 +632,6 @@ def regular_representation(model: FiniteSymmetryModel, k, f) -> np.ndarray:
     vec = np.asarray(f, dtype=complex)
     if vec.shape != (model.phi_size,):
         raise ValueError(f"function has shape {vec.shape}, expected ({model.phi_size},)")
-    return _represent(perm, vec)
-
-
-def _represent(perm: tuple, vec: np.ndarray) -> np.ndarray:
-    """``U(k)f`` for a closure element and a complex vector already checked."""
     out = np.empty_like(vec)
     out[np.array(perm)] = vec
     return out
@@ -926,12 +922,20 @@ def build_question_states(
     For each non-distinguished label the canonical word pair for its
     transfer map yields a group element ``kappa`` as (first image)^-1 *
     (second image); the states are the represented basis functions
-    ``U(kappa^-1) f_i`` expanded over the basis.  Labels without a pair at
-    this depth are skipped and reported.
+    ``U(kappa^-1) f_i`` expanded over the basis.  ``kappa`` lies in the
+    distinguished subgroup, which must permute the level indicators, so
+    each state is the coordinate vector of the level that ``kappa^-1``
+    sends level ``i`` to.  Labels without a pair at this depth are skipped
+    and reported.
     """
-    scan = scan_words(model, max_len)
     basis = hilbert_subspace(model)
+    actions = _require_level_action(model, basis)
+    scan = scan_words(model, max_len)
     identity = identity_permutation(model.phi_size)
+    unit = np.eye(basis.dim, dtype=complex)
+    level_coords = [basis.coordinates(f)[0] for f in basis.functions]
+    for coords in (unit, *level_coords):
+        coords.setflags(write=False)
 
     findings = {
         (finding.from_label, finding.to_label): finding
@@ -942,12 +946,7 @@ def build_question_states(
     kappas: dict[str, tuple] = {model.distinguished: identity}
     skipped = []
     degenerate = []
-    states = []
-    for i in range(basis.dim):
-        coords = np.zeros(basis.dim, dtype=complex)
-        coords[i] = 1.0
-        coords.setflags(write=False)
-        states.append((model.distinguished, i, coords))
+    states = [(model.distinguished, i, unit[i]) for i in range(basis.dim)]
 
     for label in sorted(model.labels):
         if label == model.distinguished:
@@ -966,18 +965,9 @@ def build_question_states(
         kappas[label] = kappa
         if kappa == identity:
             degenerate.append(label)
-        inverse = _invert(kappa)
         labels.append(label)
-        for i in range(basis.dim):
-            moved = _represent(inverse, basis.functions[i])
-            coords, residual = basis.coordinates(moved)
-            if residual > STABILITY_TOL:
-                raise RuntimeError(
-                    f"state ({label!r}, {i}) leaves the basis subspace "
-                    f"(residual {residual:.3e})"
-                )
-            coords.setflags(write=False)
-            states.append((label, i, coords))
+        for i, target in enumerate(actions[_invert(kappa)]):
+            states.append((label, i, level_coords[target]))
 
     return QuestionStates(
         basis=basis,
@@ -1173,7 +1163,9 @@ def _require_level_action(model: FiniteSymmetryModel, basis: HilbertBasis) -> di
     """Level permutations of every distinguished-subgroup element.
 
     The representation checkers need the distinguished subgroup to act on
-    the level sets; a model violating that is rejected outright.
+    the level sets; a model violating that is rejected outright.  Element
+    ``k`` maps level ``i`` onto level ``actions[k][i]``, so ``U(k)f_i`` is
+    exactly that level's indicator.
     """
     level_index = {phi: i for i, level in enumerate(basis.levels) for phi in level}
     actions = {}
@@ -1348,7 +1340,9 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
         ),
     )
 
-    # lemma2: no nontrivial subgroup element fixes a basis function.
+    # lemma2: no nontrivial subgroup element fixes a basis function.  U(k)f_i
+    # is f_i itself when k keeps level i and has disjoint support otherwise.
+    self_overlaps = [abs(inner(f, f)) for f in basis.functions]
     lemma2_witnesses = []
     max_overlap = 0.0
     elements_checked = 0
@@ -1356,9 +1350,8 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
         if k == identity:
             continue
         elements_checked += 1
-        for i in range(basis.dim):
-            moved = _represent(k, basis.functions[i])
-            overlap = abs(inner(basis.functions[i], moved))
+        for i, target in enumerate(actions[k]):
+            overlap = self_overlaps[i] if target == i else 0.0
             max_overlap = max(max_overlap, overlap)
             if overlap > 1.0 - LEMMA2_MARGIN:
                 if len(lemma2_witnesses) < _WITNESS_CAP:
@@ -1401,8 +1394,7 @@ def verify_theorem1(
     Collisions are listed in row-major order of the pairs.  With no
     non-distinguished label built the verdict is undetermined.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     built = build_question_states(model, max_len)
     others = [label for label in built.labels if label != model.distinguished]
     if not others:

@@ -510,6 +510,26 @@ class TestSymmetryCommands:
         assert err.startswith(f"error: {field}: ")
         assert "Traceback" not in err
 
+    def test_level_splitting_subgroup_refused_by_every_command(self, capsys, tmp_path):
+        raw = json.loads(
+            symmetry.bundled_model_path("structural_example").read_text(encoding="utf-8")
+        )
+        raw["subgroups"]["0"].append(SWAP_1_2)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        # |K0| is 384 here, so the word scan that theorem1 runs before its
+        # states is kept shallow.
+        errors = set()
+        for command in ("check", "assumptions", "theorem1"):
+            code, out, err = run_cli(
+                capsys, "symmetry", command, "--model", str(path), "--max-word-len", "2"
+            )
+            assert code == 2, command
+            assert out == ""
+            assert err.startswith('error: subgroups["0"]: ')
+            errors.add(err)
+        assert len(errors) == 1
+
     def test_check_scans_words_once_per_model_and_depth(self, capsys, monkeypatch):
         depths = []
         enumerate_words = symmetry._enumerate_words

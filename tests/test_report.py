@@ -1,6 +1,12 @@
-"""Tests for the shared report record and its stderr summary."""
+"""Tests for the shared report record, its stderr summary and the
+verifiers' tolerance rule."""
 
-from qastates.report import VerificationReport, summarize
+import math
+
+import pytest
+
+from qastates import qubit, spin, symmetry
+from qastates.report import VerificationReport, check_eps, summarize
 
 
 def report(subject, verdict="pass", witnesses=()):
@@ -26,3 +32,35 @@ class TestSummarize:
     def test_accepts_any_iterable(self):
         assert summarize(iter([report("lemma1")])) == "lemma1: pass (0 witnesses)"
         assert summarize([]) == ""
+
+
+STRUCTURAL = symmetry.load_model(symmetry.bundled_model_path("structural_example"))
+
+VERIFIERS = {
+    "verify_eigenstates": lambda eps: spin.verify_eigenstates(
+        spin.SpinSystem(1.0), samples=1, eps=eps
+    ),
+    "verify_orthogonality": lambda eps: spin.verify_orthogonality(
+        spin.SpinSystem(1.0), samples=1, eps=eps
+    ),
+    "verify_ray_collisions": lambda eps: spin.verify_ray_collisions(
+        spin.SpinSystem(1.0), samples=1, eps=eps
+    ),
+    "verify_prop2": lambda eps: qubit.verify_prop2(samples=1, eps=eps),
+    "verify_theorem1": lambda eps: symmetry.verify_theorem1(STRUCTURAL, eps=eps),
+}
+
+
+class TestEpsRule:
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, -1.0, math.nan])
+    @pytest.mark.parametrize("verifier", sorted(VERIFIERS))
+    def test_every_verifier_rejects_eps_outside_unit_interval(self, verifier, eps):
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\), got "):
+            VERIFIERS[verifier](eps)
+
+    def test_message_shows_the_value(self):
+        for eps, shown in ((2.0, "2.0"), (math.nan, "nan"), (0, "0")):
+            with pytest.raises(ValueError) as info:
+                check_eps(eps)
+            assert str(info.value) == f"eps must lie in (0, 1), got {shown}"
+        check_eps(1e-9)

@@ -7,6 +7,7 @@ permutation products from an independently written translation table.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -276,6 +277,73 @@ def family():
         models[f"D{n}"] = dihedral_model(n)
         models[f"D{n}_reversed"] = dihedral_model(n, ("2", "1", "0"))
     return models
+
+
+def representation_family():
+    """The family plus four small models; in two of them subgroup
+    elements fix levels, of sizes 1, 2 and 3."""
+    models = family()
+    models["swap_fixes_levels"] = sym.FiniteSymmetryModel(
+        4, (("0", (0, 0, 1, 1)),), "0", {"0": ((1, 0, 2, 3),)}
+    )
+    models["commuting"] = commuting_model()
+    models["single_variable"] = single_variable_model()
+    # A 3-cycle inside each of two size-3 levels, their swap, and a fixed point.
+    models["mixed_sizes"] = sym.FiniteSymmetryModel(
+        7,
+        (("0", (0, 0, 0, 1, 1, 1, 2)),),
+        "0",
+        {"0": ((1, 2, 0, 4, 5, 3, 6), (3, 4, 5, 0, 1, 2, 6))},
+    )
+    return models
+
+
+def level_splitting_model():
+    """structural_example with a distinguished-subgroup generator that
+    splits the level sets of variable "0"."""
+    raw = json.loads(sym.bundled_model_path("structural_example").read_text(encoding="utf-8"))
+    raw["subgroups"]["0"].append([0, 2, 1, *range(3, 12)])
+    return sym.load_model(raw)
+
+
+def reference_states(model, built):
+    """Question states through the scatter path: U(kappa^-1)f_i applied by
+    the validating representation over all points and projected back onto
+    the basis.  The distinguished label contributes exact unit vectors."""
+    basis = sym.hilbert_subspace(model)
+    states = []
+    for label in built.labels:
+        inverse = sym.invert_permutation(built.kappas[label])
+        for i, f in enumerate(basis.functions):
+            if label == model.distinguished:
+                coords = np.eye(basis.dim, dtype=complex)[i]
+            else:
+                moved = sym.regular_representation(model, inverse, f)
+                coords, residual = basis.coordinates(moved)
+                assert residual <= 1e-12
+            states.append((label, i, coords))
+    return states
+
+
+def reference_lemma2(model):
+    """lemma2 metrics and witnesses from the overlap of f_i with U(k)f_i,
+    scattered over all points, for every nontrivial distinguished element."""
+    basis = sym.hilbert_subspace(model)
+    identity = tuple(range(model.phi_size))
+    witnesses, max_overlap, checked = [], 0.0, 0
+    for k in model.subgroup(model.distinguished):
+        if k == identity:
+            continue
+        checked += 1
+        for i, f in enumerate(basis.functions):
+            overlap = abs(linalg.inner(f, sym.regular_representation(model, k, f)))
+            max_overlap = max(max_overlap, overlap)
+            if overlap > 1.0 - sym.LEMMA2_MARGIN:
+                witnesses.append(
+                    {"permutation": list(k), "level_index": i,
+                     "value": basis.values[i], "overlap": overlap}
+                )
+    return {"elements_checked": checked, "max_self_overlap": max_overlap}, witnesses[:32]
 
 
 # ---------------------------------------------------------------------------
@@ -1028,6 +1096,23 @@ class TestQuestionStates:
         assert len(built.states) == 2
         assert built.skipped == (("1", "no distinct-image word pair at depth 6"),)
 
+    @pytest.mark.parametrize("max_len", [3, sym.WORD_DEPTH_DEFAULT])
+    def test_states_match_scatter_reference(self, max_len):
+        for name, model in representation_family().items():
+            built = sym.build_question_states(model, max_len)
+            expected = reference_states(model, built)
+            assert [s[:2] for s in built.states] == [s[:2] for s in expected], name
+            for (label, i, got), (_, _, want) in zip(built.states, expected):
+                assert np.array_equal(got, want), (name, label, i)
+                assert not got.flags.writeable
+
+    def test_rejects_subgroup_splitting_levels(self):
+        model = level_splitting_model()
+        with pytest.raises(ValueError, match=r'^subgroups\["0"\]: .*level sets'):
+            sym.build_question_states(model)
+        with pytest.raises(ValueError, match=r'^subgroups\["0"\]: .*level sets'):
+            sym.verify_theorem1(model)
+
 
 # ---------------------------------------------------------------------------
 # assumption battery
@@ -1136,6 +1221,17 @@ class TestCheckAssumptions:
         )
         with pytest.raises(ValueError, match="level sets"):
             sym.check_assumptions(model)
+
+    def test_lemma2_matches_scatter_reference(self):
+        fixed = 0
+        for name, model in representation_family().items():
+            *_, lemma2 = sym.check_assumptions(model)
+            metrics, witnesses = reference_lemma2(model)
+            assert lemma2.metrics == metrics, name
+            assert list(lemma2.witnesses) == witnesses, name
+            assert lemma2.verdict == ("fail" if witnesses else "pass"), name
+            fixed += len(witnesses)
+        assert fixed > 0
 
 
 # ---------------------------------------------------------------------------
