@@ -179,15 +179,20 @@ def _validated_answer(system: spin.SpinSystem, h: float) -> float:
 def _resolve_model(text: str) -> tuple[symmetry.FiniteSymmetryModel, str]:
     """Load a model from a file path or a bundled model name."""
     path = Path(text)
-    if path.is_file():
-        return symmetry.load_model(path), text
-    if path.suffix == "" and "/" not in text:
+    if not path.is_file():
+        if path.suffix or "/" in text:
+            raise ValueError(f"--model: no such file: {text!r}")
         try:
-            bundled = symmetry.bundled_model_path(text)
+            path = symmetry.bundled_model_path(text)
         except ValueError:
             raise ValueError(f"--model: {text!r} is neither a file nor a bundled model name")
-        return symmetry.load_model(bundled), text
-    raise ValueError(f"--model: no such file: {text!r}")
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"--model: {text!r} is not a UTF-8 JSON file: {exc}")
+    if not isinstance(raw, dict):
+        raise ValueError(f"--model: {text!r} does not hold a JSON object")
+    return symmetry.load_model(raw), text
 
 
 def _add_out(parser: argparse.ArgumentParser) -> None:
@@ -446,10 +451,9 @@ def _assumptions(model, max_len: int, eps: float) -> list:
 
 
 def _theorem1(model, max_len: int, eps: float) -> list:
-    return [
-        symmetry.verify_word_kernel(model, max_len),
-        symmetry.verify_theorem1(model, max_len, eps),
-    ]
+    # The states refuse a level-splitting model before the shared word scan.
+    theorem1 = symmetry.verify_theorem1(model, max_len, eps)
+    return [symmetry.verify_word_kernel(model, max_len), theorem1]
 
 
 # Checker list of each ``symmetry`` subcommand, in report order.

@@ -23,10 +23,11 @@ benchmark counts as `symmetry.compose_permutations` calls.  The word scan
 runs once per (model, depth) and its read-only result is shared by every
 checker.
 The distinguished subgroup acts on the level span by permuting the level
-indicators.  That action is computed in one place, as a level permutation
-per element (`_require_level_action`), and lemma2 and the question states
-read it, so every representation checker refuses a model whose
-distinguished subgroup splits a level set.
+indicators.  Each model builds one level structure, once: the level basis
+and a level permutation per distinguished-subgroup element
+(`FiniteSymmetryModel._levels`).  The assumption checks and the question
+states read it, so every representation checker refuses a model whose
+distinguished subgroup splits a level set, before any word scan.
 Theorem 1 is read off one Gram matrix over all built states: its same-label
 entries give the orthonormality defect and its off-diagonal magnitudes the
 collisions.
@@ -176,7 +177,7 @@ def _variable_labels(variables: Sequence) -> tuple[str, ...]:
                 f"variables[{pos}].label must be a nonempty string, got {label!r}"
             )
         if label in labels:
-            raise ValueError(f"duplicate variable label {label!r}")
+            raise ValueError(f"variables[{pos}].label: duplicate variable label {label!r}")
         labels.append(label)
     return tuple(labels)
 
@@ -244,9 +245,9 @@ class FiniteSymmetryModel:
 
         gens: dict[str, tuple] = {}
         for label, perms in dict(self.generators).items():
-            if label not in seen_labels:
-                raise ValueError(f"subgroup entry names unknown variable {label!r}")
             where = f"subgroups[{json.dumps(label)}]"
+            if label not in seen_labels:
+                raise ValueError(f"{where}: names unknown variable {label!r}")
             gens[label] = tuple(
                 _as_permutation(p, size, f"{where}[{i}]")
                 for i, p in enumerate(_entries(perms, where))
@@ -342,6 +343,30 @@ class FiniteSymmetryModel:
                     reached[y] = compose_permutations(reached[a], perm)
                     queue.append(y)
         return reached
+
+    @cached_property
+    def _levels(self) -> tuple["HilbertBasis", dict]:
+        """The level basis and the level permutation of every
+        distinguished-subgroup element, built once per model.
+
+        The representation checkers need the distinguished subgroup to act on
+        the level sets; a model violating that is rejected outright.  Element
+        ``k`` maps level ``i`` onto level ``actions[k][i]``, so ``U(k)f_i`` is
+        exactly that level's indicator.
+        """
+        basis = hilbert_subspace(self)
+        level_index = {phi: i for i, level in enumerate(basis.levels) for phi in level}
+        actions = {}
+        for k in self.subgroup(self.distinguished):
+            targets = [{level_index[k[phi]] for phi in level} for level in basis.levels]
+            if any(len(t) != 1 for t in targets):
+                raise ValueError(
+                    f"subgroups[{json.dumps(self.distinguished)}]: "
+                    "a distinguished-subgroup element does not permute the "
+                    "distinguished level sets; representation checks are undefined"
+                )
+            actions[k] = tuple(t.pop() for t in targets)
+        return basis, actions
 
     @cached_property
     def _letter_images(self) -> dict[str, tuple]:
@@ -925,15 +950,15 @@ def build_question_states(
     ``U(kappa^-1) f_i`` expanded over the basis.  ``kappa`` lies in the
     distinguished subgroup, which must permute the level indicators, so
     each state is the coordinate vector of the level that ``kappa^-1``
-    sends level ``i`` to.  Labels without a pair at this depth are skipped
-    and reported.
+    sends level ``i`` to, read from the model's one level structure
+    before the word scan runs.  Labels without a pair at this depth are
+    skipped and reported.
     """
-    basis = hilbert_subspace(model)
-    actions = _require_level_action(model, basis)
+    basis, actions = model._levels
     scan = scan_words(model, max_len)
     identity = identity_permutation(model.phi_size)
     unit = np.eye(basis.dim, dtype=complex)
-    level_coords = [basis.coordinates(f)[0] for f in basis.functions]
+    level_coords = [np.conjugate(basis.functions) @ f for f in basis.functions]
     for coords in (unit, *level_coords):
         coords.setflags(write=False)
 
@@ -1159,31 +1184,6 @@ def induced_transformations(
     return tuple(matches)
 
 
-def _require_level_action(model: FiniteSymmetryModel, basis: HilbertBasis) -> dict:
-    """Level permutations of every distinguished-subgroup element.
-
-    The representation checkers need the distinguished subgroup to act on
-    the level sets; a model violating that is rejected outright.  Element
-    ``k`` maps level ``i`` onto level ``actions[k][i]``, so ``U(k)f_i`` is
-    exactly that level's indicator.
-    """
-    level_index = {phi: i for i, level in enumerate(basis.levels) for phi in level}
-    actions = {}
-    for k in model.subgroup(model.distinguished):
-        action = []
-        for level in basis.levels:
-            targets = {level_index[k[phi]] for phi in level}
-            if len(targets) != 1:
-                raise ValueError(
-                    f"subgroups[{json.dumps(model.distinguished)}]: "
-                    "a distinguished-subgroup element does not permute the "
-                    "distinguished level sets; representation checks are undefined"
-                )
-            action.append(targets.pop())
-        actions[k] = tuple(action)
-    return actions
-
-
 def _cycles(perm: tuple) -> list[list[int]]:
     seen = [False] * len(perm)
     cycles = []
@@ -1208,10 +1208,10 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
     (assumption_3a), basis separation (assumption_3c), and the
     fixed-basis-function check (lemma2).  Requires the distinguished
     variable to take at least two values and its subgroup to permute its
-    level sets; everything else is report content.
+    level sets, both read from the model's one level structure, which the
+    question states share; everything else is report content.
     """
-    basis = hilbert_subspace(model)
-    actions = _require_level_action(model, basis)
+    basis, actions = model._levels
     k_zero = model.subgroup(model.distinguished)
     identity = identity_permutation(model.phi_size)
 

@@ -6,6 +6,10 @@ file freezes the report schema: regenerating it byte-identically is part
 of the determinism contract.
 """
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
 import shutil
@@ -15,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qastates import cli, evariables, linalg, spin, symmetry
 
@@ -440,6 +446,26 @@ class TestSymmetryCommands:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "content,detail",
+        [
+            (b"not json", "is not a UTF-8 JSON file: Expecting value"),
+            (b"\xff\xfe{}", "is not a UTF-8 JSON file: 'utf-8' codec can't decode"),
+            (b"[1, 2]", "does not hold a JSON object"),
+        ],
+        ids=["not_json", "not_utf8", "not_an_object"],
+    )
+    def test_unreadable_model_file_names_flag_and_path(
+        self, capsys, tmp_path, content, detail
+    ):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "symmetry", "check", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --model: {str(path)!r} {detail}")
+        assert err.count("\n") == 1
+
     def test_malformed_model_names_field(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(
@@ -510,20 +536,23 @@ class TestSymmetryCommands:
         assert err.startswith(f"error: {field}: ")
         assert "Traceback" not in err
 
-    def test_level_splitting_subgroup_refused_by_every_command(self, capsys, tmp_path):
+    def test_level_splitting_subgroup_refused_by_every_command(
+        self, capsys, monkeypatch, tmp_path
+    ):
         raw = json.loads(
             symmetry.bundled_model_path("structural_example").read_text(encoding="utf-8")
         )
         raw["subgroups"]["0"].append(SWAP_1_2)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
-        # |K0| is 384 here, so the word scan that theorem1 runs before its
-        # states is kept shallow.
+
+        def no_scan(model, max_len):
+            raise AssertionError("the word scan ran before the level check")
+
+        monkeypatch.setattr(symmetry, "_enumerate_words", no_scan)
         errors = set()
         for command in ("check", "assumptions", "theorem1"):
-            code, out, err = run_cli(
-                capsys, "symmetry", command, "--model", str(path), "--max-word-len", "2"
-            )
+            code, out, err = run_cli(capsys, "symmetry", command, "--model", str(path))
             assert code == 2, command
             assert out == ""
             assert err.startswith('error: subgroups["0"]: ')
@@ -550,6 +579,30 @@ class TestSymmetryCommands:
         assert depths[1:] == [4]
         cli._symmetry_reports(model, 3, checkers)
         assert depths[1:] == [4, 3]
+
+    def test_check_builds_level_structure_once_per_model(self, capsys, monkeypatch):
+        bases = []
+        structures = []
+        hilbert_subspace = symmetry.hilbert_subspace
+        build_levels = symmetry.FiniteSymmetryModel._levels.func
+
+        def counted_basis(model):
+            bases.append(model)
+            return hilbert_subspace(model)
+
+        def counted_levels(model):
+            structures.append(model)
+            return build_levels(model)
+
+        levels = functools.cached_property(counted_levels)
+        levels.__set_name__(symmetry.FiniteSymmetryModel, "_levels")
+        monkeypatch.setattr(symmetry, "hilbert_subspace", counted_basis)
+        monkeypatch.setattr(symmetry.FiniteSymmetryModel, "_levels", levels)
+        for name in ("structural_example", "designed_failure"):
+            code, _, _ = run_cli(capsys, "symmetry", "check", "--model", name)
+            assert code == 1
+        assert len(bases) == len(structures) == 2
+        assert bases == structures
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +696,161 @@ class TestExitContract:
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 cli.render_payload({"eigenvalues": [1.0, value]})
+
+
+# ---------------------------------------------------------------------------
+# model file fuzzing
+
+
+BUNDLED_MODELS = tuple(
+    json.loads(symmetry.bundled_model_path(name).read_text(encoding="utf-8"))
+    for name in ("structural_example", "designed_failure")
+)
+# One transposition across two distinguished levels per bundled model.  Its
+# closure with the distinguished generators stays small (384 and 24
+# elements); the mutations below never add any other valid permutation, as
+# one on 12 points could generate all of S_12.
+LEVEL_SPLITTING = (SWAP_1_2, [1, 0, 2, 3])
+# Every name an exit-2 line may cite: the flag, the top-level fields, and the
+# top-level field the extra-field mutation adds.
+MODEL_NAMES = (
+    "--model", "phi_size", "distinguished", "variables", "subgroups", "transfer", "mystery",
+)
+WRONG_TYPES = (None, True, 1.5, "x", [], {})
+HUGE_OR_NEGATIVE = (-1, -(10**30), 10**30, 2**63)
+
+
+def _slots(node):
+    """Every (container, key) slot below a parsed JSON node."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+def _permutation_slots(raw):
+    """Slots of the subgroup generators and transfer maps still in place."""
+    slots = []
+    if isinstance(raw.get("subgroups"), dict):
+        for gens in raw["subgroups"].values():
+            if isinstance(gens, list):
+                slots += [(gens, i) for i in range(len(gens))]
+    if isinstance(raw.get("transfer"), dict):
+        slots += [(raw["transfer"], key) for key in raw["transfer"]]
+    return [(c, k) for c, k in slots if isinstance(c[k], list) and len(c[k]) >= 2]
+
+
+def _wrong_type(raw, draw):
+    container, key = draw(st.sampled_from(list(_slots(raw))))
+    container[key] = copy.deepcopy(draw(st.sampled_from(WRONG_TYPES)))
+
+
+def _missing(raw, draw):
+    container, key = draw(st.sampled_from(list(_slots(raw))))
+    del container[key]
+
+
+def _extra(raw, draw):
+    where = draw(st.sampled_from(("top", "entry", "subgroup", "transfer", "variable")))
+    variables = raw.get("variables")
+    entries = [v for v in variables if isinstance(v, dict)] if isinstance(variables, list) else []
+    if where == "entry" and entries:
+        draw(st.sampled_from(entries))["mystery"] = 1
+    elif where == "subgroup" and isinstance(raw.get("subgroups"), dict):
+        raw["subgroups"]["9"] = []
+    elif where == "transfer" and isinstance(raw.get("transfer"), dict):
+        raw["transfer"]["09"] = []
+    elif where == "variable" and entries:
+        extra = copy.deepcopy(draw(st.sampled_from(entries)))
+        if draw(st.booleans()):
+            extra["label"] = "9"
+        variables.append(extra)
+    else:
+        raw["mystery"] = 1
+
+
+def _non_bijective(raw, draw):
+    slots = _permutation_slots(raw)
+    if slots:
+        container, key = draw(st.sampled_from(slots))
+        perm = container[key]
+        i, j = draw(st.lists(st.integers(0, len(perm) - 1), min_size=2, max_size=2, unique=True))
+        perm[i] = perm[j]
+
+
+def _wrong_length(raw, draw):
+    slots = _permutation_slots(raw)
+    if slots:
+        container, key = draw(st.sampled_from(slots))
+        perm = container[key]
+        if draw(st.booleans()):
+            perm.append(perm[0])  # a repeated point: a permutation of no length
+        else:
+            perm.pop()
+
+
+def _broken_chain(raw, draw):
+    # Drops every transfer that touches one label (the labels are one character).
+    if isinstance(raw.get("transfer"), dict) and raw["transfer"]:
+        label = draw(st.sampled_from(sorted({key[-1] for key in raw["transfer"]})))
+        raw["transfer"] = {k: v for k, v in raw["transfer"].items() if label not in k}
+
+
+def _huge_or_negative(raw, draw):
+    slots = [(c, k) for c, k in _slots(raw) if type(c[k]) is int]
+    if slots:
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(st.sampled_from(HUGE_OR_NEGATIVE))
+
+
+MUTATIONS = (
+    _wrong_type, _missing, _extra, _non_bijective, _wrong_length, _broken_chain,
+    _huge_or_negative,
+)
+
+
+@st.composite
+def mutated_models(draw):
+    """A bundled model file with one to three malformations, or with a
+    distinguished-subgroup element that splits a level set."""
+    pick = draw(st.integers(0, len(BUNDLED_MODELS) - 1))
+    raw = copy.deepcopy(BUNDLED_MODELS[pick])
+    if draw(st.integers(0, 9)) == 0:
+        raw["subgroups"]["0"].append(LEVEL_SPLITTING[pick])
+        return raw
+    for mutate in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        mutate(raw, draw)
+    return raw
+
+
+@pytest.fixture(scope="module")
+def fuzz_model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "model.json"
+
+
+class TestModelFileContract:
+    @settings(max_examples=150, deadline=1000)
+    @given(raw=mutated_models())
+    # Both messages once named no field: "subgroup entry names unknown
+    # variable '9'" and "duplicate variable label '0'".
+    @example(raw={**BUNDLED_MODELS[1], "subgroups": {"0": [], "9": []}})
+    @example(raw={**BUNDLED_MODELS[1], "variables": BUNDLED_MODELS[1]["variables"] * 2})
+    def test_symmetry_exit_contract(self, fuzz_model_path, raw):
+        fuzz_model_path.write_text(json.dumps(raw), encoding="utf-8")
+        for command in ("check", "assumptions", "theorem1"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["symmetry", command, "--model", str(fuzz_model_path)])
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2)
+            assert "Traceback" not in out + err
+            if code == 2:
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert any(name in err for name in MODEL_NAMES), err
+            else:
+                verdicts = [r["verdict"] for r in json.loads(out)["reports"]]
+                assert (code == 1) == ("fail" in verdicts)
 
 
 # ---------------------------------------------------------------------------
