@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping
 
@@ -55,7 +57,7 @@ def emit_state(state: spin.QuestionAnswerState, form: str = "json") -> dict:
         "j": float(state.system.j),
         "dir": [float(d.x), float(d.y), float(d.z)],
         "h": float(state.answer),
-        "amplitudes": [[float(z.real), float(z.imag)] for z in state.ket],
+        "amplitudes": np.column_stack((state.ket.real, state.ket.imag)).tolist(),
     }
 
 
@@ -553,14 +555,71 @@ def _cmd_report(args) -> tuple[dict, list, str]:
 # entry point
 
 
+# Compact C encoder: numbers and number rows are encoded in one call each,
+# then indented by replacing separators, since number text holds no comma
+# or bracket.
+_compact = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+_NUMBER_TYPES = frozenset((int, float))
+_ROW_TYPES = frozenset((list, tuple))
+
+
+def _numbers_only(items) -> bool:
+    """Whether every item is an exact ``int`` or ``float``."""
+    return set(map(type, items)) <= _NUMBER_TYPES
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: str, or a coerced scalar."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_compact(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _render(value, indent: str) -> str:
+    """JSON text of ``value`` nested at ``indent`` (a newline and spaces)."""
+    if type(value) is int:  # the commonest scalar: no encoder call
+        return repr(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{_key(k)}: {_render(v, inner)}" for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not isinstance(value, (list, tuple)):
+        return _compact(value)
+    if not value:
+        return "[]"
+    if _numbers_only(value):
+        return "[" + inner + _compact(value)[1:-1].replace(",", "," + inner) + indent + "]"
+    if (
+        set(map(type, value)) <= _ROW_TYPES
+        and all(value)
+        and _numbers_only(itertools.chain.from_iterable(value))
+    ):
+        deeper = inner + "  "
+        # "\0" holds each row break while the commas within rows are indented.
+        rows = _compact(value)[2:-2].replace("],[", "\0").replace(",", "," + deeper)
+        rows = rows.replace("\0", inner + "]," + inner + "[" + deeper)
+        return "[" + inner + "[" + deeper + rows + inner + "]" + indent + "]"
+    return "[" + inner + ("," + inner).join(_render(v, inner) for v in value) + indent + "]"
+
+
 def render_payload(payload: Mapping) -> str:
     """Stable JSON text for a payload: fixed field order, trailing newline.
 
-    Strict JSON: a NaN or infinite value raises ValueError instead of
-    printing as ``NaN`` or ``Infinity``.  Payloads hold Python types only
-    (numpy floats are ``float`` subclasses); anything else raises TypeError.
+    The text is exactly ``json.dumps(payload, indent=2, allow_nan=False)``
+    plus a newline, with the formatting done by the C encoder: each list of
+    numbers, and each list of number rows, is one compact encode whose
+    separators are then indented.  Strict JSON: a NaN or infinite value
+    raises ValueError instead of printing as ``NaN`` or ``Infinity``.
+    Payloads hold Python types only (numpy floats are ``float``
+    subclasses); anything else raises TypeError.
     """
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return _render(payload, "\n") + "\n"
 
 
 def main(argv=None) -> int:

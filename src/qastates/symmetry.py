@@ -16,12 +16,14 @@ first.
 
 Permutations are validated once, at the model boundary: model construction
 and the public permutation functions reject anything but integer bijections
-and name the offending model-file field.  Inside the model, products and
-inverses are computed unchecked (`_compose`, `_invert`), except in
-`zero_transfers` and `build_question_states`' kappas, whose products the
-benchmark counts as `symmetry.compose_permutations` calls.  The word scan
-runs once per (model, depth) and its read-only result is shared by every
-checker.
+and name the offending model-file field.  Inside the model, products,
+inverses and closures are computed unchecked (`_compose`, `_invert`,
+`_closure`), except in `zero_transfers` and `build_question_states`'
+kappas, whose products the benchmark counts as
+`symmetry.compose_permutations` calls.  A closure stops past
+`CLOSURE_LIMIT` elements with an error naming its generators' model-file
+field.  The word scan runs once per (model, depth) and its read-only result
+is shared by every checker.
 The distinguished subgroup acts on the level span by permuting the level
 indicators.  Each model builds one level structure, once: the level basis
 and a level permutation per distinguished-subgroup element
@@ -60,6 +62,10 @@ LEMMA2_MARGIN = 1e-9
 
 # Witness records stored per report; totals always appear in metrics.
 _WITNESS_CAP = 32
+
+# Largest group a closure may list (S_8 has 40,320 elements); beyond it a
+# model is refused instead of held element by element.
+CLOSURE_LIMIT = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,8 @@ def group_closure(generators: Iterable, phi_size: int | None = None) -> tuple:
     Returns the closure under composition and inverse, including the
     identity, sorted lexicographically on the image arrays.  ``phi_size``
     is required when the generator list is empty and must agree with the
-    generators otherwise.
+    generators otherwise.  A closure of more than ``CLOSURE_LIMIT``
+    elements raises ValueError.
     """
     gens = [_as_permutation(g) for g in generators]
     if gens:
@@ -149,6 +156,15 @@ def group_closure(generators: Iterable, phi_size: int | None = None) -> tuple:
         if phi_size is None:
             raise ValueError("empty generator list needs an explicit phi_size")
         size = _integer(phi_size, "phi_size")
+    return _closure(gens, size, "generators")
+
+
+def _closure(gens: Sequence[tuple], size: int, field: str) -> tuple:
+    """`group_closure` of generators already validated on ``size`` points.
+
+    ``field`` names the generators' model-file field in the error raised
+    when the closure outgrows ``CLOSURE_LIMIT``.
+    """
     identity = identity_permutation(size)
     seen = {identity}
     frontier = [identity]
@@ -158,6 +174,11 @@ def group_closure(generators: Iterable, phi_size: int | None = None) -> tuple:
             for g in gens:
                 q = _compose(g, p)
                 if q not in seen:
+                    if len(seen) == CLOSURE_LIMIT:
+                        raise ValueError(
+                            f"{field}: the closure of these generators exceeds "
+                            f"{CLOSURE_LIMIT} elements"
+                        )
                     seen.add(q)
                     new.append(q)
         frontier = new
@@ -291,7 +312,9 @@ class FiniteSymmetryModel:
     @cached_property
     def _subgroups(self) -> dict[str, tuple]:
         return {
-            label: group_closure(self.generators[label], self.phi_size)
+            label: _closure(
+                self.generators[label], self.phi_size, f"subgroups[{json.dumps(label)}]"
+            )
             for label in self.labels
         }
 
@@ -320,7 +343,7 @@ class FiniteSymmetryModel:
         for label in self.labels:
             gens.extend(self.generators[label])
         gens.extend(self.transfers.values())
-        return group_closure(gens, self.phi_size)
+        return _closure(gens, self.phi_size, "subgroups and transfer")
 
     @cached_property
     def _full_set(self) -> frozenset:
@@ -1230,7 +1253,7 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
     plain_gens: list[tuple] = []
     for label in model.labels:
         plain_gens.extend(model.generators[label])
-    union_closure = group_closure(plain_gens, model.phi_size)
+    union_closure = _closure(plain_gens, model.phi_size, "subgroups")
     union_set = frozenset(union_closure)
     extra = [k for k in model.full_group if k not in union_set]
     closure = VerificationReport(

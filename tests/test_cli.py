@@ -23,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qastates import cli, evariables, linalg, spin, symmetry
+from test_symmetry import dihedral_model
 
 GOLDEN = Path(__file__).parent / "golden" / "battery.json"
 
@@ -61,6 +62,18 @@ class TestStateRecords:
         assert record["dir"] == [0.0, 0.0, 1.0]
         assert record["h"] == 0.5
         assert record["amplitudes"] == [[0.0, 0.0], [1.0, 0.0]]
+
+    def test_amplitudes_equal_the_elementwise_floats(self):
+        up = spin.Direction(0.0, 0.0, 1.0)
+        signed_zeros = np.array([complex(-0.0, -0.0), complex(1.0, -0.0)])
+        states = [random_state(5, j) for j in (0.5, 12.5, 25.0)]
+        states.append(spin.QuestionAnswerState(spin.SpinSystem(0.5), up, 0.5, signed_zeros))
+        for state in states:
+            reference = [[float(z.real), float(z.imag)] for z in state.ket]
+            amplitudes = cli.emit_state(state)["amplitudes"]
+            # repr tells -0.0 from 0.0 and a numpy float from a float.
+            assert repr(amplitudes) == repr(reference)
+            assert {type(x) for pair in amplitudes for x in pair} == {float}
 
     @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0])
     def test_round_trip_is_exact(self, j):
@@ -384,6 +397,24 @@ class TestSymmetryCommands:
         failing = sorted(s for s, v in verdicts.items() if v == "fail")
         assert failing == ["lemma1", "lemma2"]
 
+    def test_symmetric_group_on_nine_points_exits_2(self, capsys, tmp_path):
+        # A 9-cycle and a transposition generate S_9, past CLOSURE_LIMIT.
+        points = list(range(9))
+        raw = {
+            "phi_size": 9,
+            "distinguished": 0,
+            "variables": [{"label": "0", "theta": points}, {"label": "1", "theta": points}],
+            "subgroups": {"0": [points[1:] + [0], [1, 0] + points[2:]], "1": []},
+            "transfer": {"01": points},
+        }
+        path = tmp_path / "s9.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run_cli(capsys, "symmetry", "check", "--model", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith('error: subgroups["0"]: ')
+        assert str(symmetry.CLOSURE_LIMIT) in err
+        assert err.count("\n") == 1
+
     def test_structural_example_by_name(self, capsys):
         code, payload, _ = run_json(
             capsys, "symmetry", "check", "--model", "structural_example"
@@ -696,6 +727,102 @@ class TestExitContract:
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 cli.render_payload({"eigenvalues": [1.0, value]})
+
+
+# ---------------------------------------------------------------------------
+# payload rendering
+
+
+def _real_payloads() -> tuple[dict, dict]:
+    """A j=25 spin catalog payload and a D_6 symmetry check payload, as the
+    handlers build them."""
+    args = cli._build_parser().parse_args(["spin", "catalog", "--j", "25", "--dir", "0.6,0,0.8"])
+    catalog, _, _ = args.handler(args)
+    checkers = cli.SYMMETRY_CHECKERS["check"]
+    reports = cli._symmetry_reports(dihedral_model(6), symmetry.WORD_DEPTH_DEFAULT, checkers)
+    check = {
+        "command": "symmetry check",
+        "parameters": {"model": "D_6", "max_word_len": symmetry.WORD_DEPTH_DEFAULT},
+        "reports": cli._report_dicts(reports),
+    }
+    return catalog, check
+
+
+CATALOG_PAYLOAD, D6_CHECK_PAYLOAD = _real_payloads()
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7])
+NUMBERS = st.one_of(
+    st.integers(), st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS
+)
+NUMPY_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    NUMBERS,
+    st.integers(min_value=-(10**40), max_value=10**40),
+    NUMPY_FLOATS,
+    # Non-ASCII and control characters, escaped by the ASCII encoder.
+    st.text(st.characters(codec=None, exclude_categories=())),
+)
+PAYLOAD_TREES = st.recursive(
+    st.one_of(
+        SCALARS,
+        st.lists(NUMBERS, max_size=5),
+        # Lists that the number fast path must leave to the general one.
+        st.lists(st.one_of(NUMBERS, st.booleans(), NUMPY_FLOATS), max_size=5),
+        # Ragged rows, empty rows and integer rows included.
+        st.lists(st.lists(NUMBERS, max_size=3), max_size=4),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        # json writes a None, bool or number key as its text.
+        st.dictionaries(st.one_of(st.none(), NUMBERS, st.booleans()), children, max_size=3),
+    ),
+    max_leaves=40,
+)
+NON_FINITE = (math.nan, math.inf, -math.inf, np.float64(math.nan))
+
+
+class TestRenderPayload:
+    """The rendered text is exactly ``json.dumps(indent=2, allow_nan=False)``
+    plus a newline; the standard library is the oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(PAYLOAD_TREES)
+    @example(CATALOG_PAYLOAD)
+    @example(D6_CHECK_PAYLOAD)
+    @example({"a": [], "b": {}, "c": [[]], "d": [{}, [[], [[]]]], "e": [[1.0], []]})
+    @example({"z": [[-0.0, 5e-324], [1e308, 0]], "i": [True, 1, None], "s": "\x00é\u2028"})
+    def test_matches_json_dumps(self, payload):
+        expected = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        assert cli.render_payload(payload) == expected
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf", "np.nan"])
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda v: v,
+            lambda v: [1.0, v],
+            lambda v: [[1.0, 2.0], [v, 0.0]],
+            lambda v: {"x": {"y": v}},
+            lambda v: {v: 0},
+            lambda v: {"amplitudes": [[0.0, np.float64(v)]]},
+        ],
+        ids=["scalar", "float_list", "row", "dict_value", "key", "numpy_in_row"],
+    )
+    def test_non_finite_raises_value_error(self, value, place):
+        with pytest.raises(ValueError):
+            cli.render_payload(place(value))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{1, 2}, {"x": [1j]}, {"x": np.array([1.0, 2.0])}, [[1.0], np.zeros(2)], {(1,): 0}],
+        ids=["set", "complex", "ndarray", "ndarray_row", "tuple_key"],
+    )
+    def test_unserializable_raises_type_error(self, payload):
+        with pytest.raises(TypeError):
+            cli.render_payload(payload)
 
 
 # ---------------------------------------------------------------------------

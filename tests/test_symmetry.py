@@ -465,6 +465,33 @@ class TestGroupClosure:
         with pytest.raises(ValueError):
             sym.group_closure([TAU], phi_size=4)
 
+    def test_symmetric_group_on_eight_points_completes(self):
+        cycle, swap = (1, 2, 3, 4, 5, 6, 7, 0), (1, 0, 2, 3, 4, 5, 6, 7)
+        group = sym.group_closure([cycle, swap])
+        assert len(group) == math.factorial(8) < sym.CLOSURE_LIMIT
+        assert group[0] == sym.identity_permutation(8)
+
+    def test_closure_past_the_limit_names_its_field(self, monkeypatch):
+        monkeypatch.setattr(sym, "CLOSURE_LIMIT", 23)
+        assert len(sym.group_closure([(1, 2, 3, 0)])) == 4
+        with pytest.raises(ValueError, match=r"^generators: .* exceeds 23 elements"):
+            sym.group_closure([(1, 2, 3, 0), (1, 0, 2, 3)])
+        monkeypatch.setattr(sym, "CLOSURE_LIMIT", 24)
+        assert len(sym.group_closure([(1, 2, 3, 0), (1, 0, 2, 3)])) == 24
+
+    def test_model_closures_validate_nothing_again(self, monkeypatch):
+        """Generators are validated by the model constructor alone: the
+        subgroup, full-group and assumption_2 closures trust them."""
+        model = dihedral_model(4)
+        calls = []
+        validate = sym._as_permutation
+        monkeypatch.setattr(
+            sym, "_as_permutation", lambda *a, **k: calls.append(a) or validate(*a, **k)
+        )
+        sym.check_assumptions(model)
+        assert model.full_group and model._subgroups
+        assert calls == []
+
 
 # ---------------------------------------------------------------------------
 # model construction and files
