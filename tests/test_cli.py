@@ -730,6 +730,67 @@ class TestExitContract:
 
 
 # ---------------------------------------------------------------------------
+# the --eps contract
+
+
+def run_in_process(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def theorem1_argv(eps: float) -> list[str]:
+    return ["symmetry", "theorem1", "--model", "structural_example", "--eps", repr(eps)]
+
+
+def collision_pairs(report) -> list[tuple]:
+    return [(w["a"], w["i"], w["b"], w["j"]) for w in report["witnesses"]]
+
+
+@pytest.fixture(scope="module")
+def default_collision_pairs():
+    _, out, _ = run_in_process(theorem1_argv(cli.DEFAULT_EPS))
+    return collision_pairs(json.loads(out)["reports"][-1])
+
+
+class TestEpsContract:
+    @pytest.mark.parametrize(
+        "eps", ["5e-324", "1e-300", "1e-16", "3e-16", "1e-9", "0.5", "0.9999999999999999"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spin", "verify", "--j", "1.5", "--samples", "2"),
+            ("spin", "overlap", "--j", "1.5", "--samples", "3"),
+            ("qubit", "prop2", "--samples", "3"),
+            ("symmetry", "theorem1", "--model", "structural_example"),
+        ],
+        ids=["spin_verify", "spin_overlap", "qubit_prop2", "symmetry_theorem1"],
+    )
+    def test_valid_eps_never_exits_2(self, argv, eps):
+        code, out, err = run_in_process([*argv, "--eps", eps])
+        assert code in (0, 1), err
+        verdicts = [r["verdict"] for r in json.loads(out)["reports"]]
+        assert (code == 1) == ("fail" in verdicts)
+
+    @settings(max_examples=100, deadline=1000)
+    @given(eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=True))
+    @example(eps=5e-324)
+    @example(eps=1e-16)
+    @example(eps=3e-16)
+    @example(eps=0.9999999999999999)
+    def test_theorem1_collisions_do_not_depend_on_eps(self, default_collision_pairs, eps):
+        # The question states are exact unit vectors, so every overlap is 0 or 1.
+        code, out, _ = run_in_process(theorem1_argv(eps))
+        assert code == 1
+        theorem1 = json.loads(out)["reports"][-1]
+        assert theorem1["metrics"]["collisions"] == 18
+        assert len(default_collision_pairs) == 18
+        assert collision_pairs(theorem1) == default_collision_pairs
+
+
+# ---------------------------------------------------------------------------
 # payload rendering
 
 

@@ -212,16 +212,17 @@ def reference_findings(model, max_len):
 
 def reference_theorem1(model, max_len, eps):
     """Theorem 1 metrics and witnesses from a Gram matrix per label and a
-    phase comparison of every state pair."""
-    built = sym.build_question_states(model, max_len)
+    phase comparison of every state pair, over the float states of the
+    scatter path."""
+    states = reference_states(model, reference_kappas(model, max_len))
     defect = 0.0
-    for label in built.labels:
-        rows = np.array([coords for name, _, coords in built.states if name == label])
+    for label in {name for name, _, _ in states}:
+        rows = np.array([coords for name, _, coords in states if name == label])
         gram = np.conjugate(rows) @ rows.T
         defect = max(defect, float(np.max(np.abs(gram - np.eye(len(rows))))))
     witnesses = [
         {"a": a, "i": i, "b": b, "j": j, "overlap": abs(linalg.inner(u, v))}
-        for (a, i, u), (b, j, v) in itertools.combinations(built.states, 2)
+        for (a, i, u), (b, j, v) in itertools.combinations(states, 2)
         if linalg.phase_equal(u, v, eps)
     ]
     return defect, witnesses
@@ -306,14 +307,15 @@ def level_splitting_model():
     return sym.load_model(raw)
 
 
-def reference_states(model, built):
+def reference_states(model, kappas):
     """Question states through the scatter path: U(kappa^-1)f_i applied by
     the validating representation over all points and projected back onto
-    the basis.  The distinguished label contributes exact unit vectors."""
+    the basis, label by label in the order of ``kappas``.  The
+    distinguished label contributes exact unit vectors."""
     basis = sym.hilbert_subspace(model)
     states = []
-    for label in built.labels:
-        inverse = sym.invert_permutation(built.kappas[label])
+    for label, kappa in kappas.items():
+        inverse = sym.invert_permutation(kappa)
         for i, f in enumerate(basis.functions):
             if label == model.distinguished:
                 coords = np.eye(basis.dim, dtype=complex)[i]
@@ -1125,12 +1127,19 @@ class TestQuestionStates:
 
     @pytest.mark.parametrize("max_len", [3, sym.WORD_DEPTH_DEFAULT])
     def test_states_match_scatter_reference(self, max_len):
+        # Each state is exactly the unit vector at the reference's peak, and
+        # the reference's float product lies within 1e-15 of it.
         for name, model in representation_family().items():
             built = sym.build_question_states(model, max_len)
-            expected = reference_states(model, built)
+            expected = reference_states(model, built.kappas)
             assert [s[:2] for s in built.states] == [s[:2] for s in expected], name
-            for (label, i, got), (_, _, want) in zip(built.states, expected):
-                assert np.array_equal(got, want), (name, label, i)
+            unit = np.eye(built.basis.dim, dtype=complex)
+            states = zip(built.states, built.state_levels, expected)
+            for (label, i, got), level, (_, _, want) in states:
+                peak = int(np.argmax(np.abs(want)))
+                assert level == peak, (name, label, i)
+                assert np.array_equal(got, unit[peak]), (name, label, i)
+                assert np.max(np.abs(got - want)) <= 1e-15, (name, label, i)
                 assert not got.flags.writeable
 
     def test_rejects_subgroup_splitting_levels(self):
@@ -1291,6 +1300,14 @@ class TestTheorem1:
         report = sym.verify_theorem1(failing)
         assert report.verdict == "undetermined"
         assert "no distinct-image word pair" in report.notes
+
+    def test_single_variable_model_names_the_reason(self):
+        report = sym.verify_theorem1(single_variable_model())
+        assert report.verdict == "undetermined"
+        assert report.notes == (
+            "no non-distinguished states available "
+            "(the model has no variable besides the distinguished one)"
+        )
 
     def test_eps_validated(self, structural):
         with pytest.raises(ValueError, match="eps"):
