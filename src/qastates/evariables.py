@@ -28,10 +28,17 @@ PROJECTOR_TOL = 1e-11
 DEFAULT_SEPARATION = 1e-6
 
 
-def _require_value_gaps(values, problem: str) -> None:
-    """Reject ascending values whose smallest gap is within VALUE_GAP_FRACTION of their range."""
+def _require_value_gaps(values, name: str, problem: str) -> None:
+    """Reject ascending values whose range overflows, or whose smallest gap
+    is within VALUE_GAP_FRACTION of their range; ``name`` and ``problem``
+    begin the two messages."""
     if len(values) >= 2:
         rng = values[-1] - values[0]
+        if not math.isfinite(rng):
+            raise ValueError(
+                f"{name} overflow: the range from {values[0]:.3e} to {values[-1]:.3e} "
+                "is not a finite float"
+            )
         min_gap = min(b - a for a, b in zip(values, values[1:]))
         if min_gap <= VALUE_GAP_FRACTION * rng:
             raise ValueError(f"{problem}: gap {min_gap:.3e} vs range {rng:.3e}")
@@ -55,7 +62,7 @@ class EVariableSpec:
                 raise ValueError("values must be finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
-        _require_value_gaps(values, "values too close")
+        _require_value_gaps(values, "values", "values too close")
         basis = tuple(linalg.as_vector(b).copy() for b in self.basis)
         if len(basis) != len(values):
             raise ValueError("need exactly one basis vector per value")
@@ -169,7 +176,7 @@ def coarse_grain(spec: EVariableSpec, t) -> tuple[CoarseGraining, np.ndarray]:
     """
     mapped = _evaluate_map(t, spec.values)
     coarse = sorted(set(mapped))
-    _require_value_gaps(coarse, "coarse values too close to separate")
+    _require_value_gaps(coarse, "coarse values", "coarse values too close to separate")
     classes = tuple(
         tuple(j for j, u in enumerate(mapped) if u == ui) for ui in coarse
     )

@@ -27,12 +27,13 @@ is shared by every checker.
 The distinguished subgroup acts on the level span by permuting the level
 indicators.  Each model builds one level structure, once: the level basis
 and a level permutation per distinguished-subgroup element
-(`FiniteSymmetryModel._levels`).  The assumption checks and the question
-states read it, so every representation checker refuses a model whose
-distinguished subgroup splits a level set, before any word scan.
-Theorem 1 reads the same level permutations: each built label's question
-states are the basis vectors permuted by one distinguished-subgroup
-element, so two states coincide exactly when they share a level.
+(`FiniteSymmetryModel._levels`).  It is the only encoding of the action
+that the representation checkers read, so each refuses a model whose
+distinguished subgroup splits a level set, before any word scan.  Lemma 2
+is exact: an element fixes a basis function (overlap 1) iff it keeps that
+level.  A question state is a level index, each built label holding the
+levels permuted by one element, so Theorem 1 counts equal-level pairs.
+The float functions (`HilbertBasis.functions`) are the tests' reference.
 """
 
 from __future__ import annotations
@@ -50,15 +51,13 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+# `inner` is unused here, but the benchmark tracer patches `symmetry.inner`;
+# it goes when the trace moves into the package.
 from .linalg import inner, norm
 from .report import VerificationReport, check_eps
 
 # Default breadth-first word enumeration depth.
 WORD_DEPTH_DEFAULT = 6
-
-# A subgroup element may not keep any basis function fixed up to phase
-# closer than this margin.
-LEMMA2_MARGIN = 1e-9
 
 # Witness records stored per report; totals always appear in metrics.
 _WITNESS_CAP = 32
@@ -944,20 +943,20 @@ def verify_word_kernel(
 
 @dataclass(frozen=True)
 class QuestionStates:
-    """States built from the word machinery, in basis coordinates.
+    """States built from the word machinery, as level indices.
 
-    ``states`` holds ``(label, i, coefficients)``; each coefficient vector
-    is the read-only unit vector of level ``state_levels[n]`` (for the
-    distinguished label, level ``i``).  ``kappas`` maps each built label
-    to the group element whose inverse representation produced its states.
-    ``skipped`` lists labels without a distinct-image word pair, and
-    ``degenerate`` labels whose group element is the identity.
+    ``states`` holds ``(label, i, level)``: the state ``U(kappa^-1) f_i``
+    is exactly the basis function of level ``level`` (for the distinguished
+    label, level ``i``), so each label's levels permute ``range(basis.dim)``.
+    ``kappas`` maps each built label to the group element whose inverse
+    representation produced its states.  ``skipped`` lists labels without a
+    distinct-image word pair, and ``degenerate`` labels whose group element
+    is the identity.
     """
 
     basis: HilbertBasis
     labels: tuple
     states: tuple
-    state_levels: tuple
     kappas: Mapping[str, tuple]
     skipped: tuple
     degenerate: tuple
@@ -971,18 +970,16 @@ def build_question_states(
     For each non-distinguished label the canonical word pair for its
     transfer map yields a group element ``kappa`` as (first image)^-1 *
     (second image); the states are the represented basis functions
-    ``U(kappa^-1) f_i`` expanded over the basis.  ``kappa`` lies in the
-    distinguished subgroup, which must permute the level indicators, so
-    each state is exactly the unit vector of the level that ``kappa^-1``
-    sends level ``i`` to, read from the model's one level structure
-    before the word scan runs.  Labels without a pair at this depth are
-    skipped and reported.
+    ``U(kappa^-1) f_i``.  ``kappa`` lies in the distinguished subgroup,
+    which must permute the level indicators, so each state is the basis
+    function of the level that ``kappa^-1`` sends level ``i`` to, recorded
+    as that level's index.  It is read from the model's one level structure,
+    which is built before the word scan runs.  Labels without a pair at
+    this depth are skipped and reported.
     """
     basis, actions = model._levels
     scan = scan_words(model, max_len)
     identity = identity_permutation(model.phi_size)
-    unit = np.eye(basis.dim, dtype=complex)
-    unit.setflags(write=False)
 
     findings = {
         (finding.from_label, finding.to_label): finding
@@ -993,8 +990,7 @@ def build_question_states(
     kappas: dict[str, tuple] = {model.distinguished: identity}
     skipped = []
     degenerate = []
-    states = [(model.distinguished, i, unit[i]) for i in range(basis.dim)]
-    state_levels = list(range(basis.dim))
+    states = [(model.distinguished, i, i) for i in range(basis.dim)]
 
     for label in sorted(model.labels):
         if label == model.distinguished:
@@ -1014,15 +1010,12 @@ def build_question_states(
         if kappa == identity:
             degenerate.append(label)
         labels.append(label)
-        for i, target in enumerate(actions[_invert(kappa)]):
-            states.append((label, i, unit[target]))
-            state_levels.append(target)
+        states.extend((label, i, level) for i, level in enumerate(actions[_invert(kappa)]))
 
     return QuestionStates(
         basis=basis,
         labels=tuple(labels),
         states=tuple(states),
-        state_levels=tuple(state_levels),
         kappas=kappas,
         skipped=tuple(skipped),
         degenerate=tuple(degenerate),
@@ -1234,7 +1227,8 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
     fixed-basis-function check (lemma2).  Requires the distinguished
     variable to take at least two values and its subgroup to permute its
     level sets, both read from the model's one level structure, which the
-    question states share; everything else is report content.
+    question states share; everything else is report content.  lemma2
+    reads only the level permutations, so its overlaps are exactly 1.0 or 0.0.
     """
     basis, actions = model._levels
     k_zero = model.subgroup(model.distinguished)
@@ -1277,15 +1271,8 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
     # assumption_3a: cyclic subgroups acting irreducibly on the basis span.
     cyclic: dict[frozenset, tuple] = {}
     for k in k_zero:
-        if k == identity:
-            continue
-        powers = [k]
-        current = k
-        while current != identity:
-            current = _compose(current, k)
-            powers.append(current)
-        group = frozenset(powers)
-        cyclic.setdefault(group, k)
+        if k != identity:
+            cyclic.setdefault(frozenset(_closure((k,), model.phi_size, "subgroups")), k)
     reducible_witnesses = []
     for group, generator in sorted(cyclic.items(), key=lambda item: item[1]):
         action = actions[generator]
@@ -1366,28 +1353,20 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
     )
 
     # lemma2: no nontrivial subgroup element fixes a basis function.  U(k)f_i
-    # is f_i itself when k keeps level i and has disjoint support otherwise.
-    self_overlaps = [abs(inner(f, f)) for f in basis.functions]
-    lemma2_witnesses = []
-    max_overlap = 0.0
-    elements_checked = 0
-    for k in k_zero:
-        if k == identity:
-            continue
-        elements_checked += 1
-        for i, target in enumerate(actions[k]):
-            overlap = self_overlaps[i] if target == i else 0.0
-            max_overlap = max(max_overlap, overlap)
-            if overlap > 1.0 - LEMMA2_MARGIN:
-                if len(lemma2_witnesses) < _WITNESS_CAP:
-                    lemma2_witnesses.append(
-                        {
-                            "permutation": list(k),
-                            "level_index": i,
-                            "value": basis.values[i],
-                            "overlap": overlap,
-                        }
-                    )
+    # is f_i itself, overlap exactly 1, when k keeps level i, and has disjoint
+    # support, overlap exactly 0, otherwise.
+    elements_checked = len(k_zero) - 1
+    fixed = [
+        (k, i)
+        for k in k_zero
+        if k != identity
+        for i, target in enumerate(actions[k])
+        if target == i
+    ]
+    lemma2_witnesses = [
+        {"permutation": list(k), "level_index": i, "value": basis.values[i], "overlap": 1.0}
+        for k, i in fixed[:_WITNESS_CAP]
+    ]
     if elements_checked == 0:
         lemma2_notes = "vacuous: the distinguished subgroup is trivial"
     elif lemma2_witnesses:
@@ -1397,7 +1376,7 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
     lemma2 = VerificationReport(
         subject="lemma2",
         verdict="fail" if lemma2_witnesses else "pass",
-        metrics={"elements_checked": elements_checked, "max_self_overlap": max_overlap},
+        metrics={"elements_checked": elements_checked, "max_self_overlap": 1.0 if fixed else 0.0},
         witnesses=tuple(lemma2_witnesses),
         notes=lemma2_notes,
     )
@@ -1412,12 +1391,15 @@ def verify_theorem1(
 ) -> VerificationReport:
     """Orthonormality and pairwise distinctness of the built states.
 
-    Each label's states are exact unit vectors, permuted basis vectors, so
-    they are orthonormal per label (``max_gram_defect`` is 0.0) and two
-    states coincide, with overlap 1.0, exactly when they share a level;
-    every other overlap is 0.0, so ``eps`` is validated but cannot change
-    the result.  Collisions are listed in row-major order of the pairs.
-    With no non-distinguished label built the verdict is undetermined.
+    Each state is a level index, and each label's states permute the
+    levels, so they are orthonormal per label (``max_gram_defect`` is 0.0)
+    and two states coincide, with overlap 1.0, exactly when they share a
+    level; every other overlap is 0.0, so ``eps`` is validated but cannot
+    change the result.  Each level is held once by every one of the L
+    built labels, so the d levels force d*C(L,2) collisions and, with
+    L >= 2, the verdict fails.  Collisions are listed in row-major order of
+    the pairs.  With no non-distinguished label built the verdict is
+    undetermined.
     """
     check_eps(eps)
     built = build_question_states(model, max_len)
@@ -1432,10 +1414,9 @@ def verify_theorem1(
             notes=f"no non-distinguished states available ({reasons})",
         )
 
-    rows = zip(built.states, built.state_levels)
     colliding = [
         (a, i, b, j)
-        for ((a, i, _), level_a), ((b, j, _), level_b) in itertools.combinations(rows, 2)
+        for (a, i, level_a), (b, j, level_b) in itertools.combinations(built.states, 2)
         if level_a == level_b
     ]
     collisions = len(colliding)
@@ -1443,11 +1424,12 @@ def verify_theorem1(
         {"a": a, "i": i, "b": b, "j": j, "overlap": 1.0} for a, i, b, j in colliding[:_WITNESS_CAP]
     ]
 
-    notes_parts = []
-    if collisions:
-        notes_parts.append(
-            f"{collisions} state pair(s) coincide up to phase across labels"
-        )
+    dim, count = built.basis.dim, len(built.labels)
+    notes_parts = [
+        f"{collisions} state pair(s) coincide up to phase across labels: each of "
+        f"the {count} built labels holds the {dim} level states in some order, "
+        f"so {dim}*C({count},2) = {dim * math.comb(count, 2)} collisions are forced"
+    ]
     if built.degenerate:
         notes_parts.append(
             "degenerate labels with identity group element: "
@@ -1457,11 +1439,9 @@ def verify_theorem1(
         notes_parts.append(
             "skipped: " + "; ".join(f"{label}: {reason}" for label, reason in built.skipped)
         )
-    if not notes_parts:
-        notes_parts.append("all states orthonormal per label and pairwise distinct")
     return VerificationReport(
         subject="theorem1",
-        verdict="fail" if collisions else "pass",
+        verdict="fail",
         metrics={
             "states": len(built.states),
             "labels_built": len(built.labels),

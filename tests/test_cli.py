@@ -334,16 +334,27 @@ class TestEvarCommands:
             ("--values", ("evar", "maximal", "--values", "1,1e300,1e308")),
             ("--map", ("evar", "maximal", "--values", "1,2,3", "--map", "1,1e300,1e308")),
             ("--map", ("evar", "coarse-grain", "--values", "1,2,3", "--map", "1,1e300,1e308")),
+            ("--values", ("evar", "maximal", "--values=-1e308,1e308")),
+            ("--map", ("evar", "coarse-grain", "--values", "1,2", "--map=-1e308,1e308")),
         ],
-        ids=["maximal_values", "maximal_map", "coarse_grain_map"],
+        ids=[
+            "maximal_values",
+            "maximal_map",
+            "coarse_grain_map",
+            "maximal_values_range",
+            "coarse_grain_map_range",
+        ],
     )
     def test_overflowing_operator_exits_2(self, capsys, flag, argv):
-        # Before, this printed "Infinity" in its JSON and exited 0.
+        # Before, the first three printed "Infinity" in their JSON and exited
+        # 0, and the last two, whose value range overflows, were reported as
+        # values "too close".
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {flag}: ")
         assert err.count("\n") == 1
+        assert "too close" not in err
 
     @pytest.mark.parametrize(
         "argv",

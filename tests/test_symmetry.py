@@ -340,7 +340,7 @@ def reference_lemma2(model):
         for i, f in enumerate(basis.functions):
             overlap = abs(linalg.inner(f, sym.regular_representation(model, k, f)))
             max_overlap = max(max_overlap, overlap)
-            if overlap > 1.0 - sym.LEMMA2_MARGIN:
+            if overlap > 1.0 - 1e-9:
                 witnesses.append(
                     {"permutation": list(k), "level_index": i,
                      "value": basis.values[i], "overlap": overlap}
@@ -1092,10 +1092,8 @@ class TestQuestionStates:
         built = sym.build_question_states(structural)
         zero_states = [s for s in built.states if s[0] == "0"]
         assert len(zero_states) == 6
-        for _, i, coords in zero_states:
-            expected = np.zeros(6)
-            expected[i] = 1.0
-            assert np.array_equal(coords, expected)
+        for _, i, level in zero_states:
+            assert level == i
 
     def test_kappas_match_hand_derivation(self, structural):
         built = sym.build_question_states(structural)
@@ -1108,16 +1106,15 @@ class TestQuestionStates:
 
     def test_states_are_permuted_basis_vectors(self, structural):
         built = sym.build_question_states(structural)
-        for label, i, coords in built.states:
-            assert np.count_nonzero(coords) == 1
-            assert np.isclose(np.abs(coords).max(), 1.0)
+        for label in built.labels:
+            levels = [level for name, _, level in built.states if name == label]
+            assert sorted(levels) == list(range(built.basis.dim)), label
 
     def test_translation_action_on_levels(self, structural):
         # kappa = left(RHO): U(kappa^{-1}) moves level g to level rho^2 g.
         built = sym.build_question_states(structural)
-        for _, i, coords in (s for s in built.states if s[0] == "1"):
-            target = S3_INDEX[mul(RHO2, S3[i])]
-            assert np.isclose(coords[target], 1.0)
+        for _, i, level in (s for s in built.states if s[0] == "1"):
+            assert level == S3_INDEX[mul(RHO2, S3[i])]
 
     def test_failing_model_skips_unpaired_label(self, failing):
         built = sym.build_question_states(failing)
@@ -1127,20 +1124,16 @@ class TestQuestionStates:
 
     @pytest.mark.parametrize("max_len", [3, sym.WORD_DEPTH_DEFAULT])
     def test_states_match_scatter_reference(self, max_len):
-        # Each state is exactly the unit vector at the reference's peak, and
-        # the reference's float product lies within 1e-15 of it.
+        # Each state's level is the reference's peak, and the reference's
+        # float product lies within 1e-15 of that level's unit vector.
         for name, model in representation_family().items():
             built = sym.build_question_states(model, max_len)
             expected = reference_states(model, built.kappas)
             assert [s[:2] for s in built.states] == [s[:2] for s in expected], name
             unit = np.eye(built.basis.dim, dtype=complex)
-            states = zip(built.states, built.state_levels, expected)
-            for (label, i, got), level, (_, _, want) in states:
-                peak = int(np.argmax(np.abs(want)))
-                assert level == peak, (name, label, i)
-                assert np.array_equal(got, unit[peak]), (name, label, i)
-                assert np.max(np.abs(got - want)) <= 1e-15, (name, label, i)
-                assert not got.flags.writeable
+            for (label, i, level), (_, _, want) in zip(built.states, expected):
+                assert level == int(np.argmax(np.abs(want))), (name, label, i)
+                assert np.max(np.abs(unit[level] - want)) <= 1e-15, (name, label, i)
 
     def test_rejects_subgroup_splitting_levels(self):
         model = level_splitting_model()
@@ -1259,12 +1252,23 @@ class TestCheckAssumptions:
             sym.check_assumptions(model)
 
     def test_lemma2_matches_scatter_reference(self):
+        # The level permutation gives exact overlaps, 1.0 for a kept level
+        # and 0.0 otherwise; the scattered float overlaps lie within 1e-15.
         fixed = 0
         for name, model in representation_family().items():
             *_, lemma2 = sym.check_assumptions(model)
             metrics, witnesses = reference_lemma2(model)
-            assert lemma2.metrics == metrics, name
-            assert list(lemma2.witnesses) == witnesses, name
+            got = lemma2.metrics
+            assert got["elements_checked"] == metrics["elements_checked"], name
+            assert got["max_self_overlap"] in (0.0, 1.0), name
+            assert abs(got["max_self_overlap"] - metrics["max_self_overlap"]) <= 1e-15, name
+            key = ("permutation", "level_index", "value")
+            assert [[w[k] for k in key] for w in lemma2.witnesses] == [
+                [w[k] for k in key] for w in witnesses
+            ], name
+            for mine, theirs in zip(lemma2.witnesses, witnesses):
+                assert mine["overlap"] == 1.0, name
+                assert abs(mine["overlap"] - theirs["overlap"]) <= 1e-15, name
             assert lemma2.verdict == ("fail" if witnesses else "pass"), name
             fixed += len(witnesses)
         assert fixed > 0
@@ -1290,11 +1294,33 @@ class TestTheorem1:
     def test_collision_witnesses_name_real_collisions(self, structural):
         report = sym.verify_theorem1(structural)
         built = sym.build_question_states(structural)
-        lookup = {(label, i): coords for label, i, coords in built.states}
+        lookup = {(label, i): level for label, i, level in built.states}
         for witness in report.witnesses:
-            u = lookup[(witness["a"], witness["i"])]
-            v = lookup[(witness["b"], witness["j"])]
-            assert abs(np.vdot(u, v)) >= 1.0 - 1e-9
+            assert lookup[(witness["a"], witness["i"])] == lookup[(witness["b"], witness["j"])]
+
+    @pytest.mark.parametrize("max_len", [2, 3, 6])
+    def test_collisions_are_forced(self, max_len):
+        # Every built label holds each of the d levels once, so L labels
+        # give d*C(L,2) equal-level pairs, and the note says so.
+        models = representation_family()
+        models.update({f"D{n}": dihedral_model(n) for n in range(7, 11)})
+        built_any = 0
+        for name, model in models.items():
+            report = sym.verify_theorem1(model, max_len)
+            built = sym.build_question_states(model, max_len)
+            if report.verdict == "undetermined":
+                assert built.labels == (model.distinguished,), name
+                continue
+            built_any += 1
+            dim, count = built.basis.dim, len(built.labels)
+            forced = dim * math.comb(count, 2)
+            assert report.verdict == "fail", name
+            assert report.metrics["collisions"] == forced, name
+            assert f"{dim}*C({count},2) = {forced} collisions are forced" in report.notes, name
+            lookup = {(label, i): level for label, i, level in built.states}
+            for w in report.witnesses:
+                assert lookup[(w["a"], w["i"])] == lookup[(w["b"], w["j"])], name
+        assert built_any > 0
 
     def test_failing_model_undetermined(self, failing):
         report = sym.verify_theorem1(failing)
