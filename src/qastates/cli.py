@@ -43,15 +43,13 @@ DEFAULT_SEED = 0
 # state records
 
 
-def emit_state(state: spin.QuestionAnswerState, form: str = "json") -> dict:
+def emit_state(state: spin.QuestionAnswerState) -> dict:
     """Serialize a state to the documented record schema.
 
     The record holds the spin magnitude, the unit direction, the sharp
     answer, and the amplitudes in the ascending magnetic basis as
     ``[re, im]`` pairs.  Round-trips exactly through :func:`parse_state`.
     """
-    if form != "json":
-        raise ValueError(f"unsupported format {form!r}; only 'json' is supported")
     d = state.direction
     return {
         "j": float(state.system.j),

@@ -8,6 +8,11 @@ variable's operator A = sum_i u_i P_i has eigenspace dimensions equal to the
 class sizes, and the variable stays maximal exactly when t never merges.
 Each class is a question-answer pair: "what is the value?" answered by u_i,
 supported on the class's subspace.
+
+One rule decides when two answers are distinct, both where values are
+accepted and where maximality is detected: ascending values are separated
+when every consecutive gap exceeds SEPARATION times their largest
+magnitude.
 """
 
 from __future__ import annotations
@@ -21,27 +26,30 @@ import numpy as np
 from . import linalg
 from .report import VerificationReport
 
-# Coarse values closer than this fraction of the value range are rejected as
-# ill-posed rather than silently merged.
-VALUE_GAP_FRACTION = 1e-9
+# Distinct answers differ by more than this fraction of the largest magnitude.
+SEPARATION = 1e-9
 PROJECTOR_TOL = 1e-11
-DEFAULT_SEPARATION = 1e-6
+
+
+def _separated(values) -> bool:
+    """Whether every consecutive gap of ascending ``values`` exceeds
+    SEPARATION times their largest magnitude; one value always is."""
+    scale = max(abs(values[0]), abs(values[-1]))
+    return all(b - a > SEPARATION * scale for a, b in zip(values, values[1:]))
 
 
 def _require_value_gaps(values, name: str, problem: str) -> None:
-    """Reject ascending values whose range overflows, or whose smallest gap
-    is within VALUE_GAP_FRACTION of their range; ``name`` and ``problem``
-    begin the two messages."""
-    if len(values) >= 2:
-        rng = values[-1] - values[0]
-        if not math.isfinite(rng):
-            raise ValueError(
-                f"{name} overflow: the range from {values[0]:.3e} to {values[-1]:.3e} "
-                "is not a finite float"
-            )
-        min_gap = min(b - a for a, b in zip(values, values[1:]))
-        if min_gap <= VALUE_GAP_FRACTION * rng:
-            raise ValueError(f"{problem}: gap {min_gap:.3e} vs range {rng:.3e}")
+    """Reject ascending values whose range overflows, or that are not
+    `_separated`; ``name`` and ``problem`` begin the two messages."""
+    if not math.isfinite(values[-1] - values[0]):
+        raise ValueError(
+            f"{name} overflow: the range from {values[0]:.3e} to {values[-1]:.3e} "
+            "is not a finite float"
+        )
+    if not _separated(values):
+        gap = min(b - a for a, b in zip(values, values[1:]))
+        scale = max(abs(values[0]), abs(values[-1]))
+        raise ValueError(f"{problem}: gap {gap:.3e} vs scale {scale:.3e}")
 
 
 @dataclass(frozen=True)
@@ -171,8 +179,9 @@ def _evaluate_map(t, values: tuple) -> list:
 def coarse_grain(spec: EVariableSpec, t) -> tuple[CoarseGraining, np.ndarray]:
     """Merge outcomes through t; return the partition and A = sum_i u_i P_i.
 
-    Classes group exact equal outputs of t.  Distinct coarse values closer
-    than VALUE_GAP_FRACTION of their range are rejected as ill-posed.
+    Classes group exact equal outputs of t.  Distinct coarse values that
+    are not separated (a gap within SEPARATION of their largest magnitude)
+    are rejected as ill-posed.
     """
     mapped = _evaluate_map(t, spec.values)
     coarse = sorted(set(mapped))
@@ -191,22 +200,17 @@ def coarse_grain(spec: EVariableSpec, t) -> tuple[CoarseGraining, np.ndarray]:
     return cg, a
 
 
-def is_maximally_accessible(a, sep: float = DEFAULT_SEPARATION) -> bool:
+def is_maximally_accessible(a) -> bool:
     """Whether all eigenspaces are one-dimensional.
 
-    True iff consecutive eigenvalue gaps all exceed sep times the spectral
-    norm.  The eigenvalues come from the package eigensolver; ``a`` may be
-    the Hermitian matrix or its `linalg.EigenDecomposition`, when one is
-    already at hand.
+    True iff the eigenvalues are separated by the same rule that accepts
+    values and coarse values: every consecutive gap exceeds SEPARATION
+    times the largest magnitude.  The eigenvalues come from the package
+    eigensolver; ``a`` may be the Hermitian matrix or its
+    `linalg.EigenDecomposition`, when one is already at hand.
     """
-    if not (sep > 0.0):
-        raise ValueError("separation threshold must be positive")
     dec = a if isinstance(a, linalg.EigenDecomposition) else linalg.hermitian_eig(a)
-    if dec.dim == 1:
-        return True
-    scale = float(np.abs(dec.eigenvalues).max())
-    gaps = np.diff(dec.eigenvalues)
-    return bool(np.all(gaps > sep * scale))
+    return _separated(dec.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -243,20 +247,10 @@ def coarse_grain_report(cg: CoarseGraining, a: np.ndarray) -> VerificationReport
     for u, p in zip(cg.coarse_values, cg.projectors):
         eigen_defect = max(eigen_defect, float(np.abs(a @ p - u * p).max()))
     maximal = is_maximally_accessible(a)
-    # Injectivity must agree with detection, except when coarse values sit
-    # inside the detection threshold itself (then the comparison says
-    # nothing about the construction).
-    separable = True
-    if len(cg.coarse_values) >= 2:
-        scale = max(abs(u) for u in cg.coarse_values)
-        min_gap = min(
-            b - a_ for a_, b in zip(cg.coarse_values, cg.coarse_values[1:])
-        )
-        separable = min_gap > DEFAULT_SEPARATION * scale
     witnesses = []
     if eigen_defect > 1e-10:
         witnesses.append({"kind": "eigenspace", "defect": eigen_defect})
-    if separable and maximal != cg.injective:
+    if maximal != cg.injective:
         witnesses.append(
             {
                 "kind": "maximality_mismatch",

@@ -39,6 +39,15 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def run_in_process(argv) -> tuple[int, str, str]:
+    """main(argv) with its output captured, for hypothesis tests, which
+    cannot take the function-scoped capsys fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def random_state(seed, j):
     rng = np.random.default_rng(seed)
     system = spin.SpinSystem(j)
@@ -88,11 +97,6 @@ class TestStateRecords:
         record = cli.emit_state(random_state(7, 1.0))
         norm = sum(re * re + im * im for re, im in record["amplitudes"])
         assert abs(norm - 1.0) <= 1e-12
-
-    def test_unsupported_format(self):
-        state = random_state(1, 0.5)
-        with pytest.raises(ValueError, match="unsupported format"):
-            cli.emit_state(state, form="yaml")
 
     def test_parse_rejects_malformed_records(self):
         good = cli.emit_state(random_state(2, 0.5))
@@ -287,6 +291,31 @@ class TestQubitCommands:
 # evar commands
 
 
+@st.composite
+def separation_values(draw, size: int) -> list[float]:
+    """``size`` ascending floats from a small or a large offset, each gap a
+    multiple of SEPARATION times the offset's magnitude: just below, just
+    above, or far from the separation threshold."""
+    offset = draw(st.sampled_from((0.0, 1.0, -3.0, 1e6, -1e6, 1e12)))
+    unit = evariables.SEPARATION * max(1.0, abs(offset))
+    factors = st.sampled_from((0.5, 0.999, 1.001, 2.0)) | st.floats(1e-3, 1e10)
+    values = [offset]
+    for _ in range(size - 1):
+        values.append(values[-1] + draw(factors) * unit)
+    return values
+
+
+@st.composite
+def evar_inputs(draw) -> tuple[list[float], list[float] | None]:
+    """Outcome values and, half the time, a map onto a few levels whose
+    gaps sit near the threshold too."""
+    values = draw(separation_values(draw(st.integers(1, 5))))
+    if draw(st.booleans()):
+        return values, None
+    levels = draw(separation_values(draw(st.integers(1, len(values)))))
+    return values, [draw(st.sampled_from(levels)) for _ in values]
+
+
 class TestEvarCommands:
     def test_coarse_grain_merges(self, capsys):
         code, payload, _ = run_json(
@@ -368,6 +397,31 @@ class TestEvarCommands:
     def test_bad_inputs_exit_2(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=evar_inputs())
+    # Both were once reported not maximal, although each map is injective:
+    # detection measured gaps against 1e-6 of the scale, construction
+    # against 1e-9 of the range.
+    @example(inputs=([1000000.0, 1000000.5], None))
+    @example(inputs=([1.0, 2.0], [1.0, 1.0000001]))
+    def test_maximality_is_injectivity(self, inputs):
+        values, mapped = inputs
+        flags = [f"--values={','.join(map(repr, values))}"]
+        if mapped is not None:
+            flags.append(f"--map={','.join(map(repr, mapped))}")
+        for command in ("maximal", "coarse-grain") if mapped is not None else ("maximal",):
+            code, out, err = run_in_process(["evar", command, *flags])
+            if code == 2:
+                assert err.startswith(("error: --values", "error: --map")), err
+                continue
+            assert code == 0, err
+            payload = json.loads(out)
+            if command == "maximal":
+                injective = mapped is None or len(set(mapped)) == len(mapped)
+                assert payload["maximal"] is injective
+            else:
+                assert payload["reports"][0]["verdict"] == "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -744,13 +798,6 @@ class TestExitContract:
 # the --eps contract
 
 
-def run_in_process(argv) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def theorem1_argv(eps: float) -> list[str]:
     return ["symmetry", "theorem1", "--model", "structural_example", "--eps", repr(eps)]
 
@@ -898,6 +945,121 @@ class TestRenderPayload:
 
 
 # ---------------------------------------------------------------------------
+# argv fuzzing
+
+
+# Boundary tokens every number or list flag may draw: non-finite,
+# overflowing, signed zero, not a number, empty.
+BOUNDARY = ("nan", "inf", "-inf", "1e308", "-1e308", "-0.0", "0", "1", "x", "")
+# Evar values around the separation threshold at scale 1 and 1e6.
+EVAR_VALUES = (
+    "1", "1.0000000005", "1.000000002", "2", "1000000", "1000000.0005", "1000000.002",
+)
+
+
+def tokens(*valid: str):
+    """A flag's text: one of its ``valid`` tokens, or a boundary token."""
+    return st.sampled_from(valid) | st.sampled_from(BOUNDARY)
+
+
+def evar_lists(ascending: bool):
+    """Comma-joined evar values, ascending for ``--values``; an empty list
+    is the empty string."""
+    lists = st.lists(st.sampled_from(EVAR_VALUES), min_size=1, max_size=4, unique=ascending)
+    if ascending:
+        lists = lists.map(lambda items: sorted(items, key=float))
+    return lists.map(",".join) | st.lists(st.sampled_from(BOUNDARY), max_size=3).map(",".join)
+
+
+# How often a flag is given: a required flag is sometimes left out, an
+# optional one half the time, and --samples always, because the defaults
+# run 100 or more samples.
+REQUIRED, OPTIONAL, ALWAYS = "required", "optional", "always"
+SAMPLING_FLAGS = (
+    ("--samples", tokens("1", "2", "-1", "1.5"), ALWAYS),
+    ("--eps", tokens("1e-9", "0.5", "5e-324", "0.9999999999999999"), OPTIONAL),
+    ("--seed", tokens("7", str(2**64 - 1), str(2**64), "-1"), OPTIONAL),
+)
+# Spin magnitudes: valid, off the half-integer grid, and just past 25.
+J_FLAG = ("--j", tokens("0.5", "2.5", "4", "25", "25.5", "26"), REQUIRED)
+DIR_FLAG = (
+    "--dir",
+    st.sampled_from(("0,0,1", "0.6,0,0.8", "0,-1,0", "-0.0,0,1"))
+    | st.lists(st.sampled_from(BOUNDARY), min_size=3, max_size=3).map(",".join)
+    | st.sampled_from(("1,0", "0,0,1,0")),
+    REQUIRED,
+)
+VALUES_FLAG = ("--values", evar_lists(True), REQUIRED)
+MAP_TEXT = evar_lists(False)
+MODEL_FLAGS = (
+    ("--model", st.sampled_from(
+        ("structural_example", "designed_failure", "no_such_model", "no/such/model.json", "")
+    ), REQUIRED),
+    ("--max-word-len", tokens("2", "1000000", "-1", "1.5"), OPTIONAL),
+)
+# Each subcommand's flags.  spin verify runs the Jacobi oracle once per
+# answer, so it keeps to valid j <= 4; report never gets --golden, since
+# the battery runs for seconds and has its own tests.
+ARGV_FLAGS = {
+    ("spin", "state"): (J_FLAG, DIR_FLAG, ("--h", tokens("0.5", "-2.5", "4", "0.25"), REQUIRED)),
+    ("spin", "verify"): (("--j", tokens("0.5", "2.5", "4", "25.5", "26"), REQUIRED), *SAMPLING_FLAGS),
+    ("spin", "catalog"): (J_FLAG, DIR_FLAG),
+    ("spin", "overlap"): (J_FLAG, *SAMPLING_FLAGS),
+    ("qubit", "bloch"): (DIR_FLAG,),
+    ("qubit", "prop2"): SAMPLING_FLAGS,
+    ("evar", "coarse-grain"): (VALUES_FLAG, ("--map", MAP_TEXT, REQUIRED)),
+    ("evar", "maximal"): (VALUES_FLAG, ("--map", MAP_TEXT, OPTIONAL)),
+    ("symmetry", "check"): MODEL_FLAGS,
+    ("symmetry", "assumptions"): MODEL_FLAGS,
+    ("symmetry", "theorem1"): (*MODEL_FLAGS, SAMPLING_FLAGS[1]),
+    ("report",): (SAMPLING_FLAGS[2],),
+}
+# Every name an exit-2 line may cite.
+FLAG_NAMES = (
+    "--j", "--dir", "--h", "--samples", "--eps", "--seed", "--values", "--map",
+    "--model", "--max-word-len", "--out", "--golden",
+)
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """One subcommand with some of its flags, each as ``--flag=token`` so
+    that a token such as ``-1`` is never read as an option."""
+    command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    argv = list(command)
+    for flag, text, presence in ARGV_FLAGS[command]:
+        if presence == ALWAYS or draw(st.integers(0, 4 if presence == REQUIRED else 1)):
+            argv.append(f"{flag}={draw(text)}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def missing_out_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv") / "missing" / "payload.json"
+
+
+class TestArgvContract:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=cli_argvs(), unwritable_out=st.integers(0, 9).map(lambda k: k == 0))
+    def test_exit_contract(self, missing_out_path, argv, unwritable_out):
+        if unwritable_out:
+            argv.append(f"--out={missing_out_path}")
+        code, out, err = run_in_process(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in out + err
+        if code == 2:
+            # argparse prints its usage lines first; every path ends in one
+            # error line.
+            assert out == ""
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and err.endswith(errors[0] + "\n"), err
+            assert any(name in errors[0] for name in FLAG_NAMES), err
+        else:
+            verdicts = [r["verdict"] for r in json.loads(out).get("reports", [])]
+            assert (code == 1) == ("fail" in verdicts)
+
+
+# ---------------------------------------------------------------------------
 # model file fuzzing
 
 
@@ -907,9 +1069,12 @@ BUNDLED_MODELS = tuple(
 )
 # One transposition across two distinguished levels per bundled model.  Its
 # closure with the distinguished generators stays small (384 and 24
-# elements); the mutations below never add any other valid permutation, as
-# one on 12 points could generate all of S_12.
+# elements).
 LEVEL_SPLITTING = (SWAP_1_2, [1, 0, 2, 3])
+# The full group of each bundled model (6 and 3 elements).  A generator
+# drawn from it is a valid permutation whose closures stay within that
+# group; a closure that outgrew symmetry.CLOSURE_LIMIT would exit 2 anyway.
+FULL_GROUPS = tuple(symmetry.load_model(copy.deepcopy(raw)).full_group for raw in BUNDLED_MODELS)
 # Every name an exit-2 line may cite: the flag, the top-level fields, and the
 # top-level field the extra-field mutation adds.
 MODEL_NAMES = (
@@ -1010,14 +1175,21 @@ MUTATIONS = (
 
 @st.composite
 def mutated_models(draw):
-    """A bundled model file with one to three malformations, or with a
-    distinguished-subgroup element that splits a level set."""
+    """A bundled model file with one of: a distinguished-subgroup element
+    that splits a level set; one to three malformations; or a valid
+    permutation from the model's own group added to one subgroup's
+    generators, then up to three malformations."""
     pick = draw(st.integers(0, len(BUNDLED_MODELS) - 1))
     raw = copy.deepcopy(BUNDLED_MODELS[pick])
-    if draw(st.integers(0, 9)) == 0:
+    roll = draw(st.integers(0, 9))
+    if roll == 0:
         raw["subgroups"]["0"].append(LEVEL_SPLITTING[pick])
         return raw
-    for mutate in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+    joined = roll <= 3
+    if joined:
+        gens = raw["subgroups"][draw(st.sampled_from(sorted(raw["subgroups"])))]
+        gens.insert(draw(st.integers(0, len(gens))), list(draw(st.sampled_from(FULL_GROUPS[pick]))))
+    for mutate in draw(st.lists(st.sampled_from(MUTATIONS), min_size=int(not joined), max_size=3)):
         mutate(raw, draw)
     return raw
 

@@ -41,7 +41,7 @@ class TestEVariableSpec:
     def test_rejects_tiny_gap(self):
         with pytest.raises(ValueError) as info:
             ev.EVariableSpec.standard("x", (0.0, 1e-12, 1.0))
-        assert str(info.value) == "values too close: gap 1.000e-12 vs range 1.000e+00"
+        assert str(info.value) == "values too close: gap 1.000e-12 vs scale 1.000e+00"
 
     def test_rejects_nan_basis(self):
         v = np.array([np.nan, 0.0], dtype=complex)
@@ -136,7 +136,7 @@ class TestCoarseGrain:
         with pytest.raises(ValueError) as info:
             ev.coarse_grain(spec, {1.0: 0.0, 2.0: 1e-15, 3.0: 1.0})
         assert str(info.value) == (
-            "coarse values too close to separate: gap 1.000e-15 vs range 1.000e+00"
+            "coarse values too close to separate: gap 1.000e-15 vs scale 1.000e+00"
         )
 
     def test_rejects_nan_projectors(self):
@@ -192,13 +192,12 @@ class TestMaximalAccessibility:
         assert ev.is_maximally_accessible(op)
 
     def test_separation_threshold(self):
-        a = np.diag([1.0, 1.0 + 1e-8, 2.0]).astype(complex)
-        assert not ev.is_maximally_accessible(a, sep=1e-6)
-        assert ev.is_maximally_accessible(a, sep=1e-12)
+        # Gaps are measured against SEPARATION = 1e-9 of the largest magnitude, 2.
+        assert ev.SEPARATION == 1e-9
+        assert ev.is_maximally_accessible(np.diag([1.0, 1.0 + 1e-8, 2.0]).astype(complex))
+        assert not ev.is_maximally_accessible(np.diag([1.0, 1.0 + 1e-10, 2.0]).astype(complex))
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            ev.is_maximally_accessible(np.diag([1.0, 2.0]), sep=0.0)
         with pytest.raises(ValueError):
             ev.is_maximally_accessible(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
