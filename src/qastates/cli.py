@@ -281,8 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sym_sub.add_parser(name, help=blurb)
         p.add_argument("--model", required=True, metavar="PATH|NAME")
         p.add_argument("--max-word-len", type=_positive_int, default=symmetry.WORD_DEPTH_DEFAULT)
-        if name == "theorem1":
-            p.add_argument("--eps", type=_eps_argument, default=DEFAULT_EPS)
         _add_out(p)
         p.set_defaults(handler=_cmd_symmetry)
 
@@ -395,10 +393,11 @@ def _cmd_evar_coarse_grain(args) -> tuple[dict, list, str]:
     spec, mapping = _parse_evar_inputs(args)
     try:
         cg, a = evariables.coarse_grain(spec, mapping)
-        # The merged operator's eigenvalues are the --map values.
-        report = evariables.coarse_grain_report(cg, a)
     except ValueError as exc:
         raise ValueError(f"--map: {exc}")
+    # The merged operator's eigenvalues are the --map values, which the
+    # eigensolver can always decide once coarse_grain accepts them.
+    report = evariables.coarse_grain_report(cg, a)
     return _reports_payload(
         args,
         {"values": list(spec.values), "map": [mapping[v] for v in spec.values]},
@@ -417,10 +416,8 @@ def _cmd_evar_maximal(args) -> tuple[dict, list, str]:
             _, a = evariables.coarse_grain(spec, mapping)
         except ValueError as exc:
             raise ValueError(f"--map: {exc}")
-    try:
-        dec = linalg.hermitian_eig(a)
-    except ValueError as exc:
-        raise ValueError(f"{'--values' if mapping is None else '--map'}: {exc}")
+    # Accepted values always give an operator the eigensolver can decide.
+    dec = linalg.hermitian_eig(a)
     maximal = bool(evariables.is_maximally_accessible(dec))
     payload = {
         "command": "evar maximal",
@@ -434,25 +431,25 @@ def _cmd_evar_maximal(args) -> tuple[dict, list, str]:
     return payload, [], f"maximal: {maximal}"
 
 
-# Symmetry checkers: each takes (model, max_len, eps) and returns its
+# Symmetry checkers: each takes (model, max_len) and returns its
 # reports in payload order.  They look the library functions up at call
 # time, so a rebound ``symmetry`` attribute is honoured.
 
 
-def _lemma1(model, max_len: int, eps: float) -> list:
+def _lemma1(model, max_len: int) -> list:
     return [symmetry.validate_model(model)]
 
 
-def _assumptions(model, max_len: int, eps: float) -> list:
+def _assumptions(model, max_len: int) -> list:
     # assumption_3b comes from the word scan and sits between 3a and 3c.
     measure, closure, irreducibility, separation, lemma2 = symmetry.check_assumptions(model)
     multivalued = symmetry.detect_multivaluedness(model, max_len)
     return [measure, closure, irreducibility, multivalued, separation, lemma2]
 
 
-def _theorem1(model, max_len: int, eps: float) -> list:
+def _theorem1(model, max_len: int) -> list:
     # The states refuse a level-splitting model before the shared word scan.
-    theorem1 = symmetry.verify_theorem1(model, max_len, eps)
+    theorem1 = symmetry.verify_theorem1(model, max_len)
     return [symmetry.verify_word_kernel(model, max_len), theorem1]
 
 
@@ -464,16 +461,13 @@ SYMMETRY_CHECKERS = {
 }
 
 
-def _symmetry_reports(model, max_len: int, checkers, eps: float = DEFAULT_EPS) -> list:
-    return [report for checker in checkers for report in checker(model, max_len, eps)]
+def _symmetry_reports(model, max_len: int, checkers) -> list:
+    return [report for checker in checkers for report in checker(model, max_len)]
 
 
 def _cmd_symmetry(args) -> tuple[dict, list, str]:
     model, shown = _resolve_model(args.model)
-    eps = getattr(args, "eps", DEFAULT_EPS)
-    reports = _symmetry_reports(
-        model, args.max_word_len, SYMMETRY_CHECKERS[args.command], eps
-    )
+    reports = _symmetry_reports(model, args.max_word_len, SYMMETRY_CHECKERS[args.command])
     return _reports_payload(args, {"model": shown, "max_word_len": args.max_word_len}, reports)
 
 

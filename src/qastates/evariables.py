@@ -12,7 +12,10 @@ supported on the class's subspace.
 One rule decides when two answers are distinct, both where values are
 accepted and where maximality is detected: ascending values are separated
 when every consecutive gap exceeds SEPARATION times their largest
-magnitude.
+magnitude.  One more rule decides which values are accepted at all: their
+squares, each counted as often as it is listed, must sum to a finite
+float.  That sum is the squared Frobenius norm of the operator, so every
+accepted variable's operator can be diagonalized.
 """
 
 from __future__ import annotations
@@ -38,14 +41,21 @@ def _separated(values) -> bool:
     return all(b - a > SEPARATION * scale for a, b in zip(values, values[1:]))
 
 
-def _require_value_gaps(values, name: str, problem: str) -> None:
-    """Reject ascending values whose range overflows, or that are not
-    `_separated`; ``name`` and ``problem`` begin the two messages."""
-    if not math.isfinite(values[-1] - values[0]):
-        raise ValueError(
-            f"{name} overflow: the range from {values[0]:.3e} to {values[-1]:.3e} "
-            "is not a finite float"
-        )
+def _require_finite_squares(values, name: str) -> None:
+    """Reject ``values`` unless their squares sum to a finite float.  The
+    sum runs over diag(values) in the order `linalg.hermitian_eig` sums its
+    input's squared entries, so an operator on the standard basis is
+    accepted here exactly when the eigensolver accepts it; NaN and infinite
+    values fail too."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.square(np.diag(values))))
+    if not math.isfinite(total):
+        raise ValueError(f"{name} overflow or non-finite: their squares sum to {total}")
+
+
+def _require_separated(values, problem: str) -> None:
+    """Reject ascending values that are not `_separated`; ``problem``
+    begins the message."""
     if not _separated(values):
         gap = min(b - a for a, b in zip(values, values[1:]))
         scale = max(abs(values[0]), abs(values[-1]))
@@ -65,12 +75,10 @@ class EVariableSpec:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("need at least one value")
-        for v in values:
-            if not math.isfinite(v):
-                raise ValueError("values must be finite")
+        _require_finite_squares(values, "values")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
-        _require_value_gaps(values, "values", "values too close")
+        _require_separated(values, "values too close")
         basis = tuple(linalg.as_vector(b).copy() for b in self.basis)
         if len(basis) != len(values):
             raise ValueError("need exactly one basis vector per value")
@@ -170,22 +178,21 @@ def _evaluate_map(t, values: tuple) -> list:
         out = [float(t(v)) for v in values]
     else:
         raise ValueError("outcome map must be a mapping or a callable")
-    for u in out:
-        if not math.isfinite(u):
-            raise ValueError("outcome map produced a non-finite value")
+    _require_finite_squares(out, "outcome map values")
     return out
 
 
 def coarse_grain(spec: EVariableSpec, t) -> tuple[CoarseGraining, np.ndarray]:
     """Merge outcomes through t; return the partition and A = sum_i u_i P_i.
 
-    Classes group exact equal outputs of t.  Distinct coarse values that
-    are not separated (a gap within SEPARATION of their largest magnitude)
-    are rejected as ill-posed.
+    Classes group exact equal outputs of t.  Outputs whose squares, one per
+    basis direction, do not sum to a finite float are rejected, and so are
+    distinct coarse values that are not separated (a gap within SEPARATION
+    of their largest magnitude), as ill-posed.
     """
     mapped = _evaluate_map(t, spec.values)
     coarse = sorted(set(mapped))
-    _require_value_gaps(coarse, "coarse values", "coarse values too close to separate")
+    _require_separated(coarse, "coarse values too close to separate")
     classes = tuple(
         tuple(j for j, u in enumerate(mapped) if u == ui) for ui in coarse
     )

@@ -99,8 +99,8 @@ def gram_defect(columns) -> float:
     return float(np.abs(columns.conj().T @ columns - np.eye(columns.shape[1])).max())
 
 
-def projector(vectors, tol: float = ORTHO_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of mutually orthonormal vectors."""
+def projector(vectors) -> np.ndarray:
+    """Orthogonal projector onto the span of vectors orthonormal within ORTHO_TOL."""
     cols = [as_vector(v) for v in vectors]
     if not cols:
         raise ValueError("projector needs at least one vector")
@@ -109,7 +109,7 @@ def projector(vectors, tol: float = ORTHO_TOL) -> np.ndarray:
         raise ValueError("projector vectors must share one dimension")
     basis = np.column_stack(cols)
     defect = gram_defect(basis)
-    if not defect <= tol:
+    if not defect <= ORTHO_TOL:
         raise ValueError(f"vectors are not orthonormal: Gram defect {defect:.3e}")
     return basis @ basis.conj().T
 

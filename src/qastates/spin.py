@@ -345,27 +345,24 @@ def oracle_catalog(system: SpinSystem, direction: Direction) -> list[QuestionAns
     """Every sharp answer's state along one direction, by full diagonalization.
 
     Independent of the recursion route on purpose.  The component operator
-    is diagonalized once and each answer in `system.m_values` takes its
-    nearest eigenvector.  The spectrum of a component operator is -j, ..., +j
-    with unit gaps, so nearest-eigenvalue selection is unambiguous; anything
-    else is reported as an error rather than silently picked.
+    is diagonalized once.  Its spectrum must be -j, ..., +j: each ascending
+    eigenvalue lies within 1e-6 of the ascending answer of the same index,
+    or the spectrum is reported as an error.  Answers are 1 apart, so answer
+    k then takes eigenvector k, its only eigenvalue that close.
     """
     dec = linalg.hermitian_eig(component_operator(system, direction))
-    states = []
-    for h in system.m_values.tolist():
-        gaps = np.abs(dec.eigenvalues - h)
-        idx = int(np.argmin(gaps))
-        if gaps[idx] > 1e-6:
-            raise RuntimeError(
-                f"no eigenvalue of the component operator is near {h}: "
-                f"closest is {dec.eigenvalues[idx]!r}"
-            )
-        others = np.delete(gaps, idx)
-        if others.size and float(others.min()) < 1e-3:
-            raise RuntimeError("ambiguous eigenvalue selection; spectrum degenerate?")
-        ket = linalg.fix_phase(dec.eigenvectors[:, idx])
-        states.append(QuestionAnswerState(system, direction, h, ket))
-    return states
+    answers = system.m_values
+    gaps = np.abs(dec.eigenvalues - answers)
+    worst = int(np.argmax(gaps))
+    if gaps[worst] > 1e-6:
+        raise RuntimeError(
+            f"the component operator's spectrum is not -j, ..., +j: eigenvalue {worst} "
+            f"is {dec.eigenvalues[worst]!r}, more than 1e-6 from the answer {answers[worst]}"
+        )
+    return [
+        QuestionAnswerState(system, direction, h, linalg.fix_phase(dec.eigenvectors[:, k]))
+        for k, h in enumerate(answers.tolist())
+    ]
 
 
 def eigenstate_oracle(

@@ -32,7 +32,9 @@ that the representation checkers read, so each refuses a model whose
 distinguished subgroup splits a level set, before any word scan.  Lemma 2
 is exact: an element fixes a basis function (overlap 1) iff it keeps that
 level.  A question state is a level index, each built label holding the
-levels permuted by one element, so Theorem 1 counts equal-level pairs.
+levels permuted by one element, so Theorem 1 counts equal-level pairs,
+exactly and with no tolerance.  That element is never the identity: it
+is built from two words with different images.
 The float functions (`HilbertBasis.functions`) are the tests' reference.
 """
 
@@ -54,7 +56,7 @@ import numpy as np
 # `inner` is unused here, but the benchmark tracer patches `symmetry.inner`;
 # it goes when the trace moves into the package.
 from .linalg import inner, norm
-from .report import VerificationReport, check_eps
+from .report import VerificationReport
 
 # Default breadth-first word enumeration depth.
 WORD_DEPTH_DEFAULT = 6
@@ -949,9 +951,9 @@ class QuestionStates:
     is exactly the basis function of level ``level`` (for the distinguished
     label, level ``i``), so each label's levels permute ``range(basis.dim)``.
     ``kappas`` maps each built label to the group element whose inverse
-    representation produced its states.  ``skipped`` lists labels without a
-    distinct-image word pair, and ``degenerate`` labels whose group element
-    is the identity.
+    representation produced its states; a built label's kappa is never the
+    identity, because its word pair has two different images.  ``skipped``
+    lists labels without a distinct-image word pair.
     """
 
     basis: HilbertBasis
@@ -959,7 +961,6 @@ class QuestionStates:
     states: tuple
     kappas: Mapping[str, tuple]
     skipped: tuple
-    degenerate: tuple
 
 
 def build_question_states(
@@ -989,7 +990,6 @@ def build_question_states(
     labels = [model.distinguished]
     kappas: dict[str, tuple] = {model.distinguished: identity}
     skipped = []
-    degenerate = []
     states = [(model.distinguished, i, i) for i in range(basis.dim)]
 
     for label in sorted(model.labels):
@@ -1007,8 +1007,6 @@ def build_question_states(
         (_, image_1), (_, image_2) = finding.words
         kappa = compose_permutations(_invert(image_1), image_2)
         kappas[label] = kappa
-        if kappa == identity:
-            degenerate.append(label)
         labels.append(label)
         states.extend((label, i, level) for i, level in enumerate(actions[_invert(kappa)]))
 
@@ -1018,7 +1016,6 @@ def build_question_states(
         states=tuple(states),
         kappas=kappas,
         skipped=tuple(skipped),
-        degenerate=tuple(degenerate),
     )
 
 
@@ -1033,7 +1030,10 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
     (ii) every variable's value range maps bijectively onto the
     distinguished range under the relabeling induced by the transfer chain,
     and (iii) each subgroup generator permutes its own variable's level
-    sets.  Violations are witness records, never exceptions.
+    sets.  The chain is a bijection of the points, so the value images
+    cover the distinguished range: a relabeling that is a function and
+    injective is onto it.  Violations are witness records, never
+    exceptions.
     """
     witnesses: list[dict] = []
     violations = {"transfer": 0, "relabeling": 0, "partition": 0}
@@ -1063,7 +1063,6 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
                 )
 
     theta_zero = model.theta(model.distinguished)
-    zero_values = sorted(set(theta_zero))
     for label in model.labels:
         if label == model.distinguished:
             continue
@@ -1115,17 +1114,6 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
                             "image": image,
                         },
                     )
-            if sorted(relabeling.values()) != zero_values and not broken:
-                broken = True
-                violation(
-                    "relabeling",
-                    {
-                        "violation": "relabeling_range_mismatch",
-                        "variable": label,
-                        "range": sorted(set(relabeling.values())),
-                        "distinguished_range": zero_values,
-                    },
-                )
         if not broken:
             witnesses.append(
                 {
@@ -1385,23 +1373,20 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
 
 
 def verify_theorem1(
-    model: FiniteSymmetryModel,
-    max_len: int = WORD_DEPTH_DEFAULT,
-    eps: float = 1e-9,
+    model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT
 ) -> VerificationReport:
     """Orthonormality and pairwise distinctness of the built states.
 
     Each state is a level index, and each label's states permute the
     levels, so they are orthonormal per label (``max_gram_defect`` is 0.0)
     and two states coincide, with overlap 1.0, exactly when they share a
-    level; every other overlap is 0.0, so ``eps`` is validated but cannot
-    change the result.  Each level is held once by every one of the L
-    built labels, so the d levels force d*C(L,2) collisions and, with
-    L >= 2, the verdict fails.  Collisions are listed in row-major order of
-    the pairs.  With no non-distinguished label built the verdict is
+    level; every other overlap is 0.0, so the check is exact and takes no
+    tolerance.  Each level is held once by every one of the L built
+    labels, so the d levels force d*C(L,2) collisions and, with L >= 2,
+    the verdict fails.  Collisions are listed in row-major order of the
+    pairs.  With no non-distinguished label built the verdict is
     undetermined.
     """
-    check_eps(eps)
     built = build_question_states(model, max_len)
     others = [label for label in built.labels if label != model.distinguished]
     if not others:
@@ -1430,11 +1415,6 @@ def verify_theorem1(
         f"the {count} built labels holds the {dim} level states in some order, "
         f"so {dim}*C({count},2) = {dim * math.comb(count, 2)} collisions are forced"
     ]
-    if built.degenerate:
-        notes_parts.append(
-            "degenerate labels with identity group element: "
-            + ", ".join(built.degenerate)
-        )
     if built.skipped:
         notes_parts.append(
             "skipped: " + "; ".join(f"{label}: {reason}" for label, reason in built.skipped)

@@ -15,6 +15,7 @@ import math
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,26 @@ def evar_inputs(draw) -> tuple[list[float], list[float] | None]:
     return values, [draw(st.sampled_from(levels)) for _ in values]
 
 
+# Signed magnitudes on both sides of the largest float's square root.  Any
+# two are separated unless 1e200 is among them, and then the squares
+# overflow first.
+HUGE_OUTCOMES = st.sampled_from((1e153, 9e153, 1e154, 1.2e154, 1.3e154, 1e200)).flatmap(
+    lambda m: st.sampled_from((m, -m))
+)
+
+
+@st.composite
+def huge_evar_argvs(draw) -> list[str]:
+    """An evar command over huge outcomes, its map drawn from them too."""
+    values = sorted(draw(st.lists(HUGE_OUTCOMES, min_size=1, max_size=3, unique=True)))
+    command = draw(st.sampled_from(("maximal", "coarse-grain")))
+    argv = ["evar", command, f"--values={','.join(map(repr, values))}"]
+    if command == "coarse-grain" or draw(st.booleans()):
+        mapped = draw(st.lists(HUGE_OUTCOMES, min_size=len(values), max_size=len(values)))
+        argv.append(f"--map={','.join(map(repr, mapped))}")
+    return argv
+
+
 class TestEvarCommands:
     def test_coarse_grain_merges(self, capsys):
         code, payload, _ = run_json(
@@ -397,6 +418,26 @@ class TestEvarCommands:
     def test_bad_inputs_exit_2(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(argv=huge_evar_argvs())
+    # Each passed the value checks and was then refused by the eigensolver.
+    @example(argv=["evar", "maximal", "--values=1,1e200"])
+    @example(argv=["evar", "coarse-grain", "--values=1,2", "--map=1,1e200"])
+    @example(argv=["evar", "maximal", "--values=1,2,3", "--map=1e154,1e154,1e154"])
+    def test_overflow_is_refused_at_its_flag(self, argv):
+        # A flag's list is refused iff its squares, with multiplicity, sum
+        # past the largest float; 1e-12 covers the rounding of that sum.
+        code, out, err = run_in_process(argv)
+        largest = Fraction(sys.float_info.max)
+        for flag, text in (item.split("=", 1) for item in argv[2:]):
+            total = sum(Fraction(float(t)) ** 2 for t in text.split(","))
+            if code == 2 and err.startswith(f"error: {flag}: "):
+                assert "their squares sum to inf" in err
+                assert total > largest * (1 - Fraction(1, 10**12)), err
+                return
+            assert total < largest * (1 + Fraction(1, 10**12)), err
+        assert code == 0, err
 
     @settings(max_examples=200, deadline=None)
     @given(inputs=evar_inputs())
@@ -798,20 +839,6 @@ class TestExitContract:
 # the --eps contract
 
 
-def theorem1_argv(eps: float) -> list[str]:
-    return ["symmetry", "theorem1", "--model", "structural_example", "--eps", repr(eps)]
-
-
-def collision_pairs(report) -> list[tuple]:
-    return [(w["a"], w["i"], w["b"], w["j"]) for w in report["witnesses"]]
-
-
-@pytest.fixture(scope="module")
-def default_collision_pairs():
-    _, out, _ = run_in_process(theorem1_argv(cli.DEFAULT_EPS))
-    return collision_pairs(json.loads(out)["reports"][-1])
-
-
 class TestEpsContract:
     @pytest.mark.parametrize(
         "eps", ["5e-324", "1e-300", "1e-16", "3e-16", "1e-9", "0.5", "0.9999999999999999"]
@@ -822,9 +849,8 @@ class TestEpsContract:
             ("spin", "verify", "--j", "1.5", "--samples", "2"),
             ("spin", "overlap", "--j", "1.5", "--samples", "3"),
             ("qubit", "prop2", "--samples", "3"),
-            ("symmetry", "theorem1", "--model", "structural_example"),
         ],
-        ids=["spin_verify", "spin_overlap", "qubit_prop2", "symmetry_theorem1"],
+        ids=["spin_verify", "spin_overlap", "qubit_prop2"],
     )
     def test_valid_eps_never_exits_2(self, argv, eps):
         code, out, err = run_in_process([*argv, "--eps", eps])
@@ -832,20 +858,18 @@ class TestEpsContract:
         verdicts = [r["verdict"] for r in json.loads(out)["reports"]]
         assert (code == 1) == ("fail" in verdicts)
 
-    @settings(max_examples=100, deadline=1000)
-    @given(eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=True))
-    @example(eps=5e-324)
-    @example(eps=1e-16)
-    @example(eps=3e-16)
-    @example(eps=0.9999999999999999)
-    def test_theorem1_collisions_do_not_depend_on_eps(self, default_collision_pairs, eps):
-        # The question states are exact unit vectors, so every overlap is 0 or 1.
-        code, out, _ = run_in_process(theorem1_argv(eps))
-        assert code == 1
-        theorem1 = json.loads(out)["reports"][-1]
-        assert theorem1["metrics"]["collisions"] == 18
-        assert len(default_collision_pairs) == 18
-        assert collision_pairs(theorem1) == default_collision_pairs
+    # The values the flag once accepted: none of them is taken now.
+    @pytest.mark.parametrize(
+        "eps", ["5e-324", "1e-300", "1e-16", "3e-16", "1e-9", "0.5", "0.9999999999999999"]
+    )
+    def test_theorem1_takes_no_eps(self, eps):
+        # Theorem 1 counts equal-level pairs exactly, so it has no tolerance.
+        code, out, err = run_in_process(
+            ["symmetry", "theorem1", "--model", "structural_example", "--eps", eps]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--eps" in err
 
 
 # ---------------------------------------------------------------------------
@@ -951,58 +975,79 @@ class TestRenderPayload:
 # Boundary tokens every number or list flag may draw: non-finite,
 # overflowing, signed zero, not a number, empty.
 BOUNDARY = ("nan", "inf", "-inf", "1e308", "-1e308", "-0.0", "0", "1", "x", "")
-# Evar values around the separation threshold at scale 1 and 1e6.
+# Evar values around the separation threshold at scale 1 and 1e6, and
+# values of which any set is separated.
 EVAR_VALUES = (
     "1", "1.0000000005", "1.000000002", "2", "1000000", "1000000.0005", "1000000.002",
 )
+SEPARATED_VALUES = ("-3", "1", "2", "1000000", "1000000.002")
 
 
-def tokens(*valid: str):
-    """A flag's text: one of its ``valid`` tokens, or a boundary token."""
-    return st.sampled_from(valid) | st.sampled_from(BOUNDARY)
+def tokens(valid, invalid=()):
+    """A flag's text as a (well-formed, any) pair of strategies: one of the
+    ``valid`` tokens, or that or an ``invalid`` or boundary token."""
+    good = st.sampled_from(valid)
+    return good, good | st.sampled_from(invalid + BOUNDARY)
 
 
 def evar_lists(ascending: bool):
-    """Comma-joined evar values, ascending for ``--values``; an empty list
-    is the empty string."""
-    lists = st.lists(st.sampled_from(EVAR_VALUES), min_size=1, max_size=4, unique=ascending)
-    if ascending:
-        lists = lists.map(lambda items: sorted(items, key=float))
-    return lists.map(",".join) | st.lists(st.sampled_from(BOUNDARY), max_size=3).map(",".join)
+    """Comma-joined evar values, ascending for ``--values``.  A well-formed
+    list has three separated values, so a well-formed map fits it; any
+    other list has up to four values near the threshold, or holds boundary
+    tokens (an empty list is the empty string)."""
+
+    def joined(values, min_size: int, max_size: int):
+        lists = st.lists(
+            st.sampled_from(values), min_size=min_size, max_size=max_size, unique=ascending
+        )
+        if ascending:
+            lists = lists.map(lambda items: sorted(items, key=float))
+        return lists.map(",".join)
+
+    good = joined(SEPARATED_VALUES, 3, 3)
+    return good, good | joined(EVAR_VALUES, 1, 4) | st.lists(
+        st.sampled_from(BOUNDARY), max_size=3
+    ).map(",".join)
 
 
 # How often a flag is given: a required flag is sometimes left out, an
 # optional one half the time, and --samples always, because the defaults
-# run 100 or more samples.
+# run 100 or more samples.  A well-formed argv gives every required flag.
 REQUIRED, OPTIONAL, ALWAYS = "required", "optional", "always"
 SAMPLING_FLAGS = (
-    ("--samples", tokens("1", "2", "-1", "1.5"), ALWAYS),
-    ("--eps", tokens("1e-9", "0.5", "5e-324", "0.9999999999999999"), OPTIONAL),
-    ("--seed", tokens("7", str(2**64 - 1), str(2**64), "-1"), OPTIONAL),
+    ("--samples", tokens(("1", "2"), ("-1", "1.5")), ALWAYS),
+    ("--eps", tokens(("1e-9", "0.5", "5e-324", "0.9999999999999999")), OPTIONAL),
+    ("--seed", tokens(("7", str(2**64 - 1)), (str(2**64), "-1")), OPTIONAL),
 )
 # Spin magnitudes: valid, off the half-integer grid, and just past 25.
-J_FLAG = ("--j", tokens("0.5", "2.5", "4", "25", "25.5", "26"), REQUIRED)
+J_FLAG = ("--j", tokens(("0.5", "2.5", "4", "25"), ("25.5", "26")), REQUIRED)
+UNIT_DIRS = st.sampled_from(("0,0,1", "0.6,0,0.8", "0,-1,0", "-0.0,0,1"))
 DIR_FLAG = (
     "--dir",
-    st.sampled_from(("0,0,1", "0.6,0,0.8", "0,-1,0", "-0.0,0,1"))
-    | st.lists(st.sampled_from(BOUNDARY), min_size=3, max_size=3).map(",".join)
-    | st.sampled_from(("1,0", "0,0,1,0")),
+    (
+        UNIT_DIRS,
+        UNIT_DIRS
+        | st.lists(st.sampled_from(BOUNDARY), min_size=3, max_size=3).map(",".join)
+        | st.sampled_from(("1,0", "0,0,1,0")),
+    ),
     REQUIRED,
 )
 VALUES_FLAG = ("--values", evar_lists(True), REQUIRED)
 MAP_TEXT = evar_lists(False)
 MODEL_FLAGS = (
-    ("--model", st.sampled_from(
-        ("structural_example", "designed_failure", "no_such_model", "no/such/model.json", "")
-    ), REQUIRED),
-    ("--max-word-len", tokens("2", "1000000", "-1", "1.5"), OPTIONAL),
+    (
+        "--model",
+        tokens(("structural_example", "designed_failure"), ("no_such_model", "no/such/model.json")),
+        REQUIRED,
+    ),
+    ("--max-word-len", tokens(("2", "1000000"), ("-1", "1.5")), OPTIONAL),
 )
 # Each subcommand's flags.  spin verify runs the Jacobi oracle once per
 # answer, so it keeps to valid j <= 4; report never gets --golden, since
 # the battery runs for seconds and has its own tests.
 ARGV_FLAGS = {
-    ("spin", "state"): (J_FLAG, DIR_FLAG, ("--h", tokens("0.5", "-2.5", "4", "0.25"), REQUIRED)),
-    ("spin", "verify"): (("--j", tokens("0.5", "2.5", "4", "25.5", "26"), REQUIRED), *SAMPLING_FLAGS),
+    ("spin", "state"): (J_FLAG, DIR_FLAG, ("--h", tokens(("0.5", "-2.5", "4"), ("0.25",)), REQUIRED)),
+    ("spin", "verify"): (("--j", tokens(("0.5", "2.5", "4"), ("25.5", "26")), REQUIRED), *SAMPLING_FLAGS),
     ("spin", "catalog"): (J_FLAG, DIR_FLAG),
     ("spin", "overlap"): (J_FLAG, *SAMPLING_FLAGS),
     ("qubit", "bloch"): (DIR_FLAG,),
@@ -1011,7 +1056,7 @@ ARGV_FLAGS = {
     ("evar", "maximal"): (VALUES_FLAG, ("--map", MAP_TEXT, OPTIONAL)),
     ("symmetry", "check"): MODEL_FLAGS,
     ("symmetry", "assumptions"): MODEL_FLAGS,
-    ("symmetry", "theorem1"): (*MODEL_FLAGS, SAMPLING_FLAGS[1]),
+    ("symmetry", "theorem1"): MODEL_FLAGS,
     ("report",): (SAMPLING_FLAGS[2],),
 }
 # Every name an exit-2 line may cite.
@@ -1024,12 +1069,16 @@ FLAG_NAMES = (
 @st.composite
 def cli_argvs(draw) -> list[str]:
     """One subcommand with some of its flags, each as ``--flag=token`` so
-    that a token such as ``-1`` is never read as an option."""
+    that a token such as ``-1`` is never read as an option.  Half the
+    argvs are well-formed: every flag given takes a valid token, so more
+    runs get past parsing to a report."""
     command = draw(st.sampled_from(sorted(ARGV_FLAGS)))
+    well_formed = draw(st.sampled_from((True, False)))
     argv = list(command)
-    for flag, text, presence in ARGV_FLAGS[command]:
-        if presence == ALWAYS or draw(st.integers(0, 4 if presence == REQUIRED else 1)):
-            argv.append(f"{flag}={draw(text)}")
+    for flag, (good, text), presence in ARGV_FLAGS[command]:
+        given = presence == ALWAYS or (well_formed and presence == REQUIRED)
+        if given or draw(st.integers(0, 4 if presence == REQUIRED else 1)):
+            argv.append(f"{flag}={draw(good if well_formed else text)}")
     return argv
 
 

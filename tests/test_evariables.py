@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qastates import evariables as ev
 from qastates import linalg, spin
@@ -214,6 +216,57 @@ class TestMaximalAccessibility:
         assert not ev.is_maximally_accessible(merged)
         _, kept = ev.coarse_grain(spec, {v: 2.0 * v for v in spec.values})
         assert ev.is_maximally_accessible(kept)
+
+
+# Any float, or one whose square lies near the largest float.
+OUTCOMES = st.floats() | st.sampled_from((9e153, -1e154, 1.2e154, 1.3e154, -1.4e154, 1e200))
+
+
+class TestAcceptedRange:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(OUTCOMES, min_size=1, max_size=4),
+        mapped=st.lists(OUTCOMES, min_size=4, max_size=4),
+    )
+    def test_accepted_operators_can_be_diagonalized(self, values, mapped):
+        # Values are accepted iff their squares sum to a finite float, the
+        # squared Frobenius norm that the eigensolver requires to be finite.
+        values = sorted(values)
+        try:
+            spec = ev.EVariableSpec.standard("theta", values)
+        except ValueError as exc:
+            if "squares sum to" in str(exc):
+                with pytest.raises(ValueError, match="Frobenius norm"):
+                    linalg.hermitian_eig(np.diag(values))
+            return
+        linalg.hermitian_eig(ev.operator_from_maximal(spec))
+        outputs = mapped[: spec.dim]
+        try:
+            _, a = ev.coarse_grain(spec, dict(zip(spec.values, outputs)))
+        except ValueError as exc:
+            if "squares sum to" in str(exc):
+                with pytest.raises(ValueError, match="Frobenius norm"):
+                    linalg.hermitian_eig(np.diag(outputs))
+            return
+        linalg.hermitian_eig(a)
+
+    def test_values_whose_squares_overflow_are_refused(self):
+        with pytest.raises(ValueError, match=r"^values overflow or non-finite: their squares sum to inf$"):
+            ev.EVariableSpec.standard("theta", (1.0, 1e200))
+        # 1e154 squared is finite, and so is 1 + 1e308.
+        ev.EVariableSpec.standard("theta", (1.0, 1e154))
+
+    def test_map_outputs_count_with_multiplicity(self):
+        # One coarse value 1e154, but three basis directions carry it, so
+        # the merged operator's squared entries sum to 3e308.
+        spec = ev.EVariableSpec.standard("theta", (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError, match=r"^outcome map values overflow or non-finite: "):
+            ev.coarse_grain(spec, {1.0: 1e154, 2.0: 1e154, 3.0: 1e154})
+        with pytest.raises(ValueError, match="Frobenius norm"):
+            linalg.hermitian_eig(np.diag([1e154] * 3))
+        cg, a = ev.coarse_grain(spec, {1.0: 1e154, 2.0: 1.0, 3.0: 1.0})
+        assert cg.coarse_values == (1.0, 1e154)
+        linalg.hermitian_eig(a)
 
 
 class TestInterpret:

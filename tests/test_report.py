@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from qastates import qubit, spin, symmetry
+from qastates import qubit, spin
 from qastates.report import VerificationReport, check_eps, summarize
 
 
@@ -34,8 +34,6 @@ class TestSummarize:
         assert summarize([]) == ""
 
 
-STRUCTURAL = symmetry.load_model(symmetry.bundled_model_path("structural_example"))
-
 VERIFIERS = {
     "verify_eigenstates": lambda eps: spin.verify_eigenstates(
         spin.SpinSystem(1.0), samples=1, eps=eps
@@ -47,7 +45,6 @@ VERIFIERS = {
         spin.SpinSystem(1.0), samples=1, eps=eps
     ),
     "verify_prop2": lambda eps: qubit.verify_prop2(samples=1, eps=eps),
-    "verify_theorem1": lambda eps: symmetry.verify_theorem1(STRUCTURAL, eps=eps),
 }
 
 

@@ -325,6 +325,26 @@ def degenerate_eig(eigenvalues):
     return fake
 
 
+def per_answer_columns(eigenvalues, answers):
+    """The columns the per-answer search picked: each answer its nearest
+    eigenvalue, refused when none lies within 1e-6 or another within 1e-3."""
+    columns = []
+    for h in answers:
+        gaps = np.abs(eigenvalues - h)
+        idx = int(np.argmin(gaps))
+        others = np.delete(gaps, idx)
+        if gaps[idx] > 1e-6 or (others.size and float(others.min()) < 1e-3):
+            return None
+        columns.append(idx)
+    return columns
+
+
+# Offsets of an eigenvalue from its answer, on both sides of 1e-6 and 1e-3.
+SPECTRUM_OFFSETS = st.sampled_from(
+    (0.0, 1e-12, 5e-7, 9.99e-7, 1e-6, 1.01e-6, 5e-4, 1e-3, 0.3, 0.5, 1.0)
+).flatmap(lambda x: st.sampled_from((x, -x)))
+
+
 class TestOracleCatalog:
     # One random direction at j=12.5: the per-answer path costs 26 Jacobi
     # runs at d=26 per direction.
@@ -357,16 +377,42 @@ class TestOracleCatalog:
 
     def test_ambiguous_spectrum_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "hermitian_eig", degenerate_eig([-0.5, -0.5 + 1e-4]))
-        with pytest.raises(RuntimeError, match="ambiguous"):
+        with pytest.raises(RuntimeError, match=r"not -j, \.\.\., \+j: eigenvalue 1 "):
             spin.oracle_catalog(SpinSystem(0.5), X)
-        with pytest.raises(RuntimeError, match="ambiguous"):
+        with pytest.raises(RuntimeError, match=r"not -j, \.\.\., \+j: eigenvalue 1 "):
             spin.eigenstate_oracle(SpinSystem(0.5), X, -0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(j=st.sampled_from((0.5, 1.0, 1.5, 3.0)), data=st.data())
+    def test_same_spectra_and_columns_as_per_answer_search(self, j, data):
+        # Answers are 1 apart, so checking eigenvalue k against answer k
+        # accepts what the per-answer search accepted and picks its columns.
+        system = SpinSystem(j)
+        answers = system.m_values
+        offsets = data.draw(st.lists(SPECTRUM_OFFSETS, min_size=answers.size, max_size=answers.size))
+        eigenvalues = np.sort(answers + np.array(offsets))
+        columns = per_answer_columns(eigenvalues, answers)
+        # The true eigenvectors under the drawn spectrum, so that a picked
+        # column still passes the state's residual check.
+        vectors = linalg.hermitian_eig(spin.component_operator(system, X)).eigenvectors
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                linalg, "hermitian_eig", lambda a: linalg.EigenDecomposition(eigenvalues, vectors)
+            )
+            if columns is None:
+                with pytest.raises(RuntimeError, match=r"not -j, \.\.\., \+j: eigenvalue "):
+                    spin.oracle_catalog(system, X)
+                return
+            states = spin.oracle_catalog(system, X)
+        assert [s.answer for s in states] == answers.tolist()
+        for state, column in zip(states, columns):
+            assert np.array_equal(state.ket, linalg.fix_phase(vectors[:, column]))
 
     def test_missing_eigenvalue_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "hermitian_eig", degenerate_eig([0.3, 0.4]))
-        with pytest.raises(RuntimeError, match="no eigenvalue"):
+        with pytest.raises(RuntimeError, match=r"not -j, \.\.\., \+j: eigenvalue 0 "):
             spin.oracle_catalog(SpinSystem(0.5), X)
-        with pytest.raises(RuntimeError, match="no eigenvalue"):
+        with pytest.raises(RuntimeError, match=r"not -j, \.\.\., \+j: eigenvalue 0 "):
             spin.eigenstate_oracle(SpinSystem(0.5), X, 0.5)
 
 

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qastates import linalg
 from qastates import symmetry as sym
@@ -640,7 +642,7 @@ class TestValidateModel:
         assert report.verdict == "fail"
         kinds = {w.get("violation") for w in report.witnesses}
         assert "transfer_relation" in kinds
-        assert kinds & {"relabeling_not_injective", "relabeling_range_mismatch"}
+        assert "relabeling_not_injective" in kinds
 
     def test_partition_violation_reported(self):
         model = sym.FiniteSymmetryModel(
@@ -1102,7 +1104,6 @@ class TestQuestionStates:
         assert built.kappas["1"] == left(RHO)
         assert built.kappas["2"] == left(RHO)
         assert built.skipped == ()
-        assert built.degenerate == ()
 
     def test_states_are_permuted_basis_vectors(self, structural):
         built = sym.build_question_states(structural)
@@ -1335,14 +1336,10 @@ class TestTheorem1:
             "(the model has no variable besides the distinguished one)"
         )
 
-    def test_eps_validated(self, structural):
-        with pytest.raises(ValueError, match="eps"):
-            sym.verify_theorem1(structural, eps=0.0)
-
     @pytest.mark.parametrize("eps", [1e-9, 0.5])
     def test_matches_pairwise_reference(self, eps):
         for name, model in family().items():
-            report = sym.verify_theorem1(model, eps=eps)
+            report = sym.verify_theorem1(model)
             if report.verdict == "undetermined":
                 assert name == "designed_failure"
                 continue
@@ -1350,6 +1347,18 @@ class TestTheorem1:
             assert report.metrics["max_gram_defect"] == pytest.approx(defect, abs=1e-15), name
             assert report.metrics["collisions"] == len(witnesses), name
             assert len(report.witnesses) == min(len(witnesses), 32), name
+            for got, want in zip(report.witnesses, witnesses):
+                assert got == {**want, "overlap": pytest.approx(want["overlap"], abs=1e-15)}
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_matches_pairwise_reference_beyond_the_family(self, n):
+        # Larger dihedral groups, at the default depth and at depth 3.
+        model = dihedral_model(n)
+        for max_len in (sym.WORD_DEPTH_DEFAULT, 3):
+            report = sym.verify_theorem1(model, max_len)
+            defect, witnesses = reference_theorem1(model, max_len, 1e-9)
+            assert report.metrics["max_gram_defect"] == pytest.approx(defect, abs=1e-15)
+            assert report.metrics["collisions"] == len(witnesses)
             for got, want in zip(report.witnesses, witnesses):
                 assert got == {**want, "overlap": pytest.approx(want["overlap"], abs=1e-15)}
 
@@ -1362,3 +1371,88 @@ class TestTheorem1:
         assert [(w["a"], w["i"], w["b"], w["j"]) for w in report.witnesses] == [
             (w["a"], w["i"], w["b"], w["j"]) for w in witnesses[:32]
         ]
+
+
+# ---------------------------------------------------------------------------
+# branches that the model structure rules out
+
+
+NONTRIVIAL_S3 = S3[1:]
+
+
+@st.composite
+def small_models(draw):
+    """Random models on at most 6 points with 2 to 4 variables.
+
+    Half are coherent: points (x, c) with x < 3 and c a copy bit, K0
+    generated by two non-identity elements of S_3 acting on x, the
+    distinguished variable reading x, transfers inside K0 and every other
+    variable and subgroup carried along its transfer chain, so that word
+    pairs exist and labels get built.  The other half draw the values,
+    generators and transfers at random, and a transfer is sometimes left
+    out, so relabelings also fail or go unreached.
+    """
+    coherent = draw(st.booleans())
+    if coherent:
+        copies = draw(st.integers(1, 2))
+        size = 3 * copies
+        k0 = [
+            tuple(g[p // copies] * copies + p % copies for p in range(size))
+            for g in draw(st.lists(st.sampled_from(NONTRIVIAL_S3), min_size=2, max_size=2))
+        ]
+        theta0 = tuple(p // copies for p in range(size))
+    else:
+        size = draw(st.integers(1, 6))
+        k0 = draw(st.lists(st.permutations(range(size)).map(tuple), max_size=2))
+        theta0 = tuple(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)))
+    perms = st.permutations(range(size)).map(tuple)
+    labels = [str(i) for i in range(draw(st.integers(2, 4)))]
+    thetas, gens, transfers = {"0": theta0}, {"0": k0}, {}
+    forward = {"0": tuple(range(size))}
+    for pos, b in enumerate(labels[1:], 1):
+        a = labels[draw(st.integers(0, pos - 1))]
+        if coherent:
+            perm = tuple(range(size))
+            for g in draw(st.lists(st.sampled_from(k0), min_size=1, max_size=3)):
+                perm = mul(g, perm)
+        else:
+            perm = draw(perms)
+        forward[b] = mul(forward[a], perm)
+        if coherent or draw(st.integers(0, 4)):
+            transfers[(a, b)] = perm
+        if coherent or draw(st.booleans()):
+            thetas[b] = tuple(thetas[a][perm[p]] for p in range(size))
+        else:
+            thetas[b] = tuple(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size)))
+        if coherent:
+            backward = tuple(sorted(range(size), key=forward[b].__getitem__))
+            gens[b] = [mul(backward, mul(g, forward[b])) for g in k0]
+        else:
+            gens[b] = draw(st.lists(perms, max_size=2))
+    return sym.FiniteSymmetryModel(
+        size, tuple((label, thetas[label]) for label in labels), "0", gens, transfers
+    )
+
+
+class TestUnreachableBranches:
+    @settings(max_examples=150, deadline=None)
+    @given(model=small_models())
+    def test_kappas_and_relabelings(self, model):
+        # A built label's kappa comes from two words with different images,
+        # so it is never the identity.
+        try:
+            built = sym.build_question_states(model)
+        except ValueError:  # K0 splits a level, or a letter leaves K0
+            built = None
+        if built is not None:
+            for label in built.labels[1:]:
+                assert built.kappas[label] != tuple(range(model.phi_size))
+        # The transfer chain is a bijection of the points, so a relabeling
+        # that is a function and injective is onto the distinguished range.
+        zero_range = sorted(set(model.theta("0")))
+        for witness in sym.validate_model(model).witnesses:
+            if "relabeling" in witness:
+                relabeling = witness["relabeling"]
+                own_range = sorted(set(model.theta(witness["variable"])))
+                assert sorted(int(v) for v in relabeling) == own_range
+                assert sorted(relabeling.values()) == zero_range
