@@ -3,10 +3,11 @@
 Subcommands mirror the library: ``spin`` builds and checks component
 eigenstates, ``qubit`` covers the two-level geometry, ``evar`` the
 coarse-graining of accessible variables, ``symmetry`` the finite-model
-checkers, and ``report --golden`` regenerates the full deterministic
-battery.  Each handler returns ``(payload, reports, summary)``: structured
-JSON goes to stdout (or ``--out``) with a stable field order, and the
-summary, written by the handler that built the payload, goes to stderr.
+checkers, and ``report --golden`` prints the full deterministic battery
+(it regenerates no file).  Each handler returns ``(payload, reports,
+summary)``: structured JSON goes to stdout (or ``--out``) with a stable
+field order, and the summary, written by the handler that built the
+payload, goes to stderr.
 Each flag is checked once, by its argparse type; ``--j`` is checked by
 :class:`spin.SpinSystem` itself.  The argument parser is built once per
 process: every ``main`` call parses into a fresh namespace, so in-process
@@ -285,7 +286,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_symmetry)
 
     p = top.add_parser("report", help="emit the full verification battery")
-    p.add_argument("--golden", action="store_true", help="regenerate the golden battery")
+    p.add_argument(
+        "--golden",
+        action="store_true",
+        required=True,
+        help="print the golden battery (required; regenerates nothing)",
+    )
     p.add_argument("--seed", type=_seed_argument, default=DEFAULT_SEED)
     _add_out(p)
     p.set_defaults(handler=_cmd_report)
@@ -537,8 +543,6 @@ def golden_battery(seed: int = DEFAULT_SEED) -> tuple[dict, list]:
 
 
 def _cmd_report(args) -> tuple[dict, list, str]:
-    if not args.golden:
-        raise ValueError("report requires --golden")
     payload, reports = golden_battery(args.seed)
     return payload, reports, summarize(reports)
 

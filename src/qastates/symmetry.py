@@ -23,7 +23,12 @@ kappas, whose products the benchmark counts as
 `symmetry.compose_permutations` calls.  A closure stops past
 `CLOSURE_LIMIT` elements with an error naming its generators' model-file
 field.  The word scan runs once per (model, depth) and its read-only result
-is shared by every checker.
+is shared by every checker.  It runs on the model's one group index
+(:class:`GroupIndex`): each permutation is interned to an int once, the
+identity being 0, and each right factor keeps a memo from element id to
+product id, so every (element, letter) product is composed once per model.
+The scan's states are ints; they become permutations again only in the
+returned :class:`WordScan`.
 The distinguished subgroup acts on the level span by permuting the level
 indicators.  Each model builds one level structure, once: the level basis
 and a level permutation per distinguished-subgroup element
@@ -186,6 +191,47 @@ def _closure(gens: Sequence[tuple], size: int, field: str) -> tuple:
     return tuple(sorted(seen))
 
 
+class _RightProducts(dict):
+    """Ids of the products ``a * g`` for one right factor ``g``, keyed by the
+    id of ``a`` and composed on first lookup."""
+
+    def __init__(self, index: "GroupIndex", factor: tuple) -> None:
+        super().__init__()
+        self.index, self.factor = index, factor
+
+    def __missing__(self, a: int) -> int:
+        product = self[a] = self.index.intern(_compose(self.index.elements[a], self.factor))
+        return product
+
+
+class GroupIndex:
+    """Permutations of one model interned to ints, with memoized products.
+
+    ``elements[i]`` is the permutation with id ``i``, and ``ids`` maps it
+    back; the identity is id 0.  ``times(g)`` is the product memo of one
+    right factor ``g``: it maps the id of ``a`` to the id of ``a * g``,
+    composing each product only the first time it is looked up.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.elements = [identity_permutation(size)]
+        self.ids = {self.elements[0]: 0}
+        self.memos: dict[tuple, _RightProducts] = {}
+
+    def intern(self, perm: tuple) -> int:
+        """The id of a permutation already validated on the model's points."""
+        if perm not in self.ids:
+            self.ids[perm] = len(self.elements)
+            self.elements.append(perm)
+        return self.ids[perm]
+
+    def times(self, g: tuple) -> _RightProducts:
+        """The product memo of right multiplication by ``g``."""
+        if g not in self.memos:
+            self.memos[g] = _RightProducts(self, g)
+        return self.memos[g]
+
+
 # ---------------------------------------------------------------------------
 # model
 
@@ -331,11 +377,9 @@ class FiniteSymmetryModel:
         return {}
 
     @cached_property
-    def _element_index(self) -> dict[str, dict[tuple, int]]:
-        return {
-            label: {perm: idx for idx, perm in enumerate(elements)}
-            for label, elements in self._subgroups.items()
-        }
+    def _group_index(self) -> GroupIndex:
+        """The model's one group index, shared by its word scans."""
+        return GroupIndex(self.phi_size)
 
     @cached_property
     def full_group(self) -> tuple:
@@ -459,7 +503,7 @@ class FiniteSymmetryModel:
             if stack and stack[-1][0] == label:
                 prev_label, prev_idx = stack.pop()
                 merged = _compose(elements[prev_idx], elements[idx])
-                midx = self._element_index[label][merged]
+                midx = elements.index(merged)
                 if midx != 0:
                     stack.append((label, midx))
             else:
@@ -753,49 +797,61 @@ def _enumerate_words(model: FiniteSymmetryModel, max_len: int) -> WordScan:
     sorted, the queue holds words in (length, letter) order, so the first
     word recorded for an (element, image) pair is the first one in that
     order, and ``first_words`` is filled in that order too.
+
+    States hold group-index ids (the identity is 0), stepped through each
+    letter's product memos; they become permutations again only here, in
+    the returned scan, in the order they were recorded.
     """
-    identity = identity_permutation(model.phi_size)
-    alphabet: list[tuple[str, int, tuple, tuple]] = []
+    index = model._group_index
+    # Per subgroup, in label order: the (element, image) ids reached with its
+    # letter last, and its letters as (position in the subgroup, element
+    # memo, image memo).
+    groups = []
     for label in sorted(model.labels):
         elements = model.subgroup(label)
         if len(elements) > 1:
             images = model._images_for(label)
-            for idx in range(1, len(elements)):
-                alphabet.append((label, idx, elements[idx], images[idx]))
+            row = [
+                (idx, index.times(elements[idx]), index.times(images[idx]))
+                for idx in range(1, len(elements))
+            ]
+            groups.append((label, set(), row))
 
-    start = (identity, identity, None)
-    seen = {start}
-    first_words: dict[tuple, tuple] = {(identity, identity): ()}
-    fibers: dict[tuple, set] = {identity: {identity}}
-    kernel_words: list[tuple] = []
+    first_ids: dict[tuple, tuple] = {(0, 0): ()}
+    kernel_ids: list[tuple] = []
     kernel_count = 0
     visited = 1
     deepest = 0
-    queue = deque([((), identity, identity, None)])
+    queue = deque([((), 0, 0, None)])
     while queue:
         letters, element, image, last = queue.popleft()
         if len(letters) == max_len:
             continue
-        for label, idx, perm, perm_image in alphabet:
+        for label, seen, row in groups:
             if label == last:
                 continue
-            state = (_compose(element, perm), _compose(image, perm_image), label)
-            if state in seen:
-                continue
-            seen.add(state)
-            new_letters = letters + ((label, idx),)
-            visited += 1
-            deepest = max(deepest, len(new_letters))
-            pair = (state[0], state[1])
-            if pair not in first_words:
-                first_words[pair] = new_letters
-            fibers.setdefault(state[0], set()).add(state[1])
-            if state[1] == identity:
-                kernel_count += 1
-                if len(kernel_words) < _WITNESS_CAP:
-                    kernel_words.append((new_letters, state[0]))
-            queue.append((new_letters, state[0], state[1], label))
+            for idx, times_element, times_image in row:
+                pair = (times_element[element], times_image[image])
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                new_letters = letters + ((label, idx),)
+                visited += 1
+                deepest = len(new_letters)
+                first_ids.setdefault(pair, new_letters)
+                if pair[1] == 0:
+                    kernel_count += 1
+                    if len(kernel_ids) < _WITNESS_CAP:
+                        kernel_ids.append((new_letters, pair[0]))
+                queue.append((new_letters, *pair, label))
 
+    perm = index.elements
+    first_words = {(perm[e], perm[i]): letters for (e, i), letters in first_ids.items()}
+    # Every reached pair has a first word, recorded in the order the pairs
+    # were reached, so the fibers read them off in that order.
+    fibers: dict[tuple, list] = {}
+    for element, image in first_words:
+        fibers.setdefault(element, []).append(image)
     findings = []
     for (a, b), target in sorted(model.transfers.items()):
         entries = [
@@ -822,7 +878,7 @@ def _enumerate_words(model: FiniteSymmetryModel, max_len: int) -> WordScan:
         ),
         first_words=types.MappingProxyType(first_words),
         transfer_findings=tuple(findings),
-        kernel_words=tuple(kernel_words),
+        kernel_words=tuple((letters, perm[e]) for letters, e in kernel_ids),
         kernel_count=kernel_count,
     )
 

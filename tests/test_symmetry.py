@@ -149,8 +149,11 @@ def reference_closure(generators, n):
 def reference_scan(model, max_len):
     """Word scan through the validating public product and inverse.
 
-    Returns (fibers, first_words, words_visited, kernel_count) with the
-    scan's dedup rule: one state per (element, image, last subgroup).
+    Returns (fibers, first_words, words_visited, kernel_count,
+    kernel_words) with the scan's dedup rule: one state per (element,
+    image, last subgroup).  ``kernel_words`` holds the first
+    ``_WITNESS_CAP`` (word, element) pairs with the identity image, in
+    recording order.
     """
     n = model.phi_size
     identity = tuple(range(n))
@@ -167,7 +170,7 @@ def reference_scan(model, max_len):
     seen = {(identity, identity, None)}
     first_words = {(identity, identity): ()}
     fibers = {identity: {identity}}
-    kernel_count = 0
+    kernel_count, kernel_words = 0, []
     queue = [((), identity, identity, None)]
     for letters, element, image, last in queue:
         if len(letters) == max_len:
@@ -184,16 +187,19 @@ def reference_scan(model, max_len):
             word = letters + ((label, idx),)
             first_words.setdefault(state[:2], word)
             fibers.setdefault(state[0], set()).add(state[1])
-            kernel_count += state[1] == identity
+            if state[1] == identity:
+                kernel_count += 1
+                if len(kernel_words) < sym._WITNESS_CAP:
+                    kernel_words.append((word, state[0]))
             queue.append((word, *state))
     fibers = {element: tuple(sorted(images)) for element, images in fibers.items()}
-    return fibers, first_words, len(seen), kernel_count
+    return fibers, first_words, len(seen), kernel_count, kernel_words
 
 
 def reference_findings(model, max_len):
     """Transfer findings from the reference scan's first words, with the
     candidates sorted by (length, letters)."""
-    _, first_words, _, _ = reference_scan(model, max_len)
+    _, first_words, _, _, _ = reference_scan(model, max_len)
     findings = []
     for (a, b), target in sorted(model.transfers.items()):
         entries = sorted(
@@ -967,7 +973,7 @@ class TestWordScan:
             model.phi_size,
         )
         scan = sym.scan_words(model, 4)
-        fibers, first_words, visited, kernel_count = reference_scan(model, 4)
+        fibers, first_words, visited, kernel_count, _ = reference_scan(model, 4)
         assert dict(scan.fibers) == fibers
         assert dict(scan.first_words) == first_words
         assert scan.words_visited == visited
@@ -984,6 +990,41 @@ class TestWordScan:
         with pytest.raises(ValueError, match="max_len must be an integer, got True"):
             sym.scan_words(structural, True)
         assert sym.scan_words(structural, np.int64(3)) is sym.scan_words(structural, 3)
+
+    @pytest.mark.parametrize("max_len", [1, 3, 6])
+    def test_scan_keeps_the_reference_recording_order(self, max_len):
+        # The scan runs on interned ids and converts back once; first
+        # words, fibers and kernel words must come out in the order the
+        # reference records them, since payloads list them in that order.
+        models = family()
+        models.update({"D7": dihedral_model(7), "D8": dihedral_model(8)})
+        for name, model in models.items():
+            scan = sym.scan_words(model, max_len)
+            fibers, first_words, visited, kernel_count, kernel_words = reference_scan(
+                model, max_len
+            )
+            assert list(scan.first_words.items()) == list(first_words.items()), name
+            assert list(scan.fibers.items()) == list(fibers.items()), name
+            assert list(scan.kernel_words) == kernel_words, name
+            assert (scan.words_visited, scan.kernel_count) == (visited, kernel_count), name
+
+    @pytest.mark.parametrize("n,bound", [(8, 1440), (16, 5952)])
+    def test_each_product_is_composed_once_per_letter(self, monkeypatch, n, bound):
+        # A count of products, not a timing: once the subgroups and letter
+        # images exist, a depth-6 scan composes at most one product per
+        # (reached element or image, letter).  A scan composing two per
+        # edge makes 11,610 at D_8 and 95,418 at D_16.
+        model = dihedral_model(n)
+        for label in model.labels:
+            model._images_for(label)
+        calls = []
+        compose = sym._compose
+        monkeypatch.setattr(sym, "_compose", lambda p, q: calls.append(None) or compose(p, q))
+        scan = sym.scan_words(model, 6)
+        letters = sum(len(model.subgroup(label)) - 1 for label in model.labels)
+        images = {image for fiber in scan.fibers.values() for image in fiber}
+        assert letters * (len(scan.fibers) + len(images)) == bound
+        assert 0 < len(calls) <= bound
 
     @pytest.mark.parametrize("max_len", [3, 6])
     def test_findings_take_words_in_length_letter_order(self, max_len):
@@ -1456,3 +1497,51 @@ class TestUnreachableBranches:
                 own_range = sorted(set(model.theta(witness["variable"])))
                 assert sorted(int(v) for v in relabeling) == own_range
                 assert sorted(relabeling.values()) == zero_range
+
+
+# ---------------------------------------------------------------------------
+# what the engine can exhibit
+
+
+def assert_reach(model):
+    """Three facts that bound what this encoding can pass: assumption_3a
+    passes iff K0 is trivial; with a trivial K0, assumption_3b passes iff
+    the model has no transfer map; and L >= 2 built labels force exactly
+    d*C(L,2) Theorem 1 collisions.  A fact whose checker refuses the model
+    is not tested."""
+    trivial_k0 = len(model.subgroup(model.distinguished)) == 1
+    try:
+        irreducibility = sym.check_assumptions(model)[2]
+    except ValueError:  # K0 splits a level, or a single value
+        pass
+    else:
+        assert (irreducibility.verdict == "pass") == trivial_k0
+    if trivial_k0:
+        try:
+            multivalued = sym.detect_multivaluedness(model)
+        except ValueError:  # a letter leaves K0, or has no transfer chain
+            pass
+        else:
+            assert (multivalued.verdict == "pass") == (not model.transfers)
+    try:
+        built = sym.build_question_states(model)
+    except ValueError:
+        return
+    count = len(built.labels)
+    if count >= 2:
+        forced = built.basis.dim * math.comb(count, 2)
+        assert sym.verify_theorem1(model).metrics["collisions"] == forced
+
+
+class TestTheorem1Reach:
+    @settings(max_examples=150, deadline=None)
+    @given(model=small_models())
+    def test_small_models(self, model):
+        assert_reach(model)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_dihedral_models(self, n):
+        model = dihedral_model(n)
+        assert_reach(model)
+        # Every label is built, so Theorem 1 meets its forced collisions.
+        assert len(sym.build_question_states(model).labels) == 3
