@@ -37,9 +37,8 @@ def main():
     # Words multiply subgroup elements across variables; transfers conjugate
     # them back to the distinguished subgroup, so a word has both a group
     # element (its evaluation) and an image there.
-    scan = symmetry.scan_words(structural, max_len=4)
-    print(f"\nword scan to length 4: {scan.words_visited} reduced words, "
-          f"saturated={scan.saturated}")
+    scan = symmetry.scan_words(structural)
+    print(f"\nexhaustive word scan: {scan.words_visited} words visited")
     for finding in scan.transfer_findings:
         print(f"  transfer {finding.from_label}->{finding.to_label}: {finding.status}")
 

@@ -281,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sym_sub.add_parser(name, help=blurb)
         p.add_argument("--model", required=True, metavar="PATH|NAME")
-        p.add_argument("--max-word-len", type=_positive_int, default=symmetry.WORD_DEPTH_DEFAULT)
         _add_out(p)
         p.set_defaults(handler=_cmd_symmetry)
 
@@ -437,26 +436,27 @@ def _cmd_evar_maximal(args) -> tuple[dict, list, str]:
     return payload, [], f"maximal: {maximal}"
 
 
-# Symmetry checkers: each takes (model, max_len) and returns its
-# reports in payload order.  They look the library functions up at call
-# time, so a rebound ``symmetry`` attribute is honoured.
+# Symmetry checkers: each takes a model and returns its reports in
+# payload order; they share the model's one exhaustive word scan.  They
+# look the library functions up at call time, so a rebound ``symmetry``
+# attribute is honoured.
 
 
-def _lemma1(model, max_len: int) -> list:
+def _lemma1(model) -> list:
     return [symmetry.validate_model(model)]
 
 
-def _assumptions(model, max_len: int) -> list:
+def _assumptions(model) -> list:
     # assumption_3b comes from the word scan and sits between 3a and 3c.
     measure, closure, irreducibility, separation, lemma2 = symmetry.check_assumptions(model)
-    multivalued = symmetry.detect_multivaluedness(model, max_len)
+    multivalued = symmetry.detect_multivaluedness(model)
     return [measure, closure, irreducibility, multivalued, separation, lemma2]
 
 
-def _theorem1(model, max_len: int) -> list:
+def _theorem1(model) -> list:
     # The states refuse a level-splitting model before the shared word scan.
-    theorem1 = symmetry.verify_theorem1(model, max_len)
-    return [symmetry.verify_word_kernel(model, max_len), theorem1]
+    theorem1 = symmetry.verify_theorem1(model)
+    return [symmetry.verify_word_kernel(model), theorem1]
 
 
 # Checker list of each ``symmetry`` subcommand, in report order.
@@ -467,14 +467,14 @@ SYMMETRY_CHECKERS = {
 }
 
 
-def _symmetry_reports(model, max_len: int, checkers) -> list:
-    return [report for checker in checkers for report in checker(model, max_len)]
+def _symmetry_reports(model, checkers) -> list:
+    return [report for checker in checkers for report in checker(model)]
 
 
 def _cmd_symmetry(args) -> tuple[dict, list, str]:
     model, shown = _resolve_model(args.model)
-    reports = _symmetry_reports(model, args.max_word_len, SYMMETRY_CHECKERS[args.command])
-    return _reports_payload(args, {"model": shown, "max_word_len": args.max_word_len}, reports)
+    reports = _symmetry_reports(model, SYMMETRY_CHECKERS[args.command])
+    return _reports_payload(args, {"model": shown}, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +527,7 @@ def golden_battery(seed: int = DEFAULT_SEED) -> tuple[dict, list]:
 
     for name in ("structural_example", "designed_failure"):
         model = symmetry.load_model(symmetry.bundled_model_path(name))
-        section(
-            f"symmetry {name}",
-            _symmetry_reports(
-                model, symmetry.WORD_DEPTH_DEFAULT, SYMMETRY_CHECKERS["check"]
-            ),
-        )
+        section(f"symmetry {name}", _symmetry_reports(model, SYMMETRY_CHECKERS["check"]))
 
     payload = {
         "schema": "qastates-battery/1",

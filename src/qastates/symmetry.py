@@ -22,8 +22,11 @@ inverses and closures are computed unchecked (`_compose`, `_invert`,
 kappas, whose products the benchmark counts as
 `symmetry.compose_permutations` calls.  A closure stops past
 `CLOSURE_LIMIT` elements with an error naming its generators' model-file
-field.  The word scan runs once per (model, depth) and its read-only result
-is shared by every checker.  It runs on the model's one group index
+field.  The word scan runs once per model and its read-only result is
+shared by every checker.  It has no depth bound: its states are finite, so
+it runs until its queue is empty and so decides the word claims over every
+reduced word; past `CLOSURE_LIMIT` states it stops with an error naming the
+`subgroups` field.  It runs on the model's one group index
 (:class:`GroupIndex`): each permutation is interned to an int once, the
 identity being 0, and each right factor keeps a memo from element id to
 product id, so every (element, letter) product is composed once per model.
@@ -63,14 +66,12 @@ import numpy as np
 from .linalg import inner, norm
 from .report import VerificationReport
 
-# Default breadth-first word enumeration depth.
-WORD_DEPTH_DEFAULT = 6
-
 # Witness records stored per report; totals always appear in metrics.
 _WITNESS_CAP = 32
 
-# Largest group a closure may list (S_8 has 40,320 elements); beyond it a
-# model is refused instead of held element by element.
+# Largest group a closure may list (S_8 has 40,320 elements), and the most
+# states a word scan may visit; beyond it a model is refused instead of held
+# element by element.
 CLOSURE_LIMIT = 100_000
 
 
@@ -372,13 +373,13 @@ class FiniteSymmetryModel:
         return self._subgroups[label]
 
     @cached_property
-    def _word_scans(self) -> dict[int, "WordScan"]:
-        """Word scans already run on this model, keyed by depth."""
-        return {}
+    def _word_scan(self) -> "WordScan":
+        """The model's one word scan, shared by every checker."""
+        return _enumerate_words(self)
 
     @cached_property
     def _group_index(self) -> GroupIndex:
-        """The model's one group index, shared by its word scans."""
+        """The model's one group index, read by its word scan."""
         return GroupIndex(self.phi_size)
 
     @cached_property
@@ -740,7 +741,7 @@ class TransferFinding:
 
     ``status`` is "pair" when two words with the same group element but
     different images were found, "single" when words exist but share one
-    image, and "none" when no word evaluates to the transfer at this depth.
+    image, and "none" when no reduced word evaluates to the transfer.
     ``words`` holds ``(letters, image)`` entries: the canonical pair, the
     single canonical word, or nothing.
     """
@@ -753,19 +754,16 @@ class TransferFinding:
 
 @dataclass(frozen=True)
 class WordScan:
-    """Deduplicated breadth-first enumeration of reduced words.
+    """Deduplicated breadth-first enumeration of every reduced word.
 
     ``fibers`` maps each reachable group element to the sorted distinct
     word images over it; ``first_words`` holds the (length, letter order)
-    minimal word per (element, image) pair.  ``saturated`` is true when
-    every reduced word beyond ``max_len`` can only revisit recorded
-    (element, image) pairs, so the enumeration is exhaustive.  One scan is
-    shared by every checker of a (model, depth), so both mappings are
+    minimal word per (element, image) pair.  The scan is exhaustive: every
+    (element, image) pair that some reduced word reaches is recorded.  One
+    scan is shared by every checker of a model, so both mappings are
     read-only.
     """
 
-    max_len: int
-    saturated: bool
     words_visited: int
     fibers: Mapping[tuple, tuple]
     first_words: Mapping[tuple, tuple]
@@ -774,29 +772,25 @@ class WordScan:
     kernel_count: int
 
 
-def scan_words(model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT) -> WordScan:
-    """Reduced words up to ``max_len`` letters, enumerated once per depth.
+def scan_words(model: FiniteSymmetryModel) -> WordScan:
+    """Every reduced word, enumerated once per model.
 
-    The scan is memoized on the model, so the checkers of one (model,
-    depth) share a single enumeration.
+    The scan is memoized on the model, so its checkers share a single
+    enumeration.
     """
-    max_len = _integer(max_len, "max_len")
-    if max_len < 1:
-        raise ValueError(f"max_len must be at least 1, got {max_len}")
-    scans = model._word_scans
-    if max_len not in scans:
-        scans[max_len] = _enumerate_words(model, max_len)
-    return scans[max_len]
+    return model._word_scan
 
 
-def _enumerate_words(model: FiniteSymmetryModel, max_len: int) -> WordScan:
-    """Enumerate reduced words breadth-first up to ``max_len`` letters.
+def _enumerate_words(model: FiniteSymmetryModel) -> WordScan:
+    """Enumerate reduced words breadth-first until the queue is empty.
 
     States are deduplicated on (group element, image, last subgroup), which
     preserves both reachability and minimal-word order: with the alphabet
     sorted, the queue holds words in (length, letter) order, so the first
     word recorded for an (element, image) pair is the first one in that
-    order, and ``first_words`` is filled in that order too.
+    order, and ``first_words`` is filled in that order too.  There are
+    finitely many states, so the scan ends by itself; one that visits more
+    than ``CLOSURE_LIMIT`` of them raises ValueError instead.
 
     States hold group-index ids (the identity is 0), stepped through each
     letter's product memos; they become permutations again only here, in
@@ -821,12 +815,9 @@ def _enumerate_words(model: FiniteSymmetryModel, max_len: int) -> WordScan:
     kernel_ids: list[tuple] = []
     kernel_count = 0
     visited = 1
-    deepest = 0
     queue = deque([((), 0, 0, None)])
     while queue:
         letters, element, image, last = queue.popleft()
-        if len(letters) == max_len:
-            continue
         for label, seen, row in groups:
             if label == last:
                 continue
@@ -837,7 +828,11 @@ def _enumerate_words(model: FiniteSymmetryModel, max_len: int) -> WordScan:
                 seen.add(pair)
                 new_letters = letters + ((label, idx),)
                 visited += 1
-                deepest = len(new_letters)
+                if visited > CLOSURE_LIMIT:
+                    raise ValueError(
+                        "subgroups: the word scan of these subgroups exceeds "
+                        f"{CLOSURE_LIMIT} states"
+                    )
                 first_ids.setdefault(pair, new_letters)
                 if pair[1] == 0:
                     kernel_count += 1
@@ -870,8 +865,6 @@ def _enumerate_words(model: FiniteSymmetryModel, max_len: int) -> WordScan:
             findings.append(TransferFinding(a, b, "pair", (head, other)))
 
     return WordScan(
-        max_len=max_len,
-        saturated=deepest < max_len,
         words_visited=visited,
         fibers=types.MappingProxyType(
             {element: tuple(sorted(images)) for element, images in fibers.items()}
@@ -887,17 +880,15 @@ def _word_record(letters: tuple) -> list:
     return [[label, idx] for label, idx in letters]
 
 
-def detect_multivaluedness(
-    model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT
-) -> VerificationReport:
+def detect_multivaluedness(model: FiniteSymmetryModel) -> VerificationReport:
     """Whether word images are genuinely multivalued on the transfer maps.
 
     Passes when every directed transfer map admits two words with the same
-    group element but distinct images.  A transfer with no witnessing pair
-    leaves the verdict undetermined at this depth; bounded enumeration
-    never claims single-valuedness as a failure.
+    group element but distinct images.  The scan is exhaustive, so a
+    transfer with no witnessing pair has none over every reduced word; the
+    verdict is then undetermined, never a failure.
     """
-    scan = scan_words(model, max_len)
+    scan = scan_words(model)
     multivalued_fibers = sum(1 for images in scan.fibers.values() if len(images) >= 2)
     max_images = max((len(images) for images in scan.fibers.values()), default=0)
 
@@ -920,21 +911,17 @@ def detect_multivaluedness(
     if missing:
         verdict = "undetermined"
         notes = (
-            "undetermined at this depth: no distinct-image word pair for "
+            "undetermined: the exhaustive word scan finds no distinct-image pair for "
             + ", ".join(missing)
         )
     else:
         verdict = "pass"
         notes = "every transfer map carries two words with distinct images"
-    if scan.saturated:
-        notes += "; word enumeration is exhaustive at this depth"
 
     return VerificationReport(
         subject="assumption_3b",
         verdict=verdict,
         metrics={
-            "max_len": scan.max_len,
-            "saturated": float(scan.saturated),
             "words_visited": scan.words_visited,
             "group_elements_reached": len(scan.fibers),
             "multivalued": float(multivalued_fibers > 0),
@@ -948,9 +935,7 @@ def detect_multivaluedness(
     )
 
 
-def verify_word_kernel(
-    model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT
-) -> VerificationReport:
+def verify_word_kernel(model: FiniteSymmetryModel) -> VerificationReport:
     """Check that no nonempty reduced word has the identity image.
 
     The word-to-image map should send only the empty word to the identity
@@ -958,7 +943,7 @@ def verify_word_kernel(
     a counterexample and fails the check.  Words whose plain group element
     is itself nonidentity are additionally flagged in the witnesses.
     """
-    scan = scan_words(model, max_len)
+    scan = scan_words(model)
     identity = identity_permutation(model.phi_size)
     witnesses = tuple(
         {
@@ -973,19 +958,15 @@ def verify_word_kernel(
         verdict = "fail"
         notes = (
             f"{scan.kernel_count} nonempty word(s) map to the identity image; "
-            "the word-to-image map has a nontrivial kernel at this depth"
+            "the word-to-image map has a nontrivial kernel"
         )
     else:
         verdict = "pass"
-        notes = "no nonempty word maps to the identity image at this depth"
-    if scan.saturated:
-        notes += "; word enumeration is exhaustive at this depth"
+        notes = "no nonempty word maps to the identity image"
     return VerificationReport(
         subject="prop3",
         verdict=verdict,
         metrics={
-            "max_len": scan.max_len,
-            "saturated": float(scan.saturated),
             "words_visited": scan.words_visited,
             "kernel_words": scan.kernel_count,
             "kernel_words_nonidentity_element": flagged,
@@ -1019,9 +1000,7 @@ class QuestionStates:
     skipped: tuple
 
 
-def build_question_states(
-    model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT
-) -> QuestionStates:
+def build_question_states(model: FiniteSymmetryModel) -> QuestionStates:
     """Build one state per (variable, level) from canonical word pairs.
 
     For each non-distinguished label the canonical word pair for its
@@ -1031,11 +1010,11 @@ def build_question_states(
     which must permute the level indicators, so each state is the basis
     function of the level that ``kappa^-1`` sends level ``i`` to, recorded
     as that level's index.  It is read from the model's one level structure,
-    which is built before the word scan runs.  Labels without a pair at
-    this depth are skipped and reported.
+    which is built before the word scan runs.  Labels without a pair are
+    skipped and reported.
     """
     basis, actions = model._levels
-    scan = scan_words(model, max_len)
+    scan = scan_words(model)
     identity = identity_permutation(model.phi_size)
 
     findings = {
@@ -1056,9 +1035,7 @@ def build_question_states(
             skipped.append((label, "no transfer map from the distinguished variable"))
             continue
         if finding.status != "pair":
-            skipped.append(
-                (label, f"no distinct-image word pair at depth {scan.max_len}")
-            )
+            skipped.append((label, "no distinct-image word pair"))
             continue
         (_, image_1), (_, image_2) = finding.words
         kappa = compose_permutations(_invert(image_1), image_2)
@@ -1428,9 +1405,7 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
     return (measure, closure, irreducibility, separation, lemma2)
 
 
-def verify_theorem1(
-    model: FiniteSymmetryModel, max_len: int = WORD_DEPTH_DEFAULT
-) -> VerificationReport:
+def verify_theorem1(model: FiniteSymmetryModel) -> VerificationReport:
     """Orthonormality and pairwise distinctness of the built states.
 
     Each state is a level index, and each label's states permute the
@@ -1443,7 +1418,7 @@ def verify_theorem1(
     pairs.  With no non-distinguished label built the verdict is
     undetermined.
     """
-    built = build_question_states(model, max_len)
+    built = build_question_states(model)
     others = [label for label in built.labels if label != model.distinguished]
     if not others:
         reasons = "; ".join(f"{label}: {reason}" for label, reason in built.skipped)

@@ -563,20 +563,12 @@ class TestSymmetryCommands:
         assert code == 1
         assert [r["subject"] for r in payload["reports"]] == ["prop3", "theorem1"]
 
-    def test_word_depth_flag(self, capsys):
-        code, payload, _ = run_json(
-            capsys,
-            "symmetry", "check", "--model", "designed_failure", "--max-word-len", "2",
-        )
-        assert code == 1
-        assert payload["parameters"]["max_word_len"] == 2
-
     @pytest.mark.parametrize(
         "argv",
         [
             ("symmetry", "check", "--model", "/nonexistent/model.json"),
             ("symmetry", "check", "--model", "no_such_bundled_model"),
-            ("symmetry", "check", "--model", "designed_failure", "--max-word-len", "0"),
+            ("symmetry", "check", "--model", "designed_failure", "--max-word-len", "6"),
         ],
     )
     def test_model_errors_exit_2(self, capsys, argv):
@@ -683,7 +675,7 @@ class TestSymmetryCommands:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
 
-        def no_scan(model, max_len):
+        def no_scan(model):
             raise AssertionError("the word scan ran before the level check")
 
         monkeypatch.setattr(symmetry, "_enumerate_words", no_scan)
@@ -696,26 +688,40 @@ class TestSymmetryCommands:
             errors.add(err)
         assert len(errors) == 1
 
-    def test_check_scans_words_once_per_model_and_depth(self, capsys, monkeypatch):
-        depths = []
+    def test_check_scans_words_once_per_model(self, capsys, monkeypatch):
+        scanned = []
         enumerate_words = symmetry._enumerate_words
 
-        def counted(model, max_len):
-            depths.append(max_len)
-            return enumerate_words(model, max_len)
+        def counted(model):
+            scanned.append(model)
+            return enumerate_words(model)
 
         monkeypatch.setattr(symmetry, "_enumerate_words", counted)
         code, _, _ = run_cli(capsys, "symmetry", "check", "--model", "structural_example")
         assert code == 1
-        assert depths == [symmetry.WORD_DEPTH_DEFAULT]
+        assert len(scanned) == 1
 
         model = symmetry.load_model(symmetry.bundled_model_path("structural_example"))
         checkers = cli.SYMMETRY_CHECKERS["check"]
-        first = cli._symmetry_reports(model, 4, checkers)
-        assert cli._symmetry_reports(model, 4, checkers) == first
-        assert depths[1:] == [4]
-        cli._symmetry_reports(model, 3, checkers)
-        assert depths[1:] == [4, 3]
+        first = cli._symmetry_reports(model, checkers)
+        assert cli._symmetry_reports(model, checkers) == first
+        assert scanned[1:] == [model]
+
+    def test_scan_past_the_state_limit_exits_2(self, capsys, monkeypatch):
+        # structural_example has |G| = 6, so its closures stay under the
+        # limit, but its word scan visits 55 states.
+        monkeypatch.setattr(symmetry, "CLOSURE_LIMIT", 20)
+        errors = set()
+        for command in ("check", "assumptions", "theorem1"):
+            code, out, err = run_cli(
+                capsys, "symmetry", command, "--model", "structural_example"
+            )
+            assert code == 2, command
+            assert out == ""
+            errors.add(err)
+        assert errors == {
+            "error: subgroups: the word scan of these subgroups exceeds 20 states\n"
+        }
 
     def test_check_builds_level_structure_once_per_model(self, capsys, monkeypatch):
         bases = []
@@ -882,10 +888,10 @@ def _real_payloads() -> tuple[dict, dict]:
     args = cli._build_parser().parse_args(["spin", "catalog", "--j", "25", "--dir", "0.6,0,0.8"])
     catalog, _, _ = args.handler(args)
     checkers = cli.SYMMETRY_CHECKERS["check"]
-    reports = cli._symmetry_reports(dihedral_model(6), symmetry.WORD_DEPTH_DEFAULT, checkers)
+    reports = cli._symmetry_reports(dihedral_model(6), checkers)
     check = {
         "command": "symmetry check",
-        "parameters": {"model": "D_6", "max_word_len": symmetry.WORD_DEPTH_DEFAULT},
+        "parameters": {"model": "D_6"},
         "reports": cli._report_dicts(reports),
     }
     return catalog, check
@@ -1040,7 +1046,6 @@ MODEL_FLAGS = (
         tokens(("structural_example", "designed_failure"), ("no_such_model", "no/such/model.json")),
         REQUIRED,
     ),
-    ("--max-word-len", tokens(("2", "1000000"), ("-1", "1.5")), OPTIONAL),
 )
 # Each subcommand's flags.  spin verify runs the Jacobi oracle once per
 # answer, so it keeps to valid j <= 4; report never gets --golden, since
@@ -1062,7 +1067,7 @@ ARGV_FLAGS = {
 # Every name an exit-2 line may cite.
 FLAG_NAMES = (
     "--j", "--dir", "--h", "--samples", "--eps", "--seed", "--values", "--map",
-    "--model", "--max-word-len", "--out", "--golden",
+    "--model", "--out", "--golden",
 )
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qastates import linalg
@@ -147,13 +147,15 @@ def reference_closure(generators, n):
 
 
 def reference_scan(model, max_len):
-    """Word scan through the validating public product and inverse.
+    """Word scan through the validating public product and inverse, of the
+    words up to ``max_len`` letters.
 
     Returns (fibers, first_words, words_visited, kernel_count,
     kernel_words) with the scan's dedup rule: one state per (element,
     image, last subgroup).  ``kernel_words`` holds the first
     ``_WITNESS_CAP`` (word, element) pairs with the identity image, in
-    recording order.
+    recording order.  Each word length that is scanned adds a new state,
+    so at a depth above the number of states the reference is exhaustive.
     """
     n = model.phi_size
     identity = tuple(range(n))
@@ -196,6 +198,12 @@ def reference_scan(model, max_len):
     return fibers, first_words, len(seen), kernel_count, kernel_words
 
 
+def exhaustive_depth(model):
+    """A depth above the engine scan's state count: the reference scan at
+    this depth is exhaustive, or visits more states than the engine."""
+    return sym.scan_words(model).words_visited + 1
+
+
 def reference_findings(model, max_len):
     """Transfer findings from the reference scan's first words, with the
     candidates sorted by (length, letters)."""
@@ -218,11 +226,11 @@ def reference_findings(model, max_len):
     return tuple(findings)
 
 
-def reference_theorem1(model, max_len, eps):
+def reference_theorem1(model, eps):
     """Theorem 1 metrics and witnesses from a Gram matrix per label and a
     phase comparison of every state pair, over the float states of the
     scatter path."""
-    states = reference_states(model, reference_kappas(model, max_len))
+    states = reference_states(model, reference_kappas(model))
     defect = 0.0
     for label in {name for name, _, _ in states}:
         rows = np.array([coords for name, _, coords in states if name == label])
@@ -262,17 +270,31 @@ def reference_letter_images(model):
     return images
 
 
-def reference_kappas(model, max_len):
+def reference_kappas(model):
     """(first image)^-1 * (second image) of each canonical pair from the
     distinguished variable, through the validating public functions."""
     kappas = {model.distinguished: tuple(range(model.phi_size))}
-    for finding in sym.scan_words(model, max_len).transfer_findings:
+    for finding in sym.scan_words(model).transfer_findings:
         if finding.from_label == model.distinguished and finding.status == "pair":
             (_, image_1), (_, image_2) = finding.words
             kappas[finding.to_label] = sym.compose_permutations(
                 sym.invert_permutation(image_1), image_2
             )
     return kappas
+
+
+def assert_scan_matches_reference(model, name):
+    """The engine scan equals the reference at a depth above its state
+    count: first words, fibers and kernel words in recording order, and
+    the state and kernel counts."""
+    scan = sym.scan_words(model)
+    fibers, first_words, visited, kernel_count, kernel_words = reference_scan(
+        model, exhaustive_depth(model)
+    )
+    assert list(scan.first_words.items()) == list(first_words.items()), name
+    assert list(scan.fibers.items()) == list(fibers.items()), name
+    assert list(scan.kernel_words) == kernel_words, name
+    assert (scan.words_visited, scan.kernel_count) == (visited, kernel_count), name
 
 
 def family():
@@ -424,11 +446,10 @@ class TestTrustedPermutationProducts:
         for name, model in self.models().items():
             assert model._letter_images == reference_letter_images(model), name
 
-    @pytest.mark.parametrize("max_len", [3, sym.WORD_DEPTH_DEFAULT])
-    def test_question_state_kappas(self, max_len):
+    def test_question_state_kappas(self):
         for name, model in family().items():
-            kappas = sym.build_question_states(model, max_len).kappas
-            assert kappas == reference_kappas(model, max_len), name
+            kappas = sym.build_question_states(model).kappas
+            assert kappas == reference_kappas(model), name
 
 
 class TestGroupClosure:
@@ -900,7 +921,7 @@ class TestWordScan:
         assert report.metrics["transfer_pairs_total"] == 6
 
     def test_canonical_pair_is_lex_first(self, structural):
-        scan = sym.scan_words(structural, max_len=3)
+        scan = sym.scan_words(structural)
         finding = next(
             f for f in scan.transfer_findings
             if (f.from_label, f.to_label) == ("0", "1")
@@ -919,7 +940,7 @@ class TestWordScan:
         assert report.verdict == "undetermined"
         assert report.metrics["multivalued"] == 0.0
         assert all(w["status"] == "single" for w in report.witnesses)
-        assert "undetermined at this depth" in report.notes
+        assert "exhaustive word scan finds no distinct-image pair" in report.notes
 
     def test_single_subgroup_not_multivalued(self):
         report = sym.detect_multivaluedness(single_variable_model())
@@ -927,22 +948,25 @@ class TestWordScan:
         assert report.metrics["multivalued"] == 0.0
         assert report.metrics["transfer_pairs_total"] == 0
 
-    def test_failing_model_undetermined_and_saturated(self, failing):
+    def test_failing_model_undetermined_over_every_word(self, failing):
         report = sym.detect_multivaluedness(failing)
         assert report.verdict == "undetermined"
-        assert report.metrics["saturated"] == 1.0
-        assert "exhaustive" in report.notes
+        assert report.metrics["words_visited"] == 3
+        assert report.notes == (
+            "undetermined: the exhaustive word scan finds no distinct-image pair "
+            "for 0->1 (single), 1->0 (single)"
+        )
 
     def test_scan_is_deterministic(self):
         first, second = (
             sym.load_model(sym.bundled_model_path("structural_example")) for _ in range(2)
         )
-        assert sym.scan_words(first, 4) is not sym.scan_words(second, 4)
-        assert sym.scan_words(first, 4) == sym.scan_words(second, 4)
+        assert sym.scan_words(first) is not sym.scan_words(second)
+        assert sym.scan_words(first) == sym.scan_words(second)
 
     def test_shared_scan_is_read_only(self, structural):
-        scan = sym.scan_words(structural, 4)
-        assert sym.scan_words(structural, 4) is scan
+        scan = sym.scan_words(structural)
+        assert sym.scan_words(structural) is scan
         identity = sym.identity_permutation(12)
         images = scan.fibers[identity]
         with pytest.raises(TypeError):
@@ -972,46 +996,29 @@ class TestWordScan:
              *model.transfers.values()],
             model.phi_size,
         )
-        scan = sym.scan_words(model, 4)
-        fibers, first_words, visited, kernel_count, _ = reference_scan(model, 4)
+        scan = sym.scan_words(model)
+        fibers, first_words, visited, kernel_count, _ = reference_scan(
+            model, exhaustive_depth(model)
+        )
         assert dict(scan.fibers) == fibers
         assert dict(scan.first_words) == first_words
         assert scan.words_visited == visited
         assert scan.kernel_count == kernel_count
 
-    def test_depth_must_be_positive(self, structural):
-        with pytest.raises(ValueError, match="max_len"):
-            sym.scan_words(structural, 0)
-
-    def test_depth_must_be_an_integer(self, structural):
-        # 3.7 used to run a depth-3 scan.
-        with pytest.raises(ValueError, match="max_len must be an integer, got 3.7"):
-            sym.scan_words(structural, 3.7)
-        with pytest.raises(ValueError, match="max_len must be an integer, got True"):
-            sym.scan_words(structural, True)
-        assert sym.scan_words(structural, np.int64(3)) is sym.scan_words(structural, 3)
-
-    @pytest.mark.parametrize("max_len", [1, 3, 6])
-    def test_scan_keeps_the_reference_recording_order(self, max_len):
-        # The scan runs on interned ids and converts back once; first
-        # words, fibers and kernel words must come out in the order the
-        # reference records them, since payloads list them in that order.
+    @pytest.mark.parametrize("name", [*family(), "D7", "D8"])
+    def test_exhaustive_scan_keeps_the_reference_recording_order(self, name):
+        # The scan runs on interned ids until its queue is empty and
+        # converts back once; first words, fibers and kernel words must come
+        # out in the order the exhaustive reference records them, since
+        # payloads list them in that order.
         models = family()
         models.update({"D7": dihedral_model(7), "D8": dihedral_model(8)})
-        for name, model in models.items():
-            scan = sym.scan_words(model, max_len)
-            fibers, first_words, visited, kernel_count, kernel_words = reference_scan(
-                model, max_len
-            )
-            assert list(scan.first_words.items()) == list(first_words.items()), name
-            assert list(scan.fibers.items()) == list(fibers.items()), name
-            assert list(scan.kernel_words) == kernel_words, name
-            assert (scan.words_visited, scan.kernel_count) == (visited, kernel_count), name
+        assert_scan_matches_reference(models[name], name)
 
     @pytest.mark.parametrize("n,bound", [(8, 1440), (16, 5952)])
     def test_each_product_is_composed_once_per_letter(self, monkeypatch, n, bound):
         # A count of products, not a timing: once the subgroups and letter
-        # images exist, a depth-6 scan composes at most one product per
+        # images exist, the scan composes at most one product per
         # (reached element or image, letter).  A scan composing two per
         # edge makes 11,610 at D_8 and 95,418 at D_16.
         model = dihedral_model(n)
@@ -1020,20 +1027,20 @@ class TestWordScan:
         calls = []
         compose = sym._compose
         monkeypatch.setattr(sym, "_compose", lambda p, q: calls.append(None) or compose(p, q))
-        scan = sym.scan_words(model, 6)
+        scan = sym.scan_words(model)
         letters = sum(len(model.subgroup(label)) - 1 for label in model.labels)
         images = {image for fiber in scan.fibers.values() for image in fiber}
         assert letters * (len(scan.fibers) + len(images)) == bound
         assert 0 < len(calls) <= bound
 
-    @pytest.mark.parametrize("max_len", [3, 6])
-    def test_findings_take_words_in_length_letter_order(self, max_len):
+    def test_findings_take_words_in_length_letter_order(self):
         # The scan reads its candidate words in recording order; they must
         # come out as if sorted by (length, letters), whatever order the
         # model stores its variables in.
         for name, model in family().items():
-            scan = sym.scan_words(model, max_len)
-            assert scan.transfer_findings == reference_findings(model, max_len), name
+            scan = sym.scan_words(model)
+            findings = reference_findings(model, exhaustive_depth(model))
+            assert scan.transfer_findings == findings, name
 
 
 class TestWordKernel:
@@ -1064,7 +1071,7 @@ class TestWordKernel:
         report = sym.verify_word_kernel(failing)
         assert report.verdict == "pass"
         assert report.metrics["kernel_words"] == 0
-        assert "exhaustive" in report.notes
+        assert report.notes == "no nonempty word maps to the identity image"
 
     def test_single_subgroup_kernel_trivial(self):
         report = sym.verify_word_kernel(single_variable_model())
@@ -1162,14 +1169,13 @@ class TestQuestionStates:
         built = sym.build_question_states(failing)
         assert built.labels == ("0",)
         assert len(built.states) == 2
-        assert built.skipped == (("1", "no distinct-image word pair at depth 6"),)
+        assert built.skipped == (("1", "no distinct-image word pair"),)
 
-    @pytest.mark.parametrize("max_len", [3, sym.WORD_DEPTH_DEFAULT])
-    def test_states_match_scatter_reference(self, max_len):
+    def test_states_match_scatter_reference(self):
         # Each state's level is the reference's peak, and the reference's
         # float product lies within 1e-15 of that level's unit vector.
         for name, model in representation_family().items():
-            built = sym.build_question_states(model, max_len)
+            built = sym.build_question_states(model)
             expected = reference_states(model, built.kappas)
             assert [s[:2] for s in built.states] == [s[:2] for s in expected], name
             unit = np.eye(built.basis.dim, dtype=complex)
@@ -1340,16 +1346,15 @@ class TestTheorem1:
         for witness in report.witnesses:
             assert lookup[(witness["a"], witness["i"])] == lookup[(witness["b"], witness["j"])]
 
-    @pytest.mark.parametrize("max_len", [2, 3, 6])
-    def test_collisions_are_forced(self, max_len):
+    def test_collisions_are_forced(self):
         # Every built label holds each of the d levels once, so L labels
         # give d*C(L,2) equal-level pairs, and the note says so.
         models = representation_family()
         models.update({f"D{n}": dihedral_model(n) for n in range(7, 11)})
         built_any = 0
         for name, model in models.items():
-            report = sym.verify_theorem1(model, max_len)
-            built = sym.build_question_states(model, max_len)
+            report = sym.verify_theorem1(model)
+            built = sym.build_question_states(model)
             if report.verdict == "undetermined":
                 assert built.labels == (model.distinguished,), name
                 continue
@@ -1384,7 +1389,7 @@ class TestTheorem1:
             if report.verdict == "undetermined":
                 assert name == "designed_failure"
                 continue
-            defect, witnesses = reference_theorem1(model, sym.WORD_DEPTH_DEFAULT, eps)
+            defect, witnesses = reference_theorem1(model, eps)
             assert report.metrics["max_gram_defect"] == pytest.approx(defect, abs=1e-15), name
             assert report.metrics["collisions"] == len(witnesses), name
             assert len(report.witnesses) == min(len(witnesses), 32), name
@@ -1393,20 +1398,18 @@ class TestTheorem1:
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_matches_pairwise_reference_beyond_the_family(self, n):
-        # Larger dihedral groups, at the default depth and at depth 3.
         model = dihedral_model(n)
-        for max_len in (sym.WORD_DEPTH_DEFAULT, 3):
-            report = sym.verify_theorem1(model, max_len)
-            defect, witnesses = reference_theorem1(model, max_len, 1e-9)
-            assert report.metrics["max_gram_defect"] == pytest.approx(defect, abs=1e-15)
-            assert report.metrics["collisions"] == len(witnesses)
-            for got, want in zip(report.witnesses, witnesses):
-                assert got == {**want, "overlap": pytest.approx(want["overlap"], abs=1e-15)}
+        report = sym.verify_theorem1(model)
+        defect, witnesses = reference_theorem1(model, 1e-9)
+        assert report.metrics["max_gram_defect"] == pytest.approx(defect, abs=1e-15)
+        assert report.metrics["collisions"] == len(witnesses)
+        for got, want in zip(report.witnesses, witnesses):
+            assert got == {**want, "overlap": pytest.approx(want["overlap"], abs=1e-15)}
 
     def test_collisions_counted_past_witness_cap(self):
         model = dihedral_model(6)
         report = sym.verify_theorem1(model)
-        _, witnesses = reference_theorem1(model, sym.WORD_DEPTH_DEFAULT, 1e-9)
+        _, witnesses = reference_theorem1(model, 1e-9)
         assert report.metrics["collisions"] == len(witnesses) == 36
         assert len(report.witnesses) == 32
         assert [(w["a"], w["i"], w["b"], w["j"]) for w in report.witnesses] == [
@@ -1473,6 +1476,21 @@ def small_models(draw):
     return sym.FiniteSymmetryModel(
         size, tuple((label, thetas[label]) for label in labels), "0", gens, transfers
     )
+
+
+class TestExhaustiveScanOnSmallModels:
+    @settings(max_examples=150, deadline=None)
+    @given(model=small_models())
+    def test_matches_reference(self, model):
+        # Only models that every scanning command accepts: K0 keeps the
+        # levels, and every letter image lies in K0.
+        try:
+            model._levels
+            for label in model.labels:
+                model._images_for(label)
+        except ValueError:
+            assume(False)
+        assert_scan_matches_reference(model, "small model")
 
 
 class TestUnreachableBranches:
