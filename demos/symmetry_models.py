@@ -53,7 +53,7 @@ def main():
     # States built from the pairs, one per (variable, level).
     states = symmetry.build_question_states(structural)
     print(f"\nquestion states: {len(states.states)} built over "
-          f"{states.basis.dim} basis levels; skipped={states.skipped}")
+          f"{states.dim} levels; skipped={states.skipped}")
 
     for name, model in (("structural_example", structural),
                         ("designed_failure", failing)):

