@@ -5,7 +5,10 @@ direction (the vector of Pauli expectation values) names the question, and
 the answer is +1/2.  The round trip through the spin recursion makes that
 correspondence checkable rather than asserted.  The double cover of the
 rotation group by SU(2) is the structural reason the correspondence works;
-it is verified as a homomorphism law on random pairs.
+it is verified as a homomorphism law on random pairs.  Both maps run as
+stacked numpy products over all vectors or matrices of a check at once;
+tests hold them bit for bit to the per-entry loops in
+`tests/float_reference.py`.
 
 Pauli matrices here follow the package basis convention (ascending, so
 sigma_z = diag(-1, +1)); they are twice the j=1/2 angular momentum
@@ -29,12 +32,17 @@ REALITY_TOL = 1e-12
 
 
 @functools.cache
+def _pauli_stack() -> np.ndarray:
+    """(sigma_x, sigma_y, sigma_z) as one read-only (3, 2, 2) array."""
+    stack = 2.0 * np.stack(spin.angular_momentum_operators(spin.SpinSystem(0.5)))
+    stack.flags.writeable = False
+    return stack
+
+
+@functools.cache
 def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sigma_x, sigma_y, sigma_z) in the ascending basis, read-only."""
-    sigmas = tuple(2.0 * op for op in spin.angular_momentum_operators(spin.SpinSystem(0.5)))
-    for sigma in sigmas:
-        sigma.flags.writeable = False
-    return sigmas
+    return tuple(_pauli_stack())
 
 
 def _det2(m: np.ndarray) -> complex:
@@ -89,6 +97,21 @@ class Rotation3:
         object.__setattr__(self, "matrix", r)
 
 
+def _bloch_directions(kets: np.ndarray) -> list[spin.Direction]:
+    """Bloch directions of the rows of an (n, 2) array of unit vectors.
+
+    Every norm and every expectation <v|sigma|v> is a stacked (1, 2) @ (2, 1)
+    product, which numpy rounds exactly as `linalg.inner` (np.vdot) does;
+    np.einsum and np.sum round differently.
+    """
+    bras = kets.conj()[:, None, None, :]
+    norms = np.sqrt(np.maximum((bras[:, 0] @ kets[:, :, None])[:, 0, 0].real, 0.0))
+    if (np.abs(norms - 1.0) > 1e-10).any():
+        raise ValueError("bloch_direction needs a unit vector")
+    comps = (bras @ (_pauli_stack() @ kets[:, None, :, None]))[..., 0, 0].real
+    return [spin.Direction.normalized(*c) for c in comps.tolist()]
+
+
 def bloch_direction(v) -> spin.Direction:
     """Direction of Pauli expectation values of a unit 2-vector.
 
@@ -98,19 +121,33 @@ def bloch_direction(v) -> spin.Direction:
     v = linalg.as_vector(v)
     if v.shape[0] != 2:
         raise ValueError("bloch_direction needs a 2-vector")
-    if abs(linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("bloch_direction needs a unit vector")
-    comps = []
-    for sigma in pauli_matrices():
-        val = linalg.inner(v, sigma @ v)
-        comps.append(val.real)
-    return spin.Direction.normalized(*comps)
+    return _bloch_directions(v[None])[0]
 
 
 def reconstruct_state(direction: spin.Direction) -> np.ndarray:
     """The unit 2-vector answering (direction, +1/2), by the spin recursion."""
     state = spin.eigenstate_recursion(spin.SpinSystem(0.5), direction, 0.5)
     return state.ket
+
+
+def _covers(mats: np.ndarray) -> list[Rotation3]:
+    """Images of an (n, 2, 2) stack of SU(2) matrices under the cover map.
+
+    All nine entries R_kl = trace(sigma_k M sigma_l M†)/2 of every element
+    come from one stacked product, multiplied in the same order as the
+    per-entry expression, so each entry has the same bits.
+    """
+    sigmas = _pauli_stack()
+    left = (sigmas @ mats[:, None])[:, :, None] @ sigmas
+    products = left @ mats.conj().swapaxes(-1, -2)[:, None, None]
+    vals = 0.5 * np.trace(products, axis1=-2, axis2=-1)
+    unreal = np.abs(vals.imag) > REALITY_TOL
+    if unreal.any():
+        e, k, l = np.argwhere(unreal)[0]
+        raise ValueError(
+            f"rotation entry ({k},{l}) has imaginary part {vals.imag[e, k, l]:.3e}"
+        )
+    return [Rotation3(r) for r in vals.real]
 
 
 def su2_to_so3(m) -> Rotation3:
@@ -121,18 +158,7 @@ def su2_to_so3(m) -> Rotation3:
     """
     if not isinstance(m, SpecialUnitary2):
         m = SpecialUnitary2(m)
-    mat = m.matrix
-    sigmas = pauli_matrices()
-    r = np.zeros((3, 3), dtype=float)
-    for k, sk in enumerate(sigmas):
-        for l, sl in enumerate(sigmas):
-            val = 0.5 * np.trace(sk @ mat @ sl @ mat.conj().T)
-            if abs(val.imag) > REALITY_TOL:
-                raise ValueError(
-                    f"rotation entry ({k},{l}) has imaginary part {val.imag:.3e}"
-                )
-            r[k, l] = val.real
-    return Rotation3(r)
+    return _covers(m.matrix[None])[0]
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
@@ -172,20 +198,24 @@ def verify_prop2(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
+    vectors = np.array([random_unit_vector(rng) for _ in range(samples)])
+    directions = _bloch_directions(vectors)
+    # The recursion is the route under test, so it runs once per sample.
+    rebuilt = np.array([reconstruct_state(d) for d in directions])
+    overlaps = (rebuilt.conj()[:, None, :] @ vectors[:, :, None])[:, 0, 0].tolist()
+    # Naming the rebuilt state must give the same question back.
+    again = _bloch_directions(rebuilt)
+    direction_errors = np.abs(
+        np.array([d.as_array() for d in again])
+        - np.array([d.as_array() for d in directions])
+    ).max(axis=1)
     witnesses = []
     worst_deficit = 0.0
     worst_direction_error = 0.0
-    for _ in range(samples):
-        v = random_unit_vector(rng)
-        direction = bloch_direction(v)
-        rebuilt = reconstruct_state(direction)
-        overlap = abs(linalg.inner(rebuilt, v))
+    for v, amplitude, direction_error in zip(vectors, overlaps, direction_errors.tolist()):
+        # Python's abs, not np.abs: the two round complex moduli differently.
+        overlap = abs(amplitude)
         worst_deficit = max(worst_deficit, 1.0 - overlap)
-        # Naming the rebuilt state must give the same question back.
-        again = bloch_direction(rebuilt)
-        direction_error = float(
-            np.abs(again.as_array() - direction.as_array()).max()
-        )
         worst_direction_error = max(worst_direction_error, direction_error)
         if overlap < 1.0 - eps or direction_error > 1e-9:
             witnesses.append(
@@ -212,28 +242,35 @@ def verify_prop2(
 
 def verify_homomorphism(
     pairs: int = 500,
-    tol: float = 1e-10,
+    eps: float = 1e-10,
     rng: np.random.Generator | None = None,
 ) -> VerificationReport:
     """Check the cover map respects products and has kernel {I, -I}.
 
     Products of random SU(2) pairs must map to products of rotations within
-    tol; both I and -I must map to the identity rotation within 1e-12.
+    eps; both I and -I must map to the identity rotation within 1e-12.
     """
+    check_eps(eps)
     if pairs < 1:
         raise ValueError("pairs must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
+    draws = [(random_su2(rng), random_su2(rng)) for _ in range(pairs)]
+    kernel = [SpecialUnitary2(sign * np.eye(2, dtype=complex)) for sign in (1.0, -1.0)]
+    # Each pair's product and both factors, in that order, then the kernel.
+    elements = [
+        m
+        for m1, m2 in draws
+        for m in (SpecialUnitary2(m1.matrix @ m2.matrix), m1, m2)
+    ] + kernel
+    images = np.array([r.matrix for r in _covers(np.array([m.matrix for m in elements]))])
+    lhs = images[0 : 3 * pairs : 3]
+    rhs = images[1 : 3 * pairs : 3] @ images[2 : 3 * pairs : 3]
+    deviations = np.abs(lhs - rhs).max(axis=(1, 2))
     witnesses = []
     max_deviation = 0.0
-    for _ in range(pairs):
-        m1 = random_su2(rng)
-        m2 = random_su2(rng)
-        product = SpecialUnitary2(m1.matrix @ m2.matrix)
-        lhs = su2_to_so3(product).matrix
-        rhs = su2_to_so3(m1).matrix @ su2_to_so3(m2).matrix
-        deviation = float(np.abs(lhs - rhs).max())
+    for (m1, m2), deviation in zip(draws, deviations.tolist()):
         max_deviation = max(max_deviation, deviation)
-        if deviation > tol:
+        if deviation > eps:
             witnesses.append(
                 {
                     "m1": [x for entry in m1.matrix.flat for x in (entry.real, entry.imag)],
@@ -242,8 +279,7 @@ def verify_homomorphism(
                 }
             )
     kernel_deviation = 0.0
-    for sign in (1.0, -1.0):
-        image = su2_to_so3(SpecialUnitary2(sign * np.eye(2, dtype=complex))).matrix
+    for image in images[3 * pairs :]:
         kernel_deviation = max(kernel_deviation, float(np.abs(image - np.eye(3)).max()))
     if kernel_deviation > 1e-12:
         witnesses.append({"kind": "kernel", "deviation": kernel_deviation})

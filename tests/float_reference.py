@@ -1,11 +1,20 @@
-"""Float reference for the symmetry engine's integer level structure.
+"""Float references for code that the library computes another way.
 
 `qastates.symmetry` decides every representation claim on integers: a
 level set stands for its normalized indicator function, and a level
 permutation for the regular representation of a group element on their
-span.  This module materializes those objects as complex numpy arrays, with
-its own level computation, so tests can compare the integer answers against
-the functions they stand for.  Only tests import it.
+span.  The first part of this module materializes those objects as complex
+numpy arrays, with its own level computation, so tests can compare the
+integer answers against the functions they stand for.
+
+`qastates.qubit` evaluates the Bloch direction map and the SU(2) to SO(3)
+cover as stacked numpy products over many vectors or matrices at once.  The
+second part keeps the loops they replaced: one trace per rotation entry,
+one inner product per Pauli expectation, and one sample at a time in the
+prop2 and homomorphism checks.  Tests require the two to agree bit for bit,
+and the random generator to be left in the same state.
+
+Only tests import this module.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qastates.linalg import norm
+from qastates import linalg, qubit, spin
+from qastates.report import VerificationReport, check_eps
 from qastates.symmetry import FiniteSymmetryModel, _as_permutation
 
 
@@ -58,7 +68,7 @@ class HilbertBasis:
                 f"function has shape {vec.shape}, expected ({self.functions.shape[1]},)"
             )
         coeffs = np.conjugate(self.functions) @ vec
-        residual = norm(vec - self.functions.T @ coeffs)
+        residual = linalg.norm(vec - self.functions.T @ coeffs)
         return coeffs, float(residual)
 
 
@@ -101,3 +111,133 @@ def regular_representation(model: FiniteSymmetryModel, k, f) -> np.ndarray:
     out = np.empty_like(vec)
     out[np.array(perm)] = vec
     return out
+
+
+def bloch_direction(v) -> spin.Direction:
+    """Direction of Pauli expectation values of a unit 2-vector, one inner
+    product per component."""
+    v = linalg.as_vector(v)
+    if v.shape[0] != 2:
+        raise ValueError("bloch_direction needs a 2-vector")
+    if abs(linalg.norm(v) - 1.0) > 1e-10:
+        raise ValueError("bloch_direction needs a unit vector")
+    comps = []
+    for sigma in qubit.pauli_matrices():
+        val = linalg.inner(v, sigma @ v)
+        comps.append(val.real)
+    return spin.Direction.normalized(*comps)
+
+
+def su2_to_so3(m) -> qubit.Rotation3:
+    """Image of an SU(2) element under the cover map, one trace per entry:
+    R_kl = trace(sigma_k M sigma_l M†)/2."""
+    if not isinstance(m, qubit.SpecialUnitary2):
+        m = qubit.SpecialUnitary2(m)
+    mat = m.matrix
+    sigmas = qubit.pauli_matrices()
+    r = np.zeros((3, 3), dtype=float)
+    for k, sk in enumerate(sigmas):
+        for l, sl in enumerate(sigmas):
+            val = 0.5 * np.trace(sk @ mat @ sl @ mat.conj().T)
+            if abs(val.imag) > qubit.REALITY_TOL:
+                raise ValueError(
+                    f"rotation entry ({k},{l}) has imaginary part {val.imag:.3e}"
+                )
+            r[k, l] = val.real
+    return qubit.Rotation3(r)
+
+
+def verify_prop2(
+    samples: int = 1000,
+    eps: float = 1e-9,
+    rng: np.random.Generator | None = None,
+) -> VerificationReport:
+    """`qubit.verify_prop2`, one sample at a time."""
+    check_eps(eps)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    witnesses = []
+    worst_deficit = 0.0
+    worst_direction_error = 0.0
+    for _ in range(samples):
+        v = qubit.random_unit_vector(rng)
+        direction = bloch_direction(v)
+        rebuilt = qubit.reconstruct_state(direction)
+        overlap = abs(linalg.inner(rebuilt, v))
+        worst_deficit = max(worst_deficit, 1.0 - overlap)
+        # Naming the rebuilt state must give the same question back.
+        again = bloch_direction(rebuilt)
+        direction_error = float(
+            np.abs(again.as_array() - direction.as_array()).max()
+        )
+        worst_direction_error = max(worst_direction_error, direction_error)
+        if overlap < 1.0 - eps or direction_error > 1e-9:
+            witnesses.append(
+                {
+                    "vector": [v[0].real, v[0].imag, v[1].real, v[1].imag],
+                    "overlap": overlap,
+                    "direction_error": direction_error,
+                }
+            )
+    verdict = "pass" if not witnesses else "fail"
+    return VerificationReport(
+        subject="prop2",
+        verdict=verdict,
+        metrics={
+            "samples": float(samples),
+            "passes": float(samples - len(witnesses)),
+            "worst_overlap_deficit": worst_deficit,
+            "worst_direction_error": worst_direction_error,
+        },
+        witnesses=tuple(witnesses),
+        notes="unit 2-vectors round-trip through the Bloch direction map",
+    )
+
+
+def verify_homomorphism(
+    pairs: int = 500,
+    eps: float = 1e-10,
+    rng: np.random.Generator | None = None,
+) -> VerificationReport:
+    """`qubit.verify_homomorphism`, one pair at a time."""
+    check_eps(eps)
+    if pairs < 1:
+        raise ValueError("pairs must be at least 1")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    witnesses = []
+    max_deviation = 0.0
+    for _ in range(pairs):
+        m1 = qubit.random_su2(rng)
+        m2 = qubit.random_su2(rng)
+        product = qubit.SpecialUnitary2(m1.matrix @ m2.matrix)
+        lhs = su2_to_so3(product).matrix
+        rhs = su2_to_so3(m1).matrix @ su2_to_so3(m2).matrix
+        deviation = float(np.abs(lhs - rhs).max())
+        max_deviation = max(max_deviation, deviation)
+        if deviation > eps:
+            witnesses.append(
+                {
+                    "m1": [x for entry in m1.matrix.flat for x in (entry.real, entry.imag)],
+                    "m2": [x for entry in m2.matrix.flat for x in (entry.real, entry.imag)],
+                    "deviation": deviation,
+                }
+            )
+    kernel_deviation = 0.0
+    for sign in (1.0, -1.0):
+        image = su2_to_so3(qubit.SpecialUnitary2(sign * np.eye(2, dtype=complex))).matrix
+        kernel_deviation = max(kernel_deviation, float(np.abs(image - np.eye(3)).max()))
+    if kernel_deviation > 1e-12:
+        witnesses.append({"kind": "kernel", "deviation": kernel_deviation})
+    verdict = "pass" if not witnesses else "fail"
+    return VerificationReport(
+        subject="prop2",
+        verdict=verdict,
+        metrics={
+            "pairs": float(pairs),
+            "max_homomorphism_deviation": max_deviation,
+            "kernel_deviation": kernel_deviation,
+        },
+        witnesses=tuple(witnesses),
+        notes="SU(2) to SO(3) product law and two-element kernel",
+    )

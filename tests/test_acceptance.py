@@ -85,7 +85,7 @@ def test_bloch_round_trip_and_cover_map():
     round_trip = qubit.verify_prop2(samples=1000, eps=1e-9, rng=rng)
     assert round_trip.verdict == "pass", round_trip.notes
     assert round_trip.metrics["worst_overlap_deficit"] <= 1e-9
-    cover = qubit.verify_homomorphism(pairs=500, tol=1e-10, rng=rng)
+    cover = qubit.verify_homomorphism(pairs=500, eps=1e-10, rng=rng)
     assert cover.verdict == "pass", cover.notes
     assert cover.metrics["max_homomorphism_deviation"] <= 1e-10
     assert cover.metrics["kernel_deviation"] <= 1e-12

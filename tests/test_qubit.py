@@ -1,7 +1,8 @@
 """Tests for the Bloch direction map and the SU(2) to SO(3) cover.
 
 Expected values are hand-computed Pauli expectations in the ascending basis
-and the closed-form z-rotation matrix.
+and the closed-form z-rotation matrix.  The stacked kernels must also agree
+bit for bit with the per-entry loops kept in `float_reference`.
 """
 
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import float_reference as ref
 from qastates import linalg, qubit, spin
 
 
@@ -60,11 +62,11 @@ class TestBlochDirection:
         assert (d.x, d.y, d.z) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
 
     def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bloch_direction needs a unit vector$"):
             qubit.bloch_direction([1.0, 1.0])
 
     def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bloch_direction needs a 2-vector$"):
             qubit.bloch_direction([1.0, 0.0, 0.0])
 
     def test_phase_invariance(self):
@@ -135,9 +137,17 @@ class TestSu2ToSo3:
         r2 = qubit.su2_to_so3(m.conj()).matrix
         assert np.abs(r2 - rot_z(phi)).max() < 1e-10
 
-    def test_rejects_invalid_input(self):
-        with pytest.raises(ValueError):
-            qubit.su2_to_so3(np.diag([1.0, 2.0]).astype(complex))
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.eye(3, dtype=complex), "^expected a 2x2 matrix$"),
+            (np.diag([1.0, 2.0]).astype(complex), "^not unitary: defect 3.000e\\+00$"),
+            (np.diag([1.0, -1.0]).astype(complex), "^determinant is not 1: "),
+        ],
+    )
+    def test_rejects_invalid_input(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            qubit.su2_to_so3(matrix)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -183,6 +193,8 @@ class TestBatteries:
     def test_single_sample_trivial_case(self):
         rep = qubit.verify_prop2(samples=1, rng=np.random.default_rng(4))
         assert rep.verdict == "pass"
+        rep = qubit.verify_homomorphism(pairs=1, rng=np.random.default_rng(4))
+        assert rep.verdict == "pass"
 
     def test_homomorphism_battery(self):
         rep = qubit.verify_homomorphism(pairs=50, rng=np.random.default_rng(0))
@@ -198,3 +210,45 @@ class TestBatteries:
     def test_invalid_sample_count(self):
         with pytest.raises(ValueError):
             qubit.verify_prop2(samples=0)
+
+
+S2 = 1.0 / math.sqrt(2.0)
+
+
+class TestFloatReference:
+    """The stacked kernels give the reference loops' bits: every float in a
+    report, and every bit of a rotation entry or Bloch component, down to
+    the sign of a zero."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_verifiers_match_reference(self, seed):
+        for size in (1, 2, 3, 50, 200, 1000):
+            for name in ("verify_prop2", "verify_homomorphism"):
+                lib_rng = np.random.default_rng(seed)
+                ref_rng = np.random.default_rng(seed)
+                lib = getattr(qubit, name)(size, rng=lib_rng)
+                want = getattr(ref, name)(size, rng=ref_rng)
+                assert repr(lib.to_json_dict()) == repr(want.to_json_dict()), (name, size)
+                # The golden battery draws every section from one generator,
+                # so a change in draw order would shift all later sections.
+                assert lib_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_bloch_direction_matches_reference(self):
+        rng = np.random.default_rng(17)
+        vectors = [qubit.random_unit_vector(rng) for _ in range(500)]
+        vectors += [
+            [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1j, 0.0], [0.0, -1j],
+            [-0.0, 1.0], [1.0, -0.0], [S2, S2], [S2, -S2], [S2, 1j * S2], [S2, -1j * S2],
+        ]
+        for v in vectors:
+            assert repr(qubit.bloch_direction(v)) == repr(ref.bloch_direction(v)), v
+
+    def test_su2_to_so3_matches_reference(self):
+        rng = np.random.default_rng(18)
+        mats = [qubit.random_su2(rng).matrix for _ in range(500)]
+        mats += [
+            np.eye(2), -np.eye(2), np.diag([1j, -1j]),
+            np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0, 1j], [1j, 0.0]]),
+        ]
+        for m in mats:
+            assert qubit.su2_to_so3(m).matrix.tobytes() == ref.su2_to_so3(m).matrix.tobytes()

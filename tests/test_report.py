@@ -45,6 +45,7 @@ VERIFIERS = {
         spin.SpinSystem(1.0), samples=1, eps=eps
     ),
     "verify_prop2": lambda eps: qubit.verify_prop2(samples=1, eps=eps),
+    "verify_homomorphism": lambda eps: qubit.verify_homomorphism(pairs=1, eps=eps),
 }
 
 
