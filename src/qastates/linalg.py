@@ -5,6 +5,8 @@ Hermitian eigensolver is a cyclic Jacobi iteration written out in full so it
 can serve as an independent route against states constructed by recursion
 elsewhere in the package; it does not call numpy.linalg.  Matrix sizes here
 stay small (dimension 60 or less), where Jacobi is accurate and fast enough.
+It rotates the matrix and its eigenvectors as one stacked array, in place,
+and its bits equal those of the copy-per-rotation loop it replaced.
 Orthonormality and unitarity checks across the package measure one defect,
 max |C†C - I| over the columns C, with `gram_defect`.
 """
@@ -96,7 +98,10 @@ def fix_phase(v) -> np.ndarray:
 def gram_defect(columns) -> float:
     """max |C†C - I|, how far the columns of the array C are from
     orthonormal.  NaN in gives NaN out, which ``not defect <= tol`` rejects."""
-    return float(np.abs(columns.conj().T @ columns - np.eye(columns.shape[1])).max())
+    gram = columns.conj().T @ columns
+    # The product is a fresh C-ordered array, so ravel() is a view of it.
+    gram.ravel()[:: gram.shape[0] + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def projector(vectors) -> np.ndarray:
@@ -147,6 +152,12 @@ def hermitian_eig(a) -> EigenDecomposition:
     eigenpair residuals and the orthonormality of the eigenvector matrix
     are checked against RESIDUAL_TOL and ORTHO_TOL, in a form that NaN
     fails; failure to converge raises instead of returning bad output.
+
+    The working matrix h and the eigenvector matrix v are the top and bottom
+    halves of one (2n, n) array, so one column rotation turns both; columns
+    and rows are rotated in place on views.  Every floating-point operation
+    is the one the loop with separate matrices and copied columns made, so
+    the eigenvalues and eigenvectors equal that loop's bit for bit.
     """
     a = as_matrix(a)
     with np.errstate(over="ignore"):
@@ -160,15 +171,11 @@ def hermitian_eig(a) -> EigenDecomposition:
         raise ValueError("matrix is not Hermitian within tolerance")
     n = a.shape[0]
     # Symmetrize roundoff so the working diagonal is real from the start.
-    h = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    if n == 1 or scale == 0.0:
-        vals = h.diagonal().real.copy()
-        order = np.argsort(vals, kind="stable")
-        return EigenDecomposition(vals[order], v[:, order])
-
-    target = 1e-14 * scale
-    tiny = 1e-18 * scale
+    sym = (a + a.conj().T) / 2.0
+    w = np.vstack((sym, np.eye(n, dtype=complex)))
+    h, v = w[:n], w[n:]
+    h_re, h_im = h.real, h.imag
+    target, tiny = 1e-14 * scale, 1e-18 * scale
     # Summing only off-diagonal entries avoids the cancellation that a
     # "Frobenius minus diagonal" formula hits once the mass drops below
     # sqrt(machine epsilon) times the scale.
@@ -182,42 +189,35 @@ def hermitian_eig(a) -> EigenDecomposition:
                 apq = h[p, q]
                 r = abs(apq)
                 if r <= tiny:
-                    h[p, q] = 0.0
-                    h[q, p] = 0.0
+                    h[p, q] = h[q, p] = 0.0
                     continue
                 phase = apq / r
-                tau = (h[q, q].real - h[p, p].real) / (2.0 * r)
+                conj = np.conj(phase)
+                tau = (h_re[q, q] - h_re[p, p]) / (2.0 * r)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                # Right-multiply by the rotation: mixes columns p and q.
-                colp = h[:, p].copy()
-                colq = h[:, q].copy()
-                h[:, p] = c * colp - s * phase.conjugate() * colq
-                h[:, q] = s * colp + c * phase.conjugate() * colq
-                # Left-multiply by its adjoint: mixes rows p and q.
-                rowp = h[p, :].copy()
-                rowq = h[q, :].copy()
-                h[p, :] = c * rowp - s * phase * rowq
-                h[q, :] = s * rowp + c * phase * rowq
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                h[p, p] = h[p, p].real
-                h[q, q] = h[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * phase.conjugate() * vq
-                v[:, q] = s * vp + c * phase.conjugate() * vq
+                # Right-multiply by the rotation: mixes columns p and q of
+                # h and v.  The new p waits while q is written from the old.
+                colp, colq = w[:, p], w[:, q]
+                new = c * colp - s * conj * colq
+                colq[:] = s * colp + c * conj * colq
+                colp[:] = new
+                # Left-multiply by its adjoint: mixes rows p and q of h.
+                rowp, rowq = h[p], h[q]
+                new = c * rowp - s * phase * rowq
+                rowq[:] = s * rowp + c * phase * rowq
+                rowp[:] = new
+                h[p, q] = h[q, p] = 0.0
+                h_im[p, p] = h_im[q, q] = 0.0
     else:
         raise RuntimeError("Jacobi iteration did not converge")
 
-    vals = h.diagonal().real.copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
+    diagonal = h_re.diagonal()
+    order = np.argsort(diagonal, kind="stable")
+    vals, vecs = diagonal[order], v[:, order]
 
     spectral = max(float(np.abs(vals).max()), 1e-300)
-    sym = (a + a.conj().T) / 2.0
     residual = float(np.abs(sym @ vecs - vecs * vals[np.newaxis, :]).max())
     if not residual <= RESIDUAL_TOL * spectral:
         raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")

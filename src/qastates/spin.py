@@ -12,8 +12,10 @@ from that one decomposition (`oracle_catalog`).
 
 The ladder coefficients and the angular momentum operators depend only on
 j, so they are built once per spin magnitude, kept in small bounded caches
-and handed out read-only.  The recursion and the operators read the same
-ladder table: a shared input, like j itself, after which the routes part.
+and handed out read-only; so are the algebra defects computed from the
+operators (`algebra_defects`, four Jacobi solves).  The recursion and the
+operators read the same ladder table: a shared input, like j itself, after
+which the routes part.
 
 The recursion holds one recurrence: its downward pass is the upward one run
 on the mirrored basis (m -> -m).  Each constructed state is checked once,
@@ -45,8 +47,8 @@ POLE_THRESHOLD = 1e-11
 STATE_RESIDUAL_TOL = 1e-9
 # Coefficient magnitude that triggers prefix rescaling mid-recursion.
 _RESCALE_LIMIT = 1e150
-# Spin magnitudes whose ladder tables and operators are kept; a handful
-# covers a request.
+# Spin magnitudes whose ladder tables, operators and algebra defects are
+# kept; a handful covers a request.
 _OPERATOR_CACHE_SIZE = 4
 
 
@@ -413,7 +415,14 @@ def algebra_defects(system: SpinSystem) -> dict[str, float]:
 
     Exact structure constants force [Jx,Jy] = iJz and cyclic, and
     Jx^2+Jy^2+Jz^2 = j(j+1) I; deviations measure construction error only.
+    They depend only on j, so they are computed once per spin magnitude,
+    beside the operators; each call returns a fresh dict.
     """
+    return dict(_algebra_defects(system))
+
+
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _algebra_defects(system: SpinSystem) -> dict[str, float]:
     jx, jy, jz = angular_momentum_operators(system)
     comm = max(
         linalg.operator_norm(linalg.commutator(jx, jy) - 1j * jz),

@@ -14,6 +14,13 @@ one inner product per Pauli expectation, and one sample at a time in the
 prop2 and homomorphism checks.  Tests require the two to agree bit for bit,
 and the random generator to be left in the same state.
 
+`qastates.linalg.hermitian_eig` keeps the working matrix and the eigenvector
+matrix as the two halves of one stacked array and rotates its columns in
+place.  The third part keeps the loop it replaced, with a separate
+eigenvector matrix and a copy of each rotated column and row.  Tests require
+the eigenvalues and eigenvectors of the two to be equal byte for byte, and
+their errors to be the same.
+
 Only tests import this module.
 """
 
@@ -241,3 +248,82 @@ def verify_homomorphism(
         witnesses=tuple(witnesses),
         notes="SU(2) to SO(3) product law and two-element kernel",
     )
+
+
+def hermitian_eig(a) -> linalg.EigenDecomposition:
+    """`linalg.hermitian_eig` with separate working and eigenvector matrices
+    and a copy of each pair of columns and rows it rotates."""
+    a = linalg.as_matrix(a)
+    with np.errstate(over="ignore"):
+        scale = linalg.frobenius(a)
+    if not math.isfinite(scale):
+        raise ValueError(
+            "matrix entries must be finite, and small enough that the "
+            "Frobenius norm does not overflow"
+        )
+    if linalg.frobenius(a - a.conj().T) > linalg.HERM_TOL * max(1.0, scale):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    n = a.shape[0]
+    # Symmetrize roundoff so the working diagonal is real from the start.
+    h = (a + a.conj().T) / 2.0
+    v = np.eye(n, dtype=complex)
+    if n == 1 or scale == 0.0:
+        vals = h.diagonal().real.copy()
+        order = np.argsort(vals, kind="stable")
+        return linalg.EigenDecomposition(vals[order], v[:, order])
+
+    target = 1e-14 * scale
+    tiny = 1e-18 * scale
+    offdiag_mask = ~np.eye(n, dtype=bool)
+    for _ in range(linalg._MAX_SWEEPS):
+        off = math.sqrt(float(np.sum(np.abs(h[offdiag_mask]) ** 2)))
+        if off <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = h[p, q]
+                r = abs(apq)
+                if r <= tiny:
+                    h[p, q] = 0.0
+                    h[q, p] = 0.0
+                    continue
+                phase = apq / r
+                tau = (h[q, q].real - h[p, p].real) / (2.0 * r)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                # Right-multiply by the rotation: mixes columns p and q.
+                colp = h[:, p].copy()
+                colq = h[:, q].copy()
+                h[:, p] = c * colp - s * phase.conjugate() * colq
+                h[:, q] = s * colp + c * phase.conjugate() * colq
+                # Left-multiply by its adjoint: mixes rows p and q.
+                rowp = h[p, :].copy()
+                rowq = h[q, :].copy()
+                h[p, :] = c * rowp - s * phase * rowq
+                h[q, :] = s * rowp + c * phase * rowq
+                h[p, q] = 0.0
+                h[q, p] = 0.0
+                h[p, p] = h[p, p].real
+                h[q, q] = h[q, q].real
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * phase.conjugate() * vq
+                v[:, q] = s * vp + c * phase.conjugate() * vq
+    else:
+        raise RuntimeError("Jacobi iteration did not converge")
+
+    vals = h.diagonal().real.copy()
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    vecs = v[:, order]
+
+    spectral = max(float(np.abs(vals).max()), 1e-300)
+    sym = (a + a.conj().T) / 2.0
+    residual = float(np.abs(sym @ vecs - vecs * vals[np.newaxis, :]).max())
+    if not residual <= linalg.RESIDUAL_TOL * spectral:
+        raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")
+    ortho = linalg.gram_defect(vecs)
+    if not ortho <= linalg.ORTHO_TOL:
+        raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
+    return linalg.EigenDecomposition(vals, vecs)

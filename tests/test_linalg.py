@@ -2,7 +2,8 @@
 
 The eigensolver tests cross-check the hand-rolled Jacobi route against both
 closed forms worked out independently (2x2 Hermitian) and numpy.linalg.eigh,
-which the package itself never calls.
+which the package itself never calls.  `TestFloatReference` holds its
+stacked rotation loop to the loop it replaced, byte for byte.
 """
 
 import math
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qastates import linalg
+import float_reference
+from qastates import linalg, spin
 
 # Textbook Pauli matrices, used here only as well-known test fixtures.
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -279,3 +281,106 @@ class TestOperatorNorm:
         rng = np.random.default_rng(42)
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         assert linalg.operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), abs=1e-9)
+
+
+# Every supported spin magnitude up to 12.5, and the top of the range.
+SPINS = [k / 2 for k in range(1, 26)] + [25.0]
+
+
+def eig_outcome(solve, m):
+    """What a solver makes of m: the bytes of its result, or its error."""
+    try:
+        dec = solve(m)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return (
+        dec.eigenvalues.shape,
+        dec.eigenvalues.tobytes(),
+        dec.eigenvectors.shape,
+        dec.eigenvectors.tobytes(),
+    )
+
+
+def assert_same_as_reference(m):
+    want = eig_outcome(float_reference.hermitian_eig, m)
+    assert eig_outcome(linalg.hermitian_eig, m) == want
+    return want
+
+
+class TestFloatReference:
+    """The stacked rotation loop against the copy-per-rotation loop it
+    replaced: the same bytes, or the same error and message."""
+
+    @pytest.mark.parametrize("j", SPINS)
+    def test_component_operators(self, j):
+        for op in spin.angular_momentum_operators(spin.SpinSystem(j)):
+            assert_same_as_reference(op)
+
+    @pytest.mark.parametrize("j", SPINS)
+    def test_directions(self, j):
+        system = spin.SpinSystem(j)
+        rng = np.random.default_rng(round(4 * j))
+        directions = [spin.random_direction(rng)]
+        # Just off either pole: transverse log-uniform between the pole
+        # threshold and 1e-3, at a random azimuth.
+        for z in (1.0, -1.0):
+            t = 10.0 ** rng.uniform(math.log10(spin.POLE_THRESHOLD), -3.0)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            direction = spin.Direction.normalized(t * math.cos(phi), t * math.sin(phi), z)
+            assert spin.POLE_THRESHOLD <= direction.transverse <= 1e-3
+            directions.append(direction)
+        directions += [spin.Direction(0.0, 0.0, 1.0), spin.Direction(0.0, 0.0, -1.0)]
+        for direction in directions:
+            assert_same_as_reference(spin.component_operator(system, direction))
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_random_hermitian(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(3):
+            assert_same_as_reference(random_hermitian(rng, n))
+
+    def test_degenerate_and_diagonal_spectra(self):
+        rng = np.random.default_rng(6)
+        u = linalg.hermitian_eig(random_hermitian(rng, 4)).eigenvectors
+        for diagonal in ([2.0, 2.0, 5.0, 5.0], [3.0, -1.0, 2.0, -1.0], [0.0, 0.0, 0.0, 1.0]):
+            d = np.diag(diagonal).astype(complex)
+            assert_same_as_reference(d)
+            assert_same_as_reference(u @ d @ u.conj().T)
+        for n in (1, 2, 5):
+            assert_same_as_reference(np.zeros((n, n), dtype=complex))
+            assert_same_as_reference(4.0 * np.eye(n))
+        # Off-diagonal entries under tiny = 1e-18 * scale are zeroed, not
+        # rotated.
+        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        a[0, 2], a[2, 0] = 1e-20j, -1e-20j
+        a[1, 2] = a[2, 1] = 3e-20
+        assert_same_as_reference(a)
+
+    @pytest.mark.parametrize("j", [k / 2 for k in range(1, 26)])
+    def test_operator_norm_gram_matrices(self, j):
+        # The Gram matrices that algebra_defects' operator norms diagonalize.
+        jx, jy, jz = spin.angular_momentum_operators(spin.SpinSystem(j))
+        casimir = jx @ jx + jy @ jy + jz @ jz - j * (j + 1.0) * np.eye(jx.shape[0])
+        for a in (
+            linalg.commutator(jx, jy) - 1j * jz,
+            linalg.commutator(jy, jz) - 1j * jx,
+            linalg.commutator(jz, jx) - 1j * jy,
+            casimir,
+        ):
+            assert_same_as_reference(a.conj().T @ a)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+            np.zeros((2, 3)),
+            np.diag([1.0, math.nan, 2.0]),
+            np.diag([1.0, math.inf, 2.0]),
+            np.diag([1.0, 1e300, 1e308]),
+            np.full((2, 2), 1e200),
+        ],
+        ids=["non-hermitian", "non-square", "nan", "inf", "overflow", "overflow-full"],
+    )
+    def test_same_errors(self, m):
+        want = assert_same_as_reference(m)
+        assert want[0] is ValueError

@@ -5,6 +5,7 @@ eigenproblems, textbook ladder values, and the package's eigensolver oracle
 (which the recursion never touches).
 """
 
+import json
 import math
 
 import numpy as np
@@ -448,10 +449,15 @@ class TestOperatorCache:
     def test_algebra_defects_unchanged(self, j):
         s = SpinSystem(j)
         spin.angular_momentum_operators.cache_clear()
+        spin._algebra_defects.cache_clear()
         cold = spin.algebra_defects(s)
         warm = spin.algebra_defects(s)
+        assert spin._algebra_defects.cache_info().hits == 1
+        # Each call hands out its own dict, equal to a build from the cached
+        # operators.
+        assert cold == warm and cold is not warm
+        assert spin._algebra_defects.__wrapped__(s) == cold
         assert spin.angular_momentum_operators.cache_info().hits >= 1
-        assert cold == warm
         assert cold["commutator_defect"] <= 1e-11
         assert cold["casimir_defect"] <= 1e-10
 
@@ -585,6 +591,25 @@ class TestVerificationBatteries:
         )
         assert rep.verdict == "fail"
         assert {w["kind"] for w in rep.witnesses} == {"separated_pair_collided"}
+
+    def test_algebra_defects_solved_once_per_spin(self, monkeypatch):
+        operator_norm = linalg.operator_norm
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return operator_norm(a)
+
+        monkeypatch.setattr(linalg, "operator_norm", counted)
+        spin._algebra_defects.cache_clear()
+        s = SpinSystem(2.5)
+        reports = [
+            spin.verify_eigenstates(s, samples=2, rng=np.random.default_rng(4))
+            for _ in range(2)
+        ]
+        assert len(calls) == 4
+        first, second = (json.dumps(r.to_json_dict()).encode() for r in reports)
+        assert first == second
 
     def test_batteries_deterministic(self):
         a = spin.verify_eigenstates(SpinSystem(1.0), samples=5, rng=np.random.default_rng(7))
