@@ -91,7 +91,7 @@ def fix_phase(v) -> np.ndarray:
     if not 0.0 < top < math.inf:
         what = "the zero vector" if top == 0.0 else "a vector with non-finite entries"
         raise ValueError(f"cannot fix the phase of {what}")
-    anchor = int(np.flatnonzero(mags >= top - PHASE_TIE_TOL)[0])
+    anchor = int(np.argmax(mags >= top - PHASE_TIE_TOL))
     return v * (v[anchor].conjugate() / mags[anchor])
 
 

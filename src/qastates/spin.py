@@ -19,7 +19,12 @@ which the routes part.
 
 The recursion holds one recurrence: its downward pass is the upward one run
 on the mirrored basis (m -> -m).  Each constructed state is checked once,
-by the eigenvalue residual bound that `QuestionAnswerState` enforces.
+by the eigenvalue residual bound.  The pole branch, the recursion and the
+oracle build kets that are unit and phase-fixed by construction, so the
+residual is the only check their states get; it reads the component
+operator, built once per direction and shared by both routes like j
+itself.  Kets from outside the package go through the public
+`QuestionAnswerState` constructor, which checks every invariant.
 
 Basis convention: the J_z eigenbasis ordered by ascending eigenvalue, so
 index 0 is m = -j and the last index is m = +j.  All operators and kets in
@@ -195,15 +200,29 @@ def _snap_answer(system: SpinSystem, h: float) -> float:
     return float(-system.j + k)
 
 
+def _checked_residual(op: np.ndarray, ket: np.ndarray, h: float) -> float:
+    """||op ket - h ket||, refused above STATE_RESIDUAL_TOL."""
+    residual = linalg.norm(op @ ket - h * ket)
+    if not residual <= STATE_RESIDUAL_TOL:
+        raise ValueError(
+            f"ket is not an eigenvector: residual {residual:.3e} "
+            f"exceeds {STATE_RESIDUAL_TOL:g}"
+        )
+    return residual
+
+
 @dataclass(frozen=True)
 class QuestionAnswerState:
     """State vector answering 'component along direction is exactly h'.
 
-    Invariants checked at construction: the answer is sharp, the ket is a
-    unit vector of the right dimension, the eigenvalue residual
-    ||J_a ket - h ket|| is at most STATE_RESIDUAL_TOL, and the global phase
-    follows the package convention (largest-magnitude entry real positive).
-    The residual measured there is kept as `residual`.
+    Every state has its eigenvalue residual ||J_a ket - h ket|| measured,
+    bounded by STATE_RESIDUAL_TOL and kept as `residual`, and holds a
+    read-only ket.  The public constructor reads untrusted kets, so it also
+    checks that the answer is sharp (and snaps it), that the ket is a unit
+    vector of the right dimension, and that its global phase follows the
+    package convention (largest-magnitude entry real positive); it keeps a
+    copy of the ket.  The package's own constructors establish those three
+    by construction and go through `_built`, which checks the residual only.
     """
 
     system: SpinSystem
@@ -222,17 +241,33 @@ class QuestionAnswerState:
         if not abs(linalg.norm(ket) - 1.0) <= 1e-10:
             raise ValueError("ket must be normalized")
         op = component_operator(self.system, self.direction)
-        residual = linalg.norm(op @ ket - self.answer * ket)
-        if not residual <= STATE_RESIDUAL_TOL:
-            raise ValueError(
-                f"ket is not an eigenvector: residual {residual:.3e} "
-                f"exceeds {STATE_RESIDUAL_TOL:g}"
-            )
+        residual = _checked_residual(op, ket, self.answer)
         if float(np.abs(linalg.fix_phase(ket) - ket).max()) > 1e-9:
             raise ValueError("ket does not follow the package phase convention")
         ket.flags.writeable = False
         object.__setattr__(self, "ket", ket)
         object.__setattr__(self, "residual", residual)
+
+    @classmethod
+    def _built(
+        cls,
+        system: SpinSystem,
+        direction: Direction,
+        answer: float,
+        ket: np.ndarray,
+        op: np.ndarray,
+    ) -> "QuestionAnswerState":
+        """A state from one of this module's constructors, which pass a
+        snapped answer, a fresh unit ket under the phase convention and the
+        component operator `op` along the direction.  Only the residual is
+        checked; the ket is kept, not copied, and made read-only."""
+        residual = _checked_residual(op, ket, answer)
+        ket.flags.writeable = False
+        state = object.__new__(cls)
+        state.__dict__.update(
+            system=system, direction=direction, answer=answer, ket=ket, residual=residual
+        )
+        return state
 
 
 def _recurrence_up(
@@ -293,7 +328,7 @@ def eigenstate_recursion(
     upward one run on the mirrored basis, so one function body holds the
     recurrence.  The rows of the eigenvalue equation not consumed by
     construction must balance on their own: that is checked once, by the
-    residual bound of `QuestionAnswerState`.
+    residual bound that every `QuestionAnswerState` gets.
 
     Directions within POLE_THRESHOLD of the z axis take the axis branch:
     the state is the basis vector of the nearer pole, whose residual is at
@@ -302,6 +337,14 @@ def eigenstate_recursion(
     overflows once the transverse component is subnormal.
     """
     h = _snap_answer(system, answer)
+    return _recursion_state(system, direction, h, component_operator(system, direction))
+
+
+def _recursion_state(
+    system: SpinSystem, direction: Direction, h: float, op: np.ndarray
+) -> QuestionAnswerState:
+    """`eigenstate_recursion` for a snapped answer h, with `op` the component
+    operator along the direction; `op` serves the residual check only."""
     j = system.j
     d = system.dim
 
@@ -309,7 +352,7 @@ def eigenstate_recursion(
         m = h if direction.z > 0.0 else -h
         ket = np.zeros(d, dtype=complex)
         ket[system.m_index(m)] = 1.0
-        return QuestionAnswerState(system, direction, h, ket)
+        return QuestionAnswerState._built(system, direction, h, ket, op)
 
     junction = min(max(round(h * direction.z + j), 0), d - 1)
     if junction >= d - 1:
@@ -340,7 +383,7 @@ def eigenstate_recursion(
     if nrm == 0.0:
         raise RuntimeError("recursion produced the zero vector")
     ket = linalg.fix_phase(b / nrm)
-    return QuestionAnswerState(system, direction, h, ket)
+    return QuestionAnswerState._built(system, direction, h, ket, op)
 
 
 def oracle_catalog(system: SpinSystem, direction: Direction) -> list[QuestionAnswerState]:
@@ -352,7 +395,14 @@ def oracle_catalog(system: SpinSystem, direction: Direction) -> list[QuestionAns
     or the spectrum is reported as an error.  Answers are 1 apart, so answer
     k then takes eigenvector k, its only eigenvalue that close.
     """
-    dec = linalg.hermitian_eig(component_operator(system, direction))
+    return _oracle_states(system, direction, component_operator(system, direction))
+
+
+def _oracle_states(
+    system: SpinSystem, direction: Direction, op: np.ndarray
+) -> list[QuestionAnswerState]:
+    """`oracle_catalog` with `op` the component operator along the direction."""
+    dec = linalg.hermitian_eig(op)
     answers = system.m_values
     gaps = np.abs(dec.eigenvalues - answers)
     worst = int(np.argmax(gaps))
@@ -362,7 +412,9 @@ def oracle_catalog(system: SpinSystem, direction: Direction) -> list[QuestionAns
             f"is {dec.eigenvalues[worst]!r}, more than 1e-6 from the answer {answers[worst]}"
         )
     return [
-        QuestionAnswerState(system, direction, h, linalg.fix_phase(dec.eigenvectors[:, k]))
+        QuestionAnswerState._built(
+            system, direction, h, linalg.fix_phase(dec.eigenvectors[:, k]), op
+        )
         for k, h in enumerate(answers.tolist())
     ]
 
@@ -380,13 +432,15 @@ def state_catalog(
 ) -> list[QuestionAnswerState]:
     """All states for every (direction, sharp answer) pair, recursion route.
 
-    Errors propagate with the offending pair identified.
+    The component operator is built once per direction.  Errors propagate
+    with the offending pair identified.
     """
     out = []
     for direction in directions:
+        op = component_operator(system, direction)
         for h in system.m_values:
             try:
-                out.append(eigenstate_recursion(system, direction, float(h)))
+                out.append(_recursion_state(system, direction, float(h), op))
             except (ValueError, RuntimeError) as exc:
                 raise type(exc)(
                     f"catalog failed at direction={direction}, h={h}: {exc}"
@@ -447,9 +501,11 @@ def verify_eigenstates(
 
     For each sampled direction (plus both axis poles) and every sharp
     answer, the recursion state's overlap with the oracle state must be at
-    least 1 - eps.  The oracle diagonalizes once per direction.  Residuals
-    are only recorded: `QuestionAnswerState` already rejects any above
-    STATE_RESIDUAL_TOL.
+    least 1 - eps.  The component operator is built once per direction and
+    shared by the oracle, which diagonalizes it once, and by every answer's
+    recursion state, which uses it only for its residual.  Residuals are
+    only recorded here: the construction of every state, by either route,
+    already rejects any above STATE_RESIDUAL_TOL.
     """
     check_eps(eps)
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -459,8 +515,9 @@ def verify_eigenstates(
     max_residual = 0.0
     min_overlap = 1.0
     for direction in dirs:
-        for h, orc in zip(system.m_values, oracle_catalog(system, direction)):
-            rec = eigenstate_recursion(system, direction, float(h))
+        op = component_operator(system, direction)
+        for h, orc in zip(system.m_values, _oracle_states(system, direction, op)):
+            rec = _recursion_state(system, direction, float(h), op)
             overlap = abs(linalg.inner(rec.ket, orc.ket))
             max_residual = max(max_residual, rec.residual)
             min_overlap = min(min_overlap, overlap)
@@ -546,8 +603,13 @@ def verify_ray_collisions(
     counting the antipode) must not be phase-equal unless they are that
     exact collision.  Phase-equal means an overlap magnitude of at least
     1 - eps, read directly: `QuestionAnswerState` guarantees unit kets.
+    `separation` must lie in [0, pi/2): no direction lies farther than
+    pi/2 from both a and -a, and a random draw almost never lies exactly
+    that far, so the search for a separated direction would not end.
     """
     check_eps(eps)
+    if not 0.0 <= separation < math.pi / 2:
+        raise ValueError(f"separation must lie in [0, pi/2), got {separation!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
     collisions = []
     failures = []

@@ -141,6 +141,23 @@ class TestStateRecords:
             )
 
 
+    def test_parse_refuses_kets_the_state_constructor_refuses(self):
+        # The records are well formed; the ket is not a state of the
+        # package, and the validating constructor says why.
+        good = cli.emit_state(random_state(4, 1.5))
+        other = cli.emit_state(random_state(5, 1.5))
+        scaled = [[2.0 * re, 2.0 * im] for re, im in good["amplitudes"]]
+        negated = [[-re, -im] for re, im in good["amplitudes"]]
+        for message, edit in [
+            ("^ket must be normalized$", {"amplitudes": scaled}),
+            ("^ket does not follow the package phase convention$", {"amplitudes": negated}),
+            (r"^ket is not an eigenvector: residual \S+ exceeds 1e-09$", {"dir": other["dir"]}),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                cli.parse_state({**good, **edit})
+        assert np.array_equal(cli.parse_state(good).ket, random_state(4, 1.5).ket)
+
+
 # ---------------------------------------------------------------------------
 # spin commands
 
@@ -794,7 +811,9 @@ class TestExitContract:
         [
             (spin, "eigenstate_recursion", RuntimeError,
              ("spin", "state", "--j", "1", "--dir", "0,0,1", "--h", "1")),
-            (spin, "oracle_catalog", RuntimeError, ("spin", "verify", "--j", "1", "--samples", "1")),
+            # verify_eigenstates reaches the oracle through the helper that
+            # shares one component operator per direction.
+            (spin, "_oracle_states", RuntimeError, ("spin", "verify", "--j", "1", "--samples", "1")),
             (symmetry, "verify_theorem1", KeyError,
              ("symmetry", "check", "--model", "structural_example")),
         ],

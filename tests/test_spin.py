@@ -496,6 +496,159 @@ class TestStateInvariants:
         op = spin.component_operator(s, direction)
         assert state.residual == linalg.norm(op @ state.ket - state.answer * state.ket)
         assert "residual" not in repr(state)
+        # The oracle and the pole branch keep theirs too; just off the pole
+        # the axis basis vector has a residual above zero.
+        states = spin.oracle_catalog(s, direction)
+        near_pole = Direction.normalized(3e-12, 4e-12, -1.0)
+        pole_states = [spin.eigenstate_recursion(s, near_pole, h) for h in (-2.5, 0.5, 2.5)]
+        assert all(state.residual > 0.0 for state in pole_states)
+        for state in states + pole_states:
+            op = spin.component_operator(s, state.direction)
+            assert state.residual == linalg.norm(op @ state.ket - state.answer * state.ket)
+            assert "residual" not in repr(state)
+
+
+def route_of(system, direction, h):
+    """Which branch of `eigenstate_recursion` builds the state for (a, h)."""
+    if direction.transverse < spin.POLE_THRESHOLD:
+        return "pole"
+    junction = min(max(round(h * direction.z + system.j), 0), system.dim - 1)
+    if junction >= system.dim - 1:
+        return "up"
+    return "down" if junction <= 0 else "stitched"
+
+
+def route_directions(j):
+    """One random direction, two just off either pole (transverse
+    log-uniform between POLE_THRESHOLD and 1e-3), both poles, and one
+    direction inside POLE_THRESHOLD of the south pole."""
+    rng = np.random.default_rng(round(8 * j))
+    directions = [spin.random_direction(rng)]
+    for z in (1.0, -1.0):
+        t = 10.0 ** rng.uniform(math.log10(spin.POLE_THRESHOLD), -3.0)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        direction = Direction.normalized(t * math.cos(phi), t * math.sin(phi), z)
+        assert spin.POLE_THRESHOLD <= direction.transverse <= 1e-3
+        directions.append(direction)
+    return directions + [Z, Z.antipode(), Direction.normalized(3e-12, -4e-12, -1.0)]
+
+
+def assert_same_as_public(state, system, direction, answer):
+    """The state equals, field for field, the public validating constructor
+    applied to the same (system, direction, answer, ket)."""
+    public = spin.QuestionAnswerState(system, direction, answer, state.ket)
+    assert state.system == public.system and state.direction == public.direction
+    assert type(state.answer) is float and state.answer.hex() == public.answer.hex()
+    assert state.ket.dtype == public.ket.dtype
+    assert state.ket.tobytes() == public.ket.tobytes()
+    assert state.residual.hex() == public.residual.hex()
+    assert not state.ket.flags.writeable
+
+
+ALL_SPINS = [k / 2 for k in range(1, 51)]
+
+
+class TestTrustedConstructors:
+    """The pole branch, the recursion and the oracle skip the public
+    constructor's snapping, norm and phase checks; their states must be the
+    ones that constructor makes from the same inputs."""
+
+    @pytest.mark.parametrize("j", ALL_SPINS)
+    def test_recursion_routes_match_public_constructor(self, j):
+        s = SpinSystem(j)
+        seen = set()
+        for direction in route_directions(j):
+            catalog = spin.state_catalog(s, [direction])
+            for h, shared in zip(s.m_values.tolist(), catalog):
+                seen.add(route_of(s, direction, h))
+                where = f"j={j}, direction={direction}, h={h}"
+                try:
+                    assert_same_as_public(shared, s, direction, h)
+                    # The state built on its own, with its own operator,
+                    # and from an unsnapped answer.
+                    alone = spin.eigenstate_recursion(s, direction, h + 1e-12)
+                    assert_same_as_public(alone, s, direction, h + 1e-12)
+                    assert alone.ket.tobytes() == shared.ket.tobytes()
+                    assert alone.residual.hex() == shared.residual.hex()
+                except AssertionError as exc:
+                    raise AssertionError(where) from exc
+        assert seen == ({"pole", "up", "down"} if j == 0.5 else {"pole", "up", "down", "stitched"})
+
+    @pytest.mark.parametrize("j", ALL_SPINS)
+    def test_oracle_matches_public_constructor(self, j):
+        s = SpinSystem(j)
+        # Jacobi at d=51 takes about 0.1 s a direction: the random, one
+        # near-pole and one pole direction per spin.
+        for direction in [route_directions(j)[k] for k in (0, 1, 4)]:
+            for h, state in zip(s.m_values.tolist(), spin.oracle_catalog(s, direction)):
+                try:
+                    assert_same_as_public(state, s, direction, h)
+                except AssertionError as exc:
+                    raise AssertionError(f"j={j}, direction={direction}, h={h}") from exc
+
+    def test_stitched_junction_at_either_end(self):
+        # The junction one step inside either end: both passes run, one of
+        # them for a single step.
+        s = SpinSystem(3.0)
+        for z, h in ((1.0, 2.0), (-1.0, 2.0), (1.0, -2.0)):
+            direction = Direction.normalized(0.3, 0.4, 4.0 * z)
+            junction = round(h * direction.z + s.j)
+            assert junction in (1, s.dim - 2) and route_of(s, direction, h) == "stitched"
+            assert_same_as_public(spin.eigenstate_recursion(s, direction, h), s, direction, h)
+
+    def test_one_operator_per_direction(self, monkeypatch):
+        built = []
+        component_operator = spin.component_operator
+
+        def counted(system, direction):
+            built.append(direction)
+            return component_operator(system, direction)
+
+        monkeypatch.setattr(spin, "component_operator", counted)
+        s = SpinSystem(2.5)
+        directions = [spin.random_direction(np.random.default_rng(k)) for k in range(3)]
+        spin.state_catalog(s, directions)
+        assert built == directions
+        built.clear()
+        spin.verify_eigenstates(s, samples=3, rng=np.random.default_rng(5))
+        assert len(built) == 3 + 2
+
+    def test_constructors_fix_the_phase_once(self, monkeypatch):
+        calls = []
+        fix_phase = linalg.fix_phase
+
+        def counted(v):
+            calls.append(v)
+            return fix_phase(v)
+
+        monkeypatch.setattr(linalg, "fix_phase", counted)
+        s = SpinSystem(1.5)
+        direction = spin.random_direction(np.random.default_rng(9))
+        spin.eigenstate_recursion(s, direction, 0.5)
+        assert len(calls) == 1
+        spin.eigenstate_recursion(s, Z, 0.5)
+        assert len(calls) == 1
+        spin.oracle_catalog(s, direction)
+        assert len(calls) == 1 + s.dim
+        # The public constructor still checks the phase of what it is given.
+        spin.QuestionAnswerState(s, Z, 0.5, np.eye(s.dim)[s.m_index(0.5)])
+        assert len(calls) == 2 + s.dim
+
+    def test_residual_bound_enforced_on_built_states(self, monkeypatch):
+        # A route that produced a unit, phase-fixed ket which is not an
+        # eigenvector is still refused, by the residual check alone.
+        s = SpinSystem(1.5)
+        direction = spin.random_direction(np.random.default_rng(13))
+        monkeypatch.setattr(spin, "_recurrence_up", lambda system, a, h, k_end: np.ones(k_end + 1))
+        for h in (-1.5, 0.5, 1.5):
+            with pytest.raises(ValueError, match="^ket is not an eigenvector: residual "):
+                spin.eigenstate_recursion(s, direction, h)
+        with pytest.raises(ValueError, match="^catalog failed at .*: ket is not an eigenvector"):
+            spin.state_catalog(s, [direction])
+        # The right spectrum with the basis vectors as eigenvectors.
+        monkeypatch.setattr(linalg, "hermitian_eig", degenerate_eig([-0.5, 0.5]))
+        with pytest.raises(ValueError, match="^ket is not an eigenvector: residual "):
+            spin.oracle_catalog(SpinSystem(0.5), X)
 
 
 class TestCatalogAndTransitions:
@@ -573,6 +726,22 @@ class TestVerificationBatteries:
         # Collisions are the documented finding; they must be on record.
         assert len(rep.witnesses) == 20
         assert rep.metrics["worst_collision_overlap"] >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize(
+        "separation", [math.pi / 2, 2.0, math.nan, math.inf, -math.inf, -1e-3]
+    )
+    def test_ray_collisions_reject_separation_outside_quarter_turn(self, separation):
+        # No direction is pi/2 or more from both a and -a, so the search for
+        # a separated second direction would never end.
+        with pytest.raises(ValueError, match=r"^separation must lie in \[0, pi/2\), got "):
+            spin.verify_ray_collisions(SpinSystem(1.0), samples=0, separation=separation)
+
+    @pytest.mark.parametrize("separation", [0.0, 1.5])
+    def test_ray_collisions_accept_separation_below_quarter_turn(self, separation):
+        rep = spin.verify_ray_collisions(
+            SpinSystem(1.0), samples=3, separation=separation, rng=np.random.default_rng(1)
+        )
+        assert rep.verdict == "pass"
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, math.nan])
     def test_ray_collisions_reject_eps_outside_unit_interval(self, eps):
