@@ -8,7 +8,7 @@ stay small (dimension 60 or less), where Jacobi is accurate and fast enough.
 It rotates the matrix and its eigenvectors as one stacked array, in place,
 and its bits equal those of the copy-per-rotation loop it replaced.
 Orthonormality and unitarity checks across the package measure one defect,
-max |C†C - I| over the columns C, with `gram_defect`.
+max |C†C - I| over the columns C, of one C or a stack, with `gram_defect`.
 """
 
 from __future__ import annotations
@@ -67,13 +67,13 @@ def phase_equal(u, v, eps: float = 1e-9) -> bool:
     """Whether two unit vectors agree up to a global phase.
 
     True iff |<u|v>| >= 1 - eps.  Both inputs must be normalized to within
-    1e-8; eps must lie strictly between 0 and 1.
+    1e-8, which a NaN entry fails; eps must lie strictly between 0 and 1.
     """
     check_eps(eps)
     u = as_vector(u)
     v = as_vector(v)
     for w in (u, v):
-        if abs(norm(w) - 1.0) > 1e-8:
+        if not abs(norm(w) - 1.0) <= 1e-8:
             raise ValueError(f"phase_equal needs unit vectors, got norm {norm(w)!r}")
     return bool(abs(inner(u, v)) >= 1.0 - eps)
 
@@ -95,13 +95,15 @@ def fix_phase(v) -> np.ndarray:
     return v * (v[anchor].conjugate() / mags[anchor])
 
 
-def gram_defect(columns) -> float:
+def gram_defect(columns) -> float | np.ndarray:
     """max |C†C - I|, how far the columns of the array C are from
-    orthonormal.  NaN in gives NaN out, which ``not defect <= tol`` rejects."""
-    gram = columns.conj().T @ columns
-    # The product is a fresh C-ordered array, so ravel() is a view of it.
-    gram.ravel()[:: gram.shape[0] + 1] -= 1.0
-    return float(np.abs(gram).max())
+    orthonormal: a float, or for a stack of C an array with each C's bits.
+    NaN in gives NaN out, which ``not defect <= tol`` rejects."""
+    gram = columns.conj().swapaxes(-1, -2) @ columns
+    # The product is a fresh C-ordered array, so the reshape is a view of it.
+    gram.reshape(gram.shape[:-2] + (-1,))[..., :: gram.shape[-1] + 1] -= 1.0
+    defects = np.abs(gram).max(axis=(-2, -1))
+    return float(defects) if gram.ndim == 2 else defects
 
 
 def projector(vectors) -> np.ndarray:

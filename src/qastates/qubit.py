@@ -8,7 +8,8 @@ rotation group by SU(2) is the structural reason the correspondence works;
 it is verified as a homomorphism law on random pairs.  Both maps run as
 stacked numpy products over all vectors or matrices of a check at once;
 tests hold them bit for bit to the per-entry loops in
-`tests/float_reference.py`.
+`tests/float_reference.py`.  SU(2) elements and rotations are checked as
+stacks; `SpecialUnitary2` and `Rotation3` check a stack of one.
 
 Pauli matrices here follow the package basis convention (ascending, so
 sigma_z = diag(-1, +1)); they are twice the j=1/2 angular momentum
@@ -45,16 +46,33 @@ def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(_pauli_stack())
 
 
-def _det2(m: np.ndarray) -> complex:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def _det(m: np.ndarray):
+    """det of a 2x2 or 3x3 matrix, or of each matrix in a stack.  One matrix
+    unpacks to numpy scalars, whose complex products numpy does not fuse
+    (FMA) as its array loops may from AVX2 up; refusals print that value."""
+    if m.shape[-1] == 2:
+        (a, c), (b, d) = m.T
+        return a * d - b * c
+    (a, d, g), (b, e, h), (c, f, i) = m.T
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _det3(r: np.ndarray) -> float:
-    return float(
-        r[0, 0] * (r[1, 1] * r[2, 2] - r[1, 2] * r[2, 1])
-        - r[0, 1] * (r[1, 0] * r[2, 2] - r[1, 2] * r[2, 0])
-        + r[0, 2] * (r[1, 0] * r[2, 1] - r[1, 1] * r[2, 0])
-    )
+def _checked(mats: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """A read-only C-ordered copy of a stack of M with M†M = I and det M = 1
+    within tol, checked by one Gram product and one determinant.  Refuses the
+    first M off the unit Gram as "not {what}", else the first det M != 1."""
+    defects = linalg.gram_defect(mats)
+    fits = defects <= tol  # NaN fails
+    if not fits.all():
+        raise ValueError(f"not {what}: defect {defects[fits.argmin()]:.3e}")
+    off = np.abs(_det(mats) - 1.0) > tol
+    if off.any():
+        det = _det(mats[off.argmax()])
+        det = det if det.dtype.kind == "c" else float(det)
+        raise ValueError(f"determinant is not 1: {det!r}")
+    mats = mats.copy()
+    mats.flags.writeable = False
+    return mats
 
 
 @dataclass(frozen=True)
@@ -67,14 +85,7 @@ class SpecialUnitary2:
         m = linalg.as_matrix(self.matrix)
         if m.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
-        unitary_defect = linalg.gram_defect(m)
-        if not unitary_defect <= UNITARY_TOL:
-            raise ValueError(f"not unitary: defect {unitary_defect:.3e}")
-        if abs(_det2(m) - 1.0) > UNITARY_TOL:
-            raise ValueError(f"determinant is not 1: {_det2(m)!r}")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _checked(m[None], UNITARY_TOL, "unitary")[0])
 
 
 @dataclass(frozen=True)
@@ -87,14 +98,7 @@ class Rotation3:
         r = np.asarray(self.matrix, dtype=float)
         if r.shape != (3, 3):
             raise ValueError("expected a 3x3 real matrix")
-        ortho_defect = linalg.gram_defect(r)
-        if not ortho_defect <= ROTATION_TOL:
-            raise ValueError(f"not orthogonal: defect {ortho_defect:.3e}")
-        if abs(_det3(r) - 1.0) > ROTATION_TOL:
-            raise ValueError(f"determinant is not 1: {_det3(r)!r}")
-        r = r.copy()
-        r.flags.writeable = False
-        object.__setattr__(self, "matrix", r)
+        object.__setattr__(self, "matrix", _checked(r[None], ROTATION_TOL, "orthogonal")[0])
 
 
 def _bloch_directions(kets: np.ndarray) -> list[spin.Direction]:
@@ -105,8 +109,10 @@ def _bloch_directions(kets: np.ndarray) -> list[spin.Direction]:
     np.einsum and np.sum round differently.
     """
     bras = kets.conj()[:, None, None, :]
-    norms = np.sqrt(np.maximum((bras[:, 0] @ kets[:, :, None])[:, 0, 0].real, 0.0))
-    if (np.abs(norms - 1.0) > 1e-10).any():
+    # A NaN, inf or overflowing entry gives a norm the test below fails.
+    with np.errstate(invalid="ignore", over="ignore"):
+        norms = np.sqrt(np.maximum((bras[:, 0] @ kets[:, :, None])[:, 0, 0].real, 0.0))
+    if not (np.abs(norms - 1.0) <= 1e-10).all():
         raise ValueError("bloch_direction needs a unit vector")
     comps = (bras @ (_pauli_stack() @ kets[:, None, :, None]))[..., 0, 0].real
     return [spin.Direction.normalized(*c) for c in comps.tolist()]
@@ -130,8 +136,8 @@ def reconstruct_state(direction: spin.Direction) -> np.ndarray:
     return state.ket
 
 
-def _covers(mats: np.ndarray) -> list[Rotation3]:
-    """Images of an (n, 2, 2) stack of SU(2) matrices under the cover map.
+def _covers(mats: np.ndarray) -> np.ndarray:
+    """Unchecked images of an (n, 2, 2) SU(2) stack under the cover map.
 
     All nine entries R_kl = trace(sigma_k M sigma_l M†)/2 of every element
     come from one stacked product, multiplied in the same order as the
@@ -147,7 +153,7 @@ def _covers(mats: np.ndarray) -> list[Rotation3]:
         raise ValueError(
             f"rotation entry ({k},{l}) has imaginary part {vals.imag[e, k, l]:.3e}"
         )
-    return [Rotation3(r) for r in vals.real]
+    return vals.real
 
 
 def su2_to_so3(m) -> Rotation3:
@@ -158,7 +164,7 @@ def su2_to_so3(m) -> Rotation3:
     """
     if not isinstance(m, SpecialUnitary2):
         m = SpecialUnitary2(m)
-    return _covers(m.matrix[None])[0]
+    return Rotation3(_covers(m.matrix[None])[0])
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
@@ -170,17 +176,22 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
             return v / n
 
 
-def random_su2(rng: np.random.Generator) -> SpecialUnitary2:
-    """Haar-ish SU(2) element from a normalized quaternion."""
-    while True:
+def _su2_draws(rng: np.random.Generator, count: int) -> np.ndarray:
+    """An unchecked (count, 2, 2) stack of SU(2) matrices from quaternions."""
+    quats = []
+    while len(quats) < count:
         q = rng.standard_normal(4)
         n = math.sqrt(float(q @ q))
         if n > 1e-6:
-            q = q / n
-            break
+            quats.append(q / n)
+    q = np.array(quats)[:, :, None, None]
     sx, sy, sz = pauli_matrices()
-    m = q[0] * np.eye(2, dtype=complex) + 1j * (q[1] * sx + q[2] * sy + q[3] * sz)
-    return SpecialUnitary2(m)
+    return q[:, 0] * np.eye(2, dtype=complex) + 1j * (q[:, 1] * sx + q[:, 2] * sy + q[:, 3] * sz)
+
+
+def random_su2(rng: np.random.Generator) -> SpecialUnitary2:
+    """Haar-ish SU(2) element from a normalized quaternion."""
+    return SpecialUnitary2(_su2_draws(rng, 1)[0])
 
 
 def verify_prop2(
@@ -202,38 +213,33 @@ def verify_prop2(
     directions = _bloch_directions(vectors)
     # The recursion is the route under test, so it runs once per sample.
     rebuilt = np.array([reconstruct_state(d) for d in directions])
-    overlaps = (rebuilt.conj()[:, None, :] @ vectors[:, :, None])[:, 0, 0].tolist()
+    amplitudes = (rebuilt.conj()[:, None, :] @ vectors[:, :, None])[:, 0, 0].tolist()
+    # Python's abs, not np.abs: the two round complex moduli differently.
+    overlaps = [abs(amplitude) for amplitude in amplitudes]
     # Naming the rebuilt state must give the same question back.
     again = _bloch_directions(rebuilt)
     direction_errors = np.abs(
         np.array([d.as_array() for d in again])
         - np.array([d.as_array() for d in directions])
     ).max(axis=1)
-    witnesses = []
-    worst_deficit = 0.0
-    worst_direction_error = 0.0
-    for v, amplitude, direction_error in zip(vectors, overlaps, direction_errors.tolist()):
-        # Python's abs, not np.abs: the two round complex moduli differently.
-        overlap = abs(amplitude)
-        worst_deficit = max(worst_deficit, 1.0 - overlap)
-        worst_direction_error = max(worst_direction_error, direction_error)
-        if overlap < 1.0 - eps or direction_error > 1e-9:
-            witnesses.append(
-                {
-                    "vector": [v[0].real, v[0].imag, v[1].real, v[1].imag],
-                    "overlap": overlap,
-                    "direction_error": direction_error,
-                }
-            )
-    verdict = "pass" if not witnesses else "fail"
+    witnesses = [
+        {
+            "vector": [v[0].real, v[0].imag, v[1].real, v[1].imag],
+            "overlap": overlap,
+            "direction_error": direction_error,
+        }
+        for v, overlap, direction_error in zip(vectors, overlaps, direction_errors.tolist())
+        if overlap < 1.0 - eps or direction_error > 1e-9
+    ]
     return VerificationReport(
         subject="prop2",
-        verdict=verdict,
+        verdict="fail" if witnesses else "pass",
         metrics={
             "samples": float(samples),
             "passes": float(samples - len(witnesses)),
-            "worst_overlap_deficit": worst_deficit,
-            "worst_direction_error": worst_direction_error,
+            # 1 - overlap falls as the overlap rises, rounding included.
+            "worst_overlap_deficit": max(0.0, 1.0 - min(overlaps)),
+            "worst_direction_error": float(direction_errors.max()),
         },
         witnesses=tuple(witnesses),
         notes="unit 2-vectors round-trip through the Bloch direction map",
@@ -254,42 +260,34 @@ def verify_homomorphism(
     if pairs < 1:
         raise ValueError("pairs must be at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
-    draws = [(random_su2(rng), random_su2(rng)) for _ in range(pairs)]
-    kernel = [SpecialUnitary2(sign * np.eye(2, dtype=complex)) for sign in (1.0, -1.0)]
-    # Each pair's product and both factors, in that order, then the kernel.
-    elements = [
-        m
-        for m1, m2 in draws
-        for m in (SpecialUnitary2(m1.matrix @ m2.matrix), m1, m2)
-    ] + kernel
-    images = np.array([r.matrix for r in _covers(np.array([m.matrix for m in elements]))])
-    lhs = images[0 : 3 * pairs : 3]
-    rhs = images[1 : 3 * pairs : 3] @ images[2 : 3 * pairs : 3]
+    draws = _su2_draws(rng, 2 * pairs)
+    m1s, m2s = draws[0::2], draws[1::2]
+    # Products, factors and the kernel {I, -I} in one stack.  Checked images
+    # are C-ordered, so their products go through BLAS as single ones do.
+    elements = np.concatenate((m1s @ m2s, draws, [np.eye(2), -np.eye(2)]))
+    images = _covers(_checked(elements, UNITARY_TOL, "unitary"))
+    images = _checked(images, ROTATION_TOL, "orthogonal")
+    lhs = images[:pairs]
+    rhs = images[pairs : 3 * pairs : 2] @ images[pairs + 1 : 3 * pairs : 2]
     deviations = np.abs(lhs - rhs).max(axis=(1, 2))
-    witnesses = []
-    max_deviation = 0.0
-    for (m1, m2), deviation in zip(draws, deviations.tolist()):
-        max_deviation = max(max_deviation, deviation)
-        if deviation > eps:
-            witnesses.append(
-                {
-                    "m1": [x for entry in m1.matrix.flat for x in (entry.real, entry.imag)],
-                    "m2": [x for entry in m2.matrix.flat for x in (entry.real, entry.imag)],
-                    "deviation": deviation,
-                }
-            )
-    kernel_deviation = 0.0
-    for image in images[3 * pairs :]:
-        kernel_deviation = max(kernel_deviation, float(np.abs(image - np.eye(3)).max()))
+    witnesses = [
+        {
+            "m1": [x for entry in m1.flat for x in (entry.real, entry.imag)],
+            "m2": [x for entry in m2.flat for x in (entry.real, entry.imag)],
+            "deviation": deviation,
+        }
+        for m1, m2, deviation in zip(m1s, m2s, deviations.tolist())
+        if deviation > eps
+    ]
+    kernel_deviation = float(np.abs(images[3 * pairs :] - np.eye(3)).max())
     if kernel_deviation > 1e-12:
         witnesses.append({"kind": "kernel", "deviation": kernel_deviation})
-    verdict = "pass" if not witnesses else "fail"
     return VerificationReport(
         subject="prop2",
-        verdict=verdict,
+        verdict="fail" if witnesses else "pass",
         metrics={
             "pairs": float(pairs),
-            "max_homomorphism_deviation": max_deviation,
+            "max_homomorphism_deviation": float(deviations.max()),
             "kernel_deviation": kernel_deviation,
         },
         witnesses=tuple(witnesses),

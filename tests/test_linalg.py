@@ -69,6 +69,13 @@ class TestPhaseEqual:
         with pytest.raises(ValueError):
             linalg.phase_equal([2.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_nan_vector_refused(self, first):
+        # A NaN norm must fail the unit test, not slip through to a False.
+        pair = ([math.nan, 0.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="^phase_equal needs unit vectors, got norm nan$"):
+            linalg.phase_equal(*(pair if first else pair[::-1]))
+
     def test_eps_bounds(self):
         v = np.array([1.0, 0.0], dtype=complex)
         for bad in (0.0, 1.0, -0.5, 2.0):
@@ -149,6 +156,45 @@ class TestGramDefect:
         defect = linalg.gram_defect(np.array([[math.nan, 0.0], [0.0, 1.0]]))
         assert math.isnan(defect)
         assert not defect <= 1e-10
+
+    def test_single_matrix_gives_a_float(self):
+        assert type(linalg.gram_defect(np.eye(3))) is float
+        assert type(linalg.gram_defect(SY)) is float
+
+    @staticmethod
+    def stack(kind, rng):
+        """Twelve matrices of one kind: square or tall, complex or real."""
+        shape = (12, 5, 3) if kind == "tall" else (12, 4, 4)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if kind in ("unitary", "tall"):
+            return np.linalg.qr(m)[0]
+        if kind == "orthogonal":
+            return np.linalg.qr(m.real)[0]
+        if kind in ("nan", "inf"):
+            m[rng.random(shape) < 0.1] = math.nan if kind == "nan" else math.inf
+        return m
+
+    @pytest.mark.parametrize("kind", ["unitary", "tall", "orthogonal", "non-unitary", "nan", "inf"])
+    def test_stack_gives_each_matrix_its_own_bits(self, kind):
+        rng = np.random.default_rng(31)
+        stack = self.stack(kind, rng)
+        # inf * 0 makes a NaN inside the Gram product, and numpy says so.
+        with np.errstate(invalid="ignore"):
+            batch = linalg.gram_defect(stack)
+            singles = [linalg.gram_defect(c) for c in stack]
+        assert batch.shape == (len(stack),)
+        for k, single in enumerate(singles):
+            assert repr(float(batch[k])) == repr(single), (kind, k)
+        if kind in ("nan", "inf"):
+            assert any(math.isnan(d) for d in singles)
+
+    def test_stack_of_stacks(self):
+        stack = self.stack("non-unitary", np.random.default_rng(32)).reshape(3, 4, 4, 4)
+        batch = linalg.gram_defect(stack)
+        assert batch.shape == (3, 4)
+        for i in range(3):
+            for k in range(4):
+                assert repr(float(batch[i, k])) == repr(linalg.gram_defect(stack[i, k]))
 
 
 class TestProjector:

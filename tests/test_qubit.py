@@ -6,6 +6,7 @@ bit for bit with the per-entry loops kept in `float_reference`.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,17 @@ class TestBlochDirection:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="^bloch_direction needs a unit vector$"):
             qubit.bloch_direction([1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "v", [[math.nan, 0.0], [1.0, math.inf], [complex(0.0, math.nan), 1.0], [1e200, 0.0]]
+    )
+    def test_rejects_non_finite_without_warning(self, v):
+        # A NaN norm fails the unit test; an infinite or overflowing one
+        # fails it too, and numpy raises no RuntimeWarning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^bloch_direction needs a unit vector$"):
+                qubit.bloch_direction(v)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="^bloch_direction needs a 2-vector$"):
@@ -181,6 +193,184 @@ class TestRotation3:
     def test_rejects_nan_matrix(self):
         with pytest.raises(ValueError, match="not orthogonal"):
             qubit.Rotation3(np.full((3, 3), np.nan))
+
+
+def scalar_det2(m):
+    """det of a 2x2 array from its numpy scalar entries, as refusals print
+    it: numpy rounds each part of a scalar complex product on its own."""
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def scalar_det3(r):
+    return float(
+        r[0, 0] * (r[1, 1] * r[2, 2] - r[1, 2] * r[2, 1])
+        - r[0, 1] * (r[1, 0] * r[2, 2] - r[1, 2] * r[2, 0])
+        + r[0, 2] * (r[1, 0] * r[2, 1] - r[1, 1] * r[2, 0])
+    )
+
+
+def refusal(construct, matrix):
+    with pytest.raises(ValueError) as info:
+        construct(matrix)
+    return str(info.value)
+
+
+def su2_refusals():
+    """Matrices SpecialUnitary2 refuses: by Gram defect, then by determinant."""
+    rng = np.random.default_rng(41)
+    bad = [
+        np.diag([1.0, 2.0]).astype(complex),
+        np.full((2, 2), np.nan, dtype=complex),
+        np.ones((2, 2), dtype=complex),
+        np.diag([1.0, -1.0]).astype(complex),
+    ]
+    for _ in range(4):
+        u = qubit.random_su2(rng).matrix
+        bad.append(u @ np.diag([1.0, np.exp(1j * rng.uniform(0.1, 6.0))]))
+        bad.append(1.5 * u)
+    return bad
+
+
+def rotation_refusals():
+    rng = np.random.default_rng(42)
+    bad = [np.diag([1.0, 2.0, 1.0]), np.full((3, 3), np.nan), np.ones((3, 3)), np.diag([1.0, 1.0, -1.0])]
+    for _ in range(4):
+        r = qubit.su2_to_so3(qubit.random_su2(rng)).matrix
+        bad += [r @ np.diag([1.0, 1.0, -1.0]), -r, 0.5 * r]
+    return bad
+
+
+class TestRefusalTexts:
+    """Every refusal keeps its text, byte for byte: the defect to three
+    digits, or the determinant as its scalar expression prints it."""
+
+    @pytest.mark.parametrize(
+        "matrix, text",
+        [
+            (np.diag([1.0, 2.0]).astype(complex), "not unitary: defect 3.000e+00"),
+            (np.full((2, 2), np.nan, dtype=complex), "not unitary: defect nan"),
+            (np.ones((2, 2), dtype=complex), "not unitary: defect 2.000e+00"),
+        ],
+    )
+    def test_special_unitary_by_defect(self, matrix, text):
+        assert refusal(qubit.SpecialUnitary2, matrix) == text
+
+    @pytest.mark.parametrize(
+        "matrix, text",
+        [
+            (np.diag([1.0, 2.0, 1.0]), "not orthogonal: defect 3.000e+00"),
+            (np.full((3, 3), np.nan), "not orthogonal: defect nan"),
+            (np.ones((3, 3)), "not orthogonal: defect 3.000e+00"),
+        ],
+    )
+    def test_rotation_by_defect(self, matrix, text):
+        assert refusal(qubit.Rotation3, matrix) == text
+
+    def test_determinants(self):
+        # On numpy 2 a complex determinant prints as np.complex128(...), on
+        # numpy 1 as a Python complex; a real one prints as a float.
+        m = np.diag([1.0, -1.0]).astype(complex)
+        assert refusal(qubit.SpecialUnitary2, m) == f"determinant is not 1: {scalar_det2(m)!r}"
+        assert refusal(qubit.Rotation3, np.diag([1.0, 1.0, -1.0])) == "determinant is not 1: -1.0"
+        dets = []
+        for m in su2_refusals():
+            if abs(abs(scalar_det2(m)) - 1.0) < 1e-10:
+                dets.append(m)
+                want = f"determinant is not 1: {scalar_det2(m)!r}"
+                assert refusal(qubit.SpecialUnitary2, m) == want
+        for r in rotation_refusals():
+            if abs(abs(scalar_det3(r)) - 1.0) < 1e-10:
+                dets.append(r)
+                want = f"determinant is not 1: {scalar_det3(r)!r}"
+                assert refusal(qubit.Rotation3, r) == want
+        assert len(dets) == 1 + 4 + 1 + 8
+
+    def test_accepted_matrix_is_a_read_only_copy(self):
+        m = np.eye(2, dtype=complex)
+        element = qubit.SpecialUnitary2(m)
+        m[0, 0] = 2.0
+        assert element.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            element.matrix[0, 0] = 2.0
+        rotation = qubit.Rotation3(np.eye(3))
+        assert not rotation.matrix.flags.writeable
+        assert rotation.matrix.flags.c_contiguous
+
+
+class TestStackedCheck:
+    """One Gram product and one determinant check a whole stack, and a bad
+    element anywhere in it is refused as its constructor refuses it."""
+
+    @pytest.mark.parametrize(
+        "construct, what, tol, refused, good",
+        [
+            (qubit.SpecialUnitary2, "unitary", qubit.UNITARY_TOL, su2_refusals, lambda m: m),
+            (qubit.Rotation3, "orthogonal", qubit.ROTATION_TOL, rotation_refusals, qubit.su2_to_so3),
+        ],
+    )
+    def test_bad_element_anywhere(self, construct, what, tol, refused, good):
+        rng = np.random.default_rng(43)
+        stack = np.array([good(qubit.random_su2(rng)).matrix for _ in range(5)])
+        assert qubit._checked(stack, tol, what).tobytes() == stack.tobytes()
+        for bad in refused():
+            alone = refusal(construct, bad)
+            for k in range(len(stack) + 1):
+                with_bad = np.insert(stack, k, bad, axis=0)
+                assert refusal(lambda s: qubit._checked(s, tol, what), with_bad) == alone, k
+
+    def test_non_unitary_refused_before_any_determinant(self):
+        # As in one constructor, the Gram defect is checked first: a stack
+        # with a wrong determinant early and a non-unitary element later is
+        # refused for the latter.
+        stack = np.array([np.diag([1.0, -1.0]), np.eye(2), np.diag([1.0, 2.0])], dtype=complex)
+        text = refusal(lambda s: qubit._checked(s, qubit.UNITARY_TOL, "unitary"), stack)
+        assert text == "not unitary: defect 3.000e+00"
+
+    def test_checked_stack_is_a_read_only_c_ordered_copy(self):
+        images = qubit._covers(np.array([np.eye(2, dtype=complex), -np.eye(2, dtype=complex)]))
+        assert not images.flags.c_contiguous
+        checked = qubit._checked(images, qubit.ROTATION_TOL, "orthogonal")
+        assert checked.flags.c_contiguous and not checked.flags.writeable
+        assert checked.tobytes() == np.ascontiguousarray(images).tobytes()
+
+
+class TestOneCheckPerStack:
+    """The cover check keeps its elements and images as arrays: no
+    per-element objects, one Gram product per element kind."""
+
+    @staticmethod
+    def count(monkeypatch):
+        built, shapes = [], []
+        for cls in (qubit.SpecialUnitary2, qubit.Rotation3):
+            post_init = cls.__post_init__
+
+            def counted_init(self, post_init=post_init):
+                built.append(type(self).__name__)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted_init)
+        gram_defect = linalg.gram_defect
+
+        def counted_defect(columns):
+            shapes.append(columns.shape)
+            return gram_defect(columns)
+
+        monkeypatch.setattr(linalg, "gram_defect", counted_defect)
+        return built, shapes
+
+    def test_verify_homomorphism(self, monkeypatch):
+        built, shapes = self.count(monkeypatch)
+        rep = qubit.verify_homomorphism(pairs=25, rng=np.random.default_rng(0))
+        assert rep.verdict == "pass"
+        assert built == []
+        # 25 products, 50 factors and the kernel {I, -I}; then their images.
+        assert shapes == [(77, 2, 2), (77, 3, 3)]
+
+    def test_constructors_check_a_stack_of_one(self, monkeypatch):
+        built, shapes = self.count(monkeypatch)
+        qubit.su2_to_so3(np.eye(2, dtype=complex))
+        assert built == ["SpecialUnitary2", "Rotation3"]
+        assert shapes == [(1, 2, 2), (1, 3, 3)]
 
 
 class TestBatteries:
