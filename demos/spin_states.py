@@ -32,7 +32,7 @@ def main():
         )
 
     # The catalog for one direction is a complete orthonormal answer basis.
-    catalog = spin.state_catalog(system, [a])
+    catalog = spin.state_catalog(system, a)
     gram = np.array([[inner(s.ket, t.ket) for t in catalog] for s in catalog])
     defect = float(np.abs(gram - np.eye(system.dim)).max())
     print(f"\ncatalog Gram defect vs identity: {defect:.2e}")

@@ -335,7 +335,7 @@ def _cmd_spin_verify(args) -> tuple[dict, list, str]:
 
 
 def _cmd_spin_catalog(args) -> tuple[dict, list, str]:
-    states = spin.state_catalog(args.system, [args.dir])
+    states = spin.state_catalog(args.system, args.dir)
     defect = linalg.gram_defect(np.array([s.ket for s in states]).T)
     payload = {
         "command": "spin catalog",

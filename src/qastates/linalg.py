@@ -67,14 +67,18 @@ def phase_equal(u, v, eps: float = 1e-9) -> bool:
     """Whether two unit vectors agree up to a global phase.
 
     True iff |<u|v>| >= 1 - eps.  Both inputs must be normalized to within
-    1e-8, which a NaN entry fails; eps must lie strictly between 0 and 1.
+    1e-8, which a NaN or infinite entry fails; eps must lie strictly between
+    0 and 1.
     """
     check_eps(eps)
     u = as_vector(u)
     v = as_vector(v)
     for w in (u, v):
-        if not abs(norm(w) - 1.0) <= 1e-8:
-            raise ValueError(f"phase_equal needs unit vectors, got norm {norm(w)!r}")
+        n = norm(w)
+        if not abs(n - 1.0) <= 1e-8:
+            if np.isinf(w).any() and not np.isnan(w).any():
+                n = math.inf  # <w|w> of an infinite entry may read as NaN
+            raise ValueError(f"phase_equal needs unit vectors, got norm {n!r}")
     return bool(abs(inner(u, v)) >= 1.0 - eps)
 
 
@@ -98,8 +102,10 @@ def fix_phase(v) -> np.ndarray:
 def gram_defect(columns) -> float | np.ndarray:
     """max |C†C - I|, how far the columns of the array C are from
     orthonormal: a float, or for a stack of C an array with each C's bits.
-    NaN in gives NaN out, which ``not defect <= tol`` rejects."""
-    gram = columns.conj().swapaxes(-1, -2) @ columns
+    An infinite or NaN entry gives NaN out and an overflowing one inf, both
+    without a warning, so each caller refuses with ``not defect <= tol``."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = columns.conj().swapaxes(-1, -2) @ columns
     # The product is a fresh C-ordered array, so the reshape is a view of it.
     gram.reshape(gram.shape[:-2] + (-1,))[..., :: gram.shape[-1] + 1] -= 1.0
     defects = np.abs(gram).max(axis=(-2, -1))

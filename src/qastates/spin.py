@@ -48,6 +48,11 @@ MAX_J = 25.0
 # at most 1.8e-10 at j = 25, so it always meets STATE_RESIDUAL_TOL.  The
 # recursion itself runs clean far below this, down to t = 1e-300.
 POLE_THRESHOLD = 1e-11
+# Least angle, in radians, between a ray-collision sample's direction (or its
+# antipode) and the separated direction drawn against it.  It must stay below
+# pi/2: a uniform draw is accepted with probability cos(separation), which
+# falls to 0 at pi/2, where the draw loop would never end.
+COLLISION_SEPARATION = 1e-3
 # Guaranteed on every constructed state: ||J_a ket - h ket|| <= this.
 STATE_RESIDUAL_TOL = 1e-9
 # Coefficient magnitude that triggers prefix rescaling mid-recursion.
@@ -427,24 +432,19 @@ def eigenstate_oracle(
     return oracle_catalog(system, direction)[system.m_index(h)]
 
 
-def state_catalog(
-    system: SpinSystem, directions: list[Direction]
-) -> list[QuestionAnswerState]:
-    """All states for every (direction, sharp answer) pair, recursion route.
+def state_catalog(system: SpinSystem, direction: Direction) -> list[QuestionAnswerState]:
+    """The states for every sharp answer along one direction, recursion route.
 
-    The component operator is built once per direction.  Errors propagate
-    with the offending pair identified.
+    The component operator is built once.  Errors propagate with the
+    offending answer identified.
     """
+    op = component_operator(system, direction)
     out = []
-    for direction in directions:
-        op = component_operator(system, direction)
-        for h in system.m_values:
-            try:
-                out.append(_recursion_state(system, direction, float(h), op))
-            except (ValueError, RuntimeError) as exc:
-                raise type(exc)(
-                    f"catalog failed at direction={direction}, h={h}: {exc}"
-                ) from exc
+    for h in system.m_values:
+        try:
+            out.append(_recursion_state(system, direction, float(h), op))
+        except (ValueError, RuntimeError) as exc:
+            raise type(exc)(f"catalog failed at direction={direction}, h={h}: {exc}") from exc
     return out
 
 
@@ -563,7 +563,7 @@ def verify_orthogonality(
     max_defect = 0.0
     for _ in range(samples):
         direction = random_direction(rng)
-        states = state_catalog(system, [direction])
+        states = state_catalog(system, direction)
         defect = linalg.gram_defect(np.column_stack([s.ket for s in states]))
         max_defect = max(max_defect, defect)
         if defect > eps:
@@ -591,7 +591,6 @@ def verify_ray_collisions(
     system: SpinSystem,
     samples: int = 100,
     eps: float = 1e-9,
-    separation: float = 1e-3,
     rng: np.random.Generator | None = None,
 ) -> VerificationReport:
     """Check the two-to-one structure of the question-answer map.
@@ -599,17 +598,12 @@ def verify_ray_collisions(
     Reversing the direction negates the component operator, so (a, h) and
     (-a, -h) label the same ray: their states must be phase-equal, and that
     collision is recorded per sample.  Distinctness holds everywhere else:
-    pairs whose directions differ by at least `separation` radians (also
-    counting the antipode) must not be phase-equal unless they are that
-    exact collision.  Phase-equal means an overlap magnitude of at least
-    1 - eps, read directly: `QuestionAnswerState` guarantees unit kets.
-    `separation` must lie in [0, pi/2): no direction lies farther than
-    pi/2 from both a and -a, and a random draw almost never lies exactly
-    that far, so the search for a separated direction would not end.
+    pairs whose directions differ by at least COLLISION_SEPARATION radians
+    (also counting the antipode) must not be phase-equal unless they are
+    that exact collision.  Phase-equal means an overlap magnitude of at
+    least 1 - eps, read directly: `QuestionAnswerState` guarantees unit kets.
     """
     check_eps(eps)
-    if not 0.0 <= separation < math.pi / 2:
-        raise ValueError(f"separation must lie in [0, pi/2), got {separation!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
     collisions = []
     failures = []
@@ -641,8 +635,8 @@ def verify_ray_collisions(
         while True:
             other = random_direction(rng)
             if (
-                angle_between(direction, other) >= separation
-                and angle_between(direction.antipode(), other) >= separation
+                angle_between(direction, other) >= COLLISION_SEPARATION
+                and angle_between(direction.antipode(), other) >= COLLISION_SEPARATION
             ):
                 break
         h2 = float(rng.choice(system.m_values))

@@ -501,12 +501,14 @@ class FiniteSymmetryModel:
             )
         return label, idx, elements
 
-    def word(self, letters: Iterable) -> "GroupWord":
+    def word(self, letters: Iterable) -> tuple:
         """Validated, reduced word over this model's subgroups.
 
-        Identity letters are dropped and adjacent letters from the same
-        subgroup are composed inside it, so distinct stored words are
-        genuinely distinct formal products.
+        A word is a tuple of ``(label, element index)`` letters, the index
+        pointing into the subgroup's canonical closure order.  Identity
+        letters are dropped and adjacent letters from the same subgroup are
+        composed inside it, so distinct reduced words are genuinely
+        distinct formal products.
         """
         stack: list[tuple[str, int]] = []
         for entry in letters:
@@ -521,36 +523,12 @@ class FiniteSymmetryModel:
                     stack.append((label, midx))
             else:
                 stack.append((label, idx))
-        return GroupWord(tuple(stack))
+        return tuple(stack)
 
 
-@dataclass(frozen=True)
-class GroupWord:
-    """Reduced formal product of subgroup elements.
-
-    Letters are ``(label, element index)`` pairs where the index points
-    into the subgroup's canonical closure order (index 0 is the identity
-    and never appears in a reduced word).  Build instances through
-    :meth:`FiniteSymmetryModel.word` so reduction is enforced.
-    """
-
-    letters: tuple = ()
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-
-def concat_words(model: FiniteSymmetryModel, first: GroupWord, second: GroupWord) -> GroupWord:
-    """Concatenation of two words, reduced in the model."""
-    return model.word(first.letters + second.letters)
-
-
-def word_image(model: FiniteSymmetryModel, word) -> tuple[tuple, tuple]:
-    """Evaluate a word to its group element and its transferred image.
+def word_image(model: FiniteSymmetryModel, letters: Iterable) -> tuple[tuple, tuple]:
+    """Evaluate a sequence of letters to its group element and its
+    transferred image.
 
     Returns ``(k_in_group, image)``: the plain product of the letters, and
     the product of their conjugates through the transfer maps to the
@@ -558,7 +536,6 @@ def word_image(model: FiniteSymmetryModel, word) -> tuple[tuple, tuple]:
     distinguished subgroup's closure.  The map is multiplicative over word
     concatenation.
     """
-    letters = word.letters if isinstance(word, GroupWord) else tuple(word)
     identity = identity_permutation(model.phi_size)
     k_in_group = identity
     image = identity

@@ -96,9 +96,7 @@ def test_ray_collisions_two_to_one_and_distinctness():
     collisions = 0
     for j in (0.5, 1.0, 1.5, 2.0):
         system = spin.SpinSystem(j)
-        report = spin.verify_ray_collisions(
-            system, samples=25, eps=1e-9, separation=1e-3, rng=rng
-        )
+        report = spin.verify_ray_collisions(system, samples=25, eps=1e-9, rng=rng)
         assert report.verdict == "pass", report.notes
         for witness in report.witnesses:
             assert witness["mirror_overlap"] >= 1.0 - 1e-9
@@ -207,9 +205,7 @@ def test_finite_model_machinery():
         w1, w2 = random_word(), random_word()
         e1, im1 = symmetry.word_image(structural, w1)
         e2, im2 = symmetry.word_image(structural, w2)
-        element, image = symmetry.word_image(
-            structural, symmetry.concat_words(structural, w1, w2)
-        )
+        element, image = symmetry.word_image(structural, structural.word(w1 + w2))
         assert element == symmetry.compose_permutations(e1, e2)
         assert image == symmetry.compose_permutations(im1, im2)
 

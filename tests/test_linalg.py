@@ -76,6 +76,18 @@ class TestPhaseEqual:
         with pytest.raises(ValueError, match="^phase_equal needs unit vectors, got norm nan$"):
             linalg.phase_equal(*(pair if first else pair[::-1]))
 
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [(math.inf, "inf"), (complex(0.0, math.inf), "inf"), (math.nan, "nan")],
+    )
+    def test_non_finite_norm_named(self, entry, shown):
+        # An infinite entry names an infinite norm, a NaN entry a NaN one,
+        # with no warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^phase_equal needs unit vectors, got norm {shown}$"):
+                linalg.phase_equal([entry, 0.0], [1.0, 0.0])
+
     def test_eps_bounds(self):
         v = np.array([1.0, 0.0], dtype=complex)
         for bad in (0.0, 1.0, -0.5, 2.0):
@@ -224,6 +236,12 @@ class TestProjector:
     def test_nan_vector_rejected(self):
         with pytest.raises(ValueError, match="not orthonormal"):
             linalg.projector([[math.nan, 0.0]])
+
+    def test_infinite_vector_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^vectors are not orthonormal: Gram defect nan$"):
+                linalg.projector([[math.inf, 0.0], [0.0, 1.0]])
 
 
 class TestCommutator:

@@ -266,6 +266,24 @@ class TestRefusalTexts:
     def test_rotation_by_defect(self, matrix, text):
         assert refusal(qubit.Rotation3, matrix) == text
 
+    @pytest.mark.parametrize(
+        "construct, matrix, text",
+        [
+            (qubit.SpecialUnitary2, np.diag([math.inf, 1.0 + 0j]), "not unitary: defect nan"),
+            (qubit.Rotation3, np.diag([math.inf, 1.0, 1.0]), "not orthogonal: defect nan"),
+            (qubit.su2_to_so3, np.diag([math.inf, 1.0 + 0j]), "not unitary: defect nan"),
+            (qubit.SpecialUnitary2, np.diag([1e200, 1.0 + 0j]), "not unitary: defect inf"),
+        ],
+    )
+    def test_non_finite_and_overflowing_entries_refused_without_a_warning(
+        self, construct, matrix, text
+    ):
+        # inf * 0 inside the Gram product is NaN, and 1e200 squared overflows
+        # to inf; neither may warn before the refusal.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert refusal(construct, matrix) == text
+
     def test_determinants(self):
         # On numpy 2 a complex determinant prints as np.complex128(...), on
         # numpy 1 as a Python complex; a real one prints as a float.

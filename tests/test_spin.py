@@ -153,7 +153,7 @@ class TestLadderTable:
 
         monkeypatch.setattr(spin, "ladder_coefficients", counted)
         direction = spin.random_direction(np.random.default_rng(25))
-        assert len(spin.state_catalog(s, [direction])) == s.dim
+        assert len(spin.state_catalog(s, direction)) == s.dim
         assert len(calls) <= s.dim
 
 
@@ -558,7 +558,7 @@ class TestTrustedConstructors:
         s = SpinSystem(j)
         seen = set()
         for direction in route_directions(j):
-            catalog = spin.state_catalog(s, [direction])
+            catalog = spin.state_catalog(s, direction)
             for h, shared in zip(s.m_values.tolist(), catalog):
                 seen.add(route_of(s, direction, h))
                 where = f"j={j}, direction={direction}, h={h}"
@@ -607,7 +607,8 @@ class TestTrustedConstructors:
         monkeypatch.setattr(spin, "component_operator", counted)
         s = SpinSystem(2.5)
         directions = [spin.random_direction(np.random.default_rng(k)) for k in range(3)]
-        spin.state_catalog(s, directions)
+        for direction in directions:
+            spin.state_catalog(s, direction)
         assert built == directions
         built.clear()
         spin.verify_eigenstates(s, samples=3, rng=np.random.default_rng(5))
@@ -644,7 +645,7 @@ class TestTrustedConstructors:
             with pytest.raises(ValueError, match="^ket is not an eigenvector: residual "):
                 spin.eigenstate_recursion(s, direction, h)
         with pytest.raises(ValueError, match="^catalog failed at .*: ket is not an eigenvector"):
-            spin.state_catalog(s, [direction])
+            spin.state_catalog(s, direction)
         # The right spectrum with the basis vectors as eigenvectors.
         monkeypatch.setattr(linalg, "hermitian_eig", degenerate_eig([-0.5, 0.5]))
         with pytest.raises(ValueError, match="^ket is not an eigenvector: residual "):
@@ -656,19 +657,19 @@ class TestCatalogAndTransitions:
     def test_catalog_is_orthonormal_basis(self, j):
         rng = np.random.default_rng(5)
         s = SpinSystem(j)
-        states = spin.state_catalog(s, [spin.random_direction(rng)])
+        states = spin.state_catalog(s, spin.random_direction(rng))
         basis = np.column_stack([st_.ket for st_ in states])
         assert np.abs(basis.conj().T @ basis - np.eye(s.dim)).max() <= 1e-9
 
     def test_catalog_covers_all_answers(self):
         s = SpinSystem(1.5)
-        states = spin.state_catalog(s, [X, Y])
+        states = spin.state_catalog(s, X) + spin.state_catalog(s, Y)
         assert len(states) == 2 * s.dim
         assert [st_.answer for st_ in states[: s.dim]] == pytest.approx(s.m_values)
 
     def test_transition_probabilities_same_direction(self):
         s = SpinSystem(1.0)
-        states = spin.state_catalog(s, [Y])
+        states = spin.state_catalog(s, Y)
         for i, a in enumerate(states):
             for k, b in enumerate(states):
                 expected = 1.0 if i == k else 0.0
@@ -682,7 +683,7 @@ class TestCatalogAndTransitions:
         rng = np.random.default_rng(9)
         s = SpinSystem(2.0)
         src = spin.eigenstate_recursion(s, spin.random_direction(rng), 1.0)
-        catalog = spin.state_catalog(s, [spin.random_direction(rng)])
+        catalog = spin.state_catalog(s, spin.random_direction(rng))
         total = sum(spin.transition_probability(src, t) for t in catalog)
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -727,21 +728,31 @@ class TestVerificationBatteries:
         assert len(rep.witnesses) == 20
         assert rep.metrics["worst_collision_overlap"] >= 1.0 - 1e-9
 
-    @pytest.mark.parametrize(
-        "separation", [math.pi / 2, 2.0, math.nan, math.inf, -math.inf, -1e-3]
-    )
-    def test_ray_collisions_reject_separation_outside_quarter_turn(self, separation):
-        # No direction is pi/2 or more from both a and -a, so the search for
-        # a separated second direction would never end.
-        with pytest.raises(ValueError, match=r"^separation must lie in \[0, pi/2\), got "):
-            spin.verify_ray_collisions(SpinSystem(1.0), samples=0, separation=separation)
+    def test_ray_collisions_over_the_supported_range(self):
+        # Every j in 0.5..25, three samples each, from one generator.
+        rng = np.random.default_rng(23)
+        for j in ALL_SPINS:
+            rep = spin.verify_ray_collisions(SpinSystem(j), samples=3, rng=rng)
+            assert rep.verdict == "pass", (j, rep.notes)
+            assert len(rep.witnesses) == 3
+            for witness in rep.witnesses:
+                assert witness["mirror_overlap"] >= 1.0 - 1e-9, (j, witness)
 
-    @pytest.mark.parametrize("separation", [0.0, 1.5])
-    def test_ray_collisions_accept_separation_below_quarter_turn(self, separation):
+    def test_separated_witnesses_keep_the_separation(self, monkeypatch):
+        # A loose eps makes almost any second pair "collide"; each such
+        # witness must still have been drawn at least the separation away
+        # from the direction and from its antipode.
+        monkeypatch.setattr(spin, "COLLISION_SEPARATION", 1.2)
         rep = spin.verify_ray_collisions(
-            SpinSystem(1.0), samples=3, separation=separation, rng=np.random.default_rng(1)
+            SpinSystem(1.0), samples=30, eps=0.999999, rng=np.random.default_rng(4)
         )
-        assert rep.verdict == "pass"
+        separated = [w for w in rep.witnesses if w["kind"] == "separated_pair_collided"]
+        assert rep.verdict == "fail" and separated
+        for witness in separated:
+            direction = Direction(*witness["direction"])
+            other = Direction(*witness["other_direction"])
+            assert spin.angle_between(direction, other) >= 1.2, witness
+            assert spin.angle_between(direction.antipode(), other) >= 1.2, witness
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, math.nan])
     def test_ray_collisions_reject_eps_outside_unit_interval(self, eps):
