@@ -6,7 +6,8 @@ can serve as an independent route against states constructed by recursion
 elsewhere in the package; it does not call numpy.linalg.  Matrix sizes here
 stay small (dimension 60 or less), where Jacobi is accurate and fast enough.
 It rotates the matrix and its eigenvectors as one stacked array, in place,
-and its bits equal those of the copy-per-rotation loop it replaced.
+through operands preallocated once per solve, and its bits equal those of
+a loop that rotates separate matrices through copied columns.
 Orthonormality and unitarity checks across the package measure one defect,
 max |C†C - I| over the columns C, of one C or a stack, with `gram_defect`.
 """
@@ -162,10 +163,14 @@ def hermitian_eig(a) -> EigenDecomposition:
     fails; failure to converge raises instead of returning bad output.
 
     The working matrix h and the eigenvector matrix v are the top and bottom
-    halves of one (2n, n) array, so one column rotation turns both; columns
-    and rows are rotated in place on views.  Every floating-point operation
-    is the one the loop with separate matrices and copied columns made, so
-    the eigenvalues and eigenvectors equal that loop's bit for bit.
+    halves of one (2n, n) array, so one column rotation turns both.  Column
+    and row views, (2, 1) coefficient arrays and product buffers are made
+    once per solve; each rotation fills the coefficients, multiplies the
+    old pair of columns (then rows) into the buffers and combines buffer
+    rows straight into the array, with no temporaries or copies.  Every
+    floating-point operation is the one a loop with separate matrices and
+    copied columns makes, on the same operands in the same order, so the
+    eigenvalues and eigenvectors equal that loop's bit for bit.
     """
     a = as_matrix(a)
     with np.errstate(over="ignore"):
@@ -175,7 +180,11 @@ def hermitian_eig(a) -> EigenDecomposition:
             "matrix entries must be finite, and small enough that the "
             "Frobenius norm does not overflow"
         )
-    if frobenius(a - a.conj().T) > HERM_TOL * max(1.0, scale):
+    # Entries this close to overflow can overflow the defect's squares;
+    # an infinite defect is refused like any other large one.
+    with np.errstate(over="ignore"):
+        defect = frobenius(a - a.conj().T)
+    if defect > HERM_TOL * max(1.0, scale):
         raise ValueError("matrix is not Hermitian within tolerance")
     n = a.shape[0]
     # Symmetrize roundoff so the working diagonal is real from the start.
@@ -183,6 +192,17 @@ def hermitian_eig(a) -> EigenDecomposition:
     w = np.vstack((sym, np.eye(n, dtype=complex)))
     h, v = w[:n], w[n:]
     h_re, h_im = h.real, h.imag
+    cols, rows = list(w.T), list(h)
+    # Each rotation sets the coefficient pairs (c, s), (s conj, c conj)
+    # and (s phase, c phase), each product a numpy scalar as in
+    # `s * conj * col`.  A pair times the old column (or row) p or q fills
+    # a product buffer: col_pp is column p's share of the new p, col_pq
+    # its share of the new q.
+    cs, cq, cr = np.empty((3, 2, 1), dtype=complex)
+    col_p, col_q = np.empty((2, 2, 2 * n), dtype=complex)
+    row_p, row_q = np.empty((2, 2, n), dtype=complex)
+    (col_pp, col_pq), (col_qp, col_qq) = col_p, col_q
+    (row_pp, row_pq), (row_qp, row_qq) = row_p, row_q
     target, tiny = 1e-14 * scale, 1e-18 * scale
     # Summing only off-diagonal entries avoids the cancellation that a
     # "Frobenius minus diagonal" formula hits once the mass drops below
@@ -205,17 +225,23 @@ def hermitian_eig(a) -> EigenDecomposition:
                 t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
+                cs[0, 0], cs[1, 0] = c, s
+                cq[0, 0], cq[1, 0] = s * conj, c * conj
+                cr[0, 0], cr[1, 0] = s * phase, c * phase
                 # Right-multiply by the rotation: mixes columns p and q of
-                # h and v.  The new p waits while q is written from the old.
-                colp, colq = w[:, p], w[:, q]
-                new = c * colp - s * conj * colq
-                colq[:] = s * colp + c * conj * colq
-                colp[:] = new
+                # h and v.  The products hold every old value, so the new
+                # columns are written straight into w.
+                colp, colq = cols[p], cols[q]
+                np.multiply(cs, colp, out=col_p)
+                np.multiply(cq, colq, out=col_q)
+                np.subtract(col_pp, col_qp, out=colp)
+                np.add(col_pq, col_qq, out=colq)
                 # Left-multiply by its adjoint: mixes rows p and q of h.
-                rowp, rowq = h[p], h[q]
-                new = c * rowp - s * phase * rowq
-                rowq[:] = s * rowp + c * phase * rowq
-                rowp[:] = new
+                rowp, rowq = rows[p], rows[q]
+                np.multiply(cs, rowp, out=row_p)
+                np.multiply(cr, rowq, out=row_q)
+                np.subtract(row_pp, row_qp, out=rowp)
+                np.add(row_pq, row_qq, out=rowq)
                 h[p, q] = h[q, p] = 0.0
                 h_im[p, p] = h_im[q, q] = 0.0
     else:

@@ -283,24 +283,30 @@ def _recurrence_up(
     Each basis row of the eigenvalue equation, solved for its topmost
     coefficient, gives b_{m+1} in terms of b_m and b_{m-1}.  Magnitudes are
     rescaled in place before they can overflow; the overall scale is fixed
-    by normalization later anyway.
+    by normalization later anyway.  The last two coefficients ride along as
+    numpy scalars, read back from the array only after a rescale, so each
+    value is the one the array holds.
     """
     j = system.j
     raising, lowering = _ladder_table(system)
     up = complex(direction.x, direction.y)  # multiplies the lowering ladder
     dn = up.conjugate()  # multiplies the raising ladder
+    half_up, half_dn, z = 0.5 * up, 0.5 * dn, direction.z
     b = np.zeros(k_end + 1, dtype=complex)
     b[0] = 1.0
+    prev, cur = None, b[0]  # b_{k-1} (unused at k = 0) and b_k
     for k in range(k_end):
         m = -j + k
-        denom = 0.5 * up * lowering[k + 1]
-        num = (h - direction.z * m) * b[k]
+        denom = half_up * lowering[k + 1]
+        num = (h - z * m) * cur
         if k > 0:
-            num -= 0.5 * dn * raising[k - 1] * b[k - 1]
-        b[k + 1] = num / denom
-        peak = abs(b[k + 1])
+            num -= half_dn * raising[k - 1] * prev
+        prev, cur = cur, num / denom
+        peak = abs(cur)
+        b[k + 1] = cur
         if peak > _RESCALE_LIMIT:
             b[: k + 2] /= peak
+            prev, cur = b[k], b[k + 1]
     return b
 
 

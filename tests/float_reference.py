@@ -21,6 +21,11 @@ eigenvector matrix and a copy of each rotated column and row.  Tests require
 the eigenvalues and eigenvectors of the two to be equal byte for byte, and
 their errors to be the same.
 
+`qastates.spin._recurrence_up` carries its last two coefficients as local
+numpy scalars and hoists the products of its direction.  The fourth part
+keeps the loop it replaced, which reads each coefficient back from the
+array; tests require the two to return the same bytes.
+
 Only tests import this module.
 """
 
@@ -327,3 +332,25 @@ def hermitian_eig(a) -> linalg.EigenDecomposition:
     if not ortho <= linalg.ORTHO_TOL:
         raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
     return linalg.EigenDecomposition(vals, vecs)
+
+
+def recurrence_up(system, direction, h, k_end) -> np.ndarray:
+    """`spin._recurrence_up` reading b_k and b_{k-1} back from the array at
+    every step."""
+    j = system.j
+    raising, lowering = spin._ladder_table(system)
+    up = complex(direction.x, direction.y)  # multiplies the lowering ladder
+    dn = up.conjugate()  # multiplies the raising ladder
+    b = np.zeros(k_end + 1, dtype=complex)
+    b[0] = 1.0
+    for k in range(k_end):
+        m = -j + k
+        denom = 0.5 * up * lowering[k + 1]
+        num = (h - direction.z * m) * b[k]
+        if k > 0:
+            num -= 0.5 * dn * raising[k - 1] * b[k - 1]
+        b[k + 1] = num / denom
+        peak = abs(b[k + 1])
+        if peak > spin._RESCALE_LIMIT:
+            b[: k + 2] /= peak
+    return b

@@ -334,6 +334,32 @@ class TestHermitianEig:
         dec = linalg.hermitian_eig(np.zeros((3, 3), dtype=complex))
         assert dec.eigenvalues == pytest.approx([0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "m",
+        [[[0.0, 8e153], [-8e153, 0.0]], [[1.0, 1e154], [0.0, 1.0]]],
+        ids=["square-overflow", "sum-overflow"],
+    )
+    def test_overflowing_hermiticity_defect_refused_without_a_warning(self, m):
+        # The scale is finite, but the squares (or their sum) in the
+        # Hermiticity defect overflow to an infinite defect.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+                linalg.hermitian_eig(m)
+
+    def test_solves_leave_input_alone_and_share_no_memory(self):
+        rng = np.random.default_rng(11)
+        a = random_hermitian(rng, 6)
+        before = a.tobytes()
+        first = linalg.hermitian_eig(a)
+        assert a.tobytes() == before
+        second = linalg.hermitian_eig(a)
+        assert a.tobytes() == before
+        assert first.eigenvectors.tobytes() == second.eigenvectors.tobytes()
+        for x in (first.eigenvalues, first.eigenvectors):
+            for y in (second.eigenvalues, second.eigenvectors, a):
+                assert not np.shares_memory(x, y)
+
 
 class TestOperatorNorm:
     def test_known_values(self):
@@ -396,6 +422,22 @@ class TestFloatReference:
         directions += [spin.Direction(0.0, 0.0, 1.0), spin.Direction(0.0, 0.0, -1.0)]
         for direction in directions:
             assert_same_as_reference(spin.component_operator(system, direction))
+
+    @pytest.mark.parametrize("j", SPINS)
+    def test_plane_directions(self, j):
+        # In the xz-plane the operator is real, its imaginary parts all
+        # exactly zero; in the yz-plane its off-diagonal entries are purely
+        # imaginary.  tobytes() catches a zero whose sign flipped.
+        system = spin.SpinSystem(j)
+        theta = np.random.default_rng(round(4 * j) + 100).uniform(0.0, math.pi)
+        xz = spin.Direction.normalized(math.sin(theta), 0.0, math.cos(theta))
+        yz = spin.Direction.normalized(0.0, math.sin(theta), math.cos(theta))
+        real = spin.component_operator(system, xz)
+        imaginary = spin.component_operator(system, yz)
+        assert not real.imag.any()
+        assert not imaginary.real[~np.eye(system.dim, dtype=bool)].any()
+        assert_same_as_reference(real)
+        assert_same_as_reference(imaginary)
 
     @pytest.mark.parametrize("n", range(1, 14))
     def test_random_hermitian(self, n):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import float_reference
 from qastates import linalg, spin
 from qastates.spin import Direction, SpinSystem
 
@@ -137,6 +138,36 @@ class TestLadderTable:
                     got = spin._recurrence_up(s, direction, h, s.dim - 1)
                     assert np.array_equal(got, expected), (j, direction, h)
                     rescales += count
+        # The near-pole directions at high j drive the rescale branch.
+        assert rescales > 0
+
+    def test_recurrence_matches_float_reference(self):
+        # The carried-scalar loop against the loop that reads each
+        # coefficient back from the array, byte for byte, at every j and
+        # h, over a full and a partial pass.
+        rng = np.random.default_rng(24)
+        rescales = 0
+        for two_j in range(1, 51):
+            s = SpinSystem(two_j / 2)
+            theta = rng.uniform(0.0, math.pi)
+            directions = [
+                spin.random_direction(rng),
+                spin.random_direction(rng),
+                Direction.normalized(math.sin(theta), 0.0, math.cos(theta)),
+                Direction.normalized(0.0, math.sin(theta), math.cos(theta)),
+            ]
+            for z in (1.0, -1.0):
+                t = 10.0 ** rng.uniform(math.log10(spin.POLE_THRESHOLD), -3.0)
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+                near_pole = Direction.normalized(t * math.cos(phi), t * math.sin(phi), z)
+                directions.append(near_pole)
+                rescales += reference_recurrence_up(s, near_pole, s.j, s.dim - 1)[1]
+            for direction in directions:
+                for h in s.m_values.tolist():
+                    for k_end in (s.dim - 1, (s.dim - 1) // 2):
+                        got = spin._recurrence_up(s, direction, h, k_end)
+                        want = float_reference.recurrence_up(s, direction, h, k_end)
+                        assert got.tobytes() == want.tobytes(), (s.j, direction, h, k_end)
         # The near-pole directions at high j drive the rescale branch.
         assert rescales > 0
 
