@@ -10,22 +10,6 @@ from qastates import symmetry
 from qastates.report import summarize
 
 
-def battery(model):
-    """Every checker's report, in the order `qastates symmetry check` emits them."""
-    measure, closure, irreducibility, separation, lemma2 = symmetry.check_assumptions(model)
-    return [
-        symmetry.validate_model(model),
-        measure,
-        closure,
-        irreducibility,
-        symmetry.detect_multivaluedness(model),
-        separation,
-        lemma2,
-        symmetry.verify_word_kernel(model),
-        symmetry.verify_theorem1(model),
-    ]
-
-
 def main():
     structural = symmetry.load_model(symmetry.bundled_model_path("structural_example"))
     failing = symmetry.load_model(symmetry.bundled_model_path("designed_failure"))
@@ -57,7 +41,7 @@ def main():
 
     for name, model in (("structural_example", structural),
                         ("designed_failure", failing)):
-        reports = battery(model)
+        reports = symmetry.check_reports(model)
         print(f"\n{name} battery:")
         print("  " + summarize(reports).replace("\n", "\n  "))
 

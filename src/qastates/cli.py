@@ -3,11 +3,12 @@
 Subcommands mirror the library: ``spin`` builds and checks component
 eigenstates, ``qubit`` covers the two-level geometry, ``evar`` the
 coarse-graining of accessible variables, ``symmetry`` the finite-model
-checkers, and ``report --golden`` prints the full deterministic battery
-(it regenerates no file).  Each handler returns ``(payload, reports,
-summary)``: structured JSON goes to stdout (or ``--out``) with a stable
-field order, and the summary, written by the handler that built the
-payload, goes to stderr.
+checkers (each subcommand runs one report battery of
+:mod:`qastates.symmetry`, which fixes the report order), and ``report
+--golden`` prints the full deterministic battery (it regenerates no file).
+Each handler returns ``(payload, reports, summary)``: structured JSON goes
+to stdout (or ``--out``) with a stable field order, and the summary,
+written by the handler that built the payload, goes to stderr.
 Each flag is checked once, by its argparse type; ``--j`` is checked by
 :class:`spin.SpinSystem` itself.  The argument parser is built once per
 process: every ``main`` call parses into a fresh namespace, so in-process
@@ -274,15 +275,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sym_cmd = top.add_parser("symmetry", help="finite symmetry model checkers")
     sym_sub = sym_cmd.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("check", "run every checker on a model"),
-        ("assumptions", "measure, closure, representation, separation"),
-        ("theorem1", "word kernel and state distinctness"),
+    for name, blurb, battery in (
+        ("check", "run every checker on a model", symmetry.check_reports),
+        ("assumptions", "measure, closure, representation, separation",
+         symmetry.assumption_reports),
+        ("theorem1", "word kernel and state distinctness", symmetry.theorem1_reports),
     ):
         p = sym_sub.add_parser(name, help=blurb)
         p.add_argument("--model", required=True, metavar="PATH|NAME")
         _add_out(p)
-        p.set_defaults(handler=_cmd_symmetry)
+        p.set_defaults(handler=_cmd_symmetry, battery=battery)
 
     p = top.add_parser("report", help="emit the full verification battery")
     p.add_argument(
@@ -436,45 +438,9 @@ def _cmd_evar_maximal(args) -> tuple[dict, list, str]:
     return payload, [], f"maximal: {maximal}"
 
 
-# Symmetry checkers: each takes a model and returns its reports in
-# payload order; they share the model's one exhaustive word scan.  They
-# look the library functions up at call time, so a rebound ``symmetry``
-# attribute is honoured.
-
-
-def _lemma1(model) -> list:
-    return [symmetry.validate_model(model)]
-
-
-def _assumptions(model) -> list:
-    # assumption_3b comes from the word scan and sits between 3a and 3c.
-    measure, closure, irreducibility, separation, lemma2 = symmetry.check_assumptions(model)
-    multivalued = symmetry.detect_multivaluedness(model)
-    return [measure, closure, irreducibility, multivalued, separation, lemma2]
-
-
-def _theorem1(model) -> list:
-    # The states refuse a level-splitting model before the shared word scan.
-    theorem1 = symmetry.verify_theorem1(model)
-    return [symmetry.verify_word_kernel(model), theorem1]
-
-
-# Checker list of each ``symmetry`` subcommand, in report order.
-SYMMETRY_CHECKERS = {
-    "check": (_lemma1, _assumptions, _theorem1),
-    "assumptions": (_assumptions,),
-    "theorem1": (_theorem1,),
-}
-
-
-def _symmetry_reports(model, checkers) -> list:
-    return [report for checker in checkers for report in checker(model)]
-
-
 def _cmd_symmetry(args) -> tuple[dict, list, str]:
     model, shown = _resolve_model(args.model)
-    reports = _symmetry_reports(model, SYMMETRY_CHECKERS[args.command])
-    return _reports_payload(args, {"model": shown}, reports)
+    return _reports_payload(args, {"model": shown}, args.battery(model))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +493,7 @@ def golden_battery(seed: int = DEFAULT_SEED) -> tuple[dict, list]:
 
     for name in ("structural_example", "designed_failure"):
         model = symmetry.load_model(symmetry.bundled_model_path(name))
-        section(f"symmetry {name}", _symmetry_reports(model, SYMMETRY_CHECKERS["check"]))
+        section(f"symmetry {name}", symmetry.check_reports(model))
 
     payload = {
         "schema": "qastates-battery/1",

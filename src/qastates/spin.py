@@ -107,13 +107,17 @@ class Direction:
         for c in (self.x, self.y, self.z):
             if not math.isfinite(c):
                 raise ValueError("direction components must be finite")
-        n = math.sqrt(self.x**2 + self.y**2 + self.z**2)
+        # Products, not powers: a float power raises OverflowError where a
+        # product reads as inf.
+        n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"direction must be unit length, got norm {n!r}")
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "Direction":
         n = math.sqrt(x * x + y * y + z * z)
+        if math.isinf(n):
+            raise ValueError("cannot normalize a direction whose norm overflows to inf")
         if not math.isfinite(n) or n < 1e-12:
             raise ValueError("cannot normalize a (near-)zero direction")
         return cls(x / n, y / n, z / n)

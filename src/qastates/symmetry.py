@@ -29,12 +29,12 @@ field.  The word scan runs once per model and its read-only result is
 shared by every checker.  It has no depth bound: its states are finite, so
 it runs until its queue is empty and so decides the word claims over every
 reduced word; past `CLOSURE_LIMIT` states it stops with an error naming the
-`subgroups` field.  It runs on the model's one group index
-(:class:`GroupIndex`): each permutation is interned to an int once, the
-identity being 0, and each right factor keeps a memo from element id to
-product id, so every (element, letter) product is composed once per model.
-The scan's states are ints; they become permutations again only in the
-returned :class:`WordScan`.
+`subgroups` field.  The scan owns its group index (:class:`GroupIndex`):
+each permutation is interned to an int once, the identity being 0, and
+each right factor keeps a memo from element id to product id, so every
+(element, letter) product is composed once per model.  The scan's states
+are ints; they become permutations again only in the returned
+:class:`WordScan`, whose transfer findings are read off the fibers.
 The distinguished subgroup acts on the level span by permuting the level
 indicators.  Each model builds one level structure, once: the ascending
 values, the level sets and a level permutation per distinguished-subgroup
@@ -47,6 +47,10 @@ state is a level index, each built label holding the levels permuted by
 one element, so Theorem 1 counts equal-level pairs, exactly and with no
 tolerance.  That element is never the identity: it is built from two
 words with different images.
+
+The reports of each ``qastates symmetry`` subcommand, and their order, are
+fixed here once (`check_reports`, `assumption_reports`,
+`theorem1_reports`); the CLI, the golden battery and the demo call them.
 """
 
 from __future__ import annotations
@@ -139,11 +143,6 @@ def compose_permutations(p, q) -> tuple[int, ...]:
     """Product p*q acting as the function composition p after q."""
     p = _as_permutation(p)
     return _compose(p, _as_permutation(q, len(p)))
-
-
-def invert_permutation(p) -> tuple[int, ...]:
-    """Inverse permutation."""
-    return _invert(_as_permutation(p))
 
 
 def group_closure(generators: Iterable, phi_size: int | None = None) -> tuple:
@@ -380,11 +379,6 @@ class FiniteSymmetryModel:
     def _word_scan(self) -> "WordScan":
         """The model's one word scan, shared by every checker."""
         return _enumerate_words(self)
-
-    @cached_property
-    def _group_index(self) -> GroupIndex:
-        """The model's one group index, read by its word scan."""
-        return GroupIndex(self.phi_size)
 
     @cached_property
     def full_group(self) -> tuple:
@@ -697,7 +691,7 @@ def _enumerate_words(model: FiniteSymmetryModel) -> WordScan:
     letter's product memos; they become permutations again only here, in
     the returned scan, in the order they were recorded.
     """
-    index = model._group_index
+    index = GroupIndex(model.phi_size)
     # Per subgroup, in label order: the (element, image) ids reached with its
     # letter last, and its letters as (position in the subgroup, element
     # memo, image memo).
@@ -748,22 +742,13 @@ def _enumerate_words(model: FiniteSymmetryModel) -> WordScan:
     fibers: dict[tuple, list] = {}
     for element, image in first_words:
         fibers.setdefault(element, []).append(image)
+    # A transfer's finding is the first two images of its fiber, which are
+    # distinct, with their first words.
     findings = []
     for (a, b), target in sorted(model.transfers.items()):
-        entries = [
-            (letters, image)
-            for (element, image), letters in first_words.items()
-            if element == target
-        ]
-        if not entries:
-            findings.append(TransferFinding(a, b, "none"))
-            continue
-        head = entries[0]
-        other = next((e for e in entries if e[1] != head[1]), None)
-        if other is None:
-            findings.append(TransferFinding(a, b, "single", (head,)))
-        else:
-            findings.append(TransferFinding(a, b, "pair", (head, other)))
+        images = fibers.get(target, [])[:2]
+        words = tuple((first_words[target, image], image) for image in images)
+        findings.append(TransferFinding(a, b, ("none", "single", "pair")[len(words)], words))
 
     return WordScan(
         words_visited=visited,
@@ -1100,31 +1085,6 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
     )
 
 
-def induced_transformations(
-    model: FiniteSymmetryModel, label: str, value_map: Mapping[int, int]
-) -> tuple:
-    """All closure-group elements realizing a value permutation.
-
-    ``value_map`` must permute the variable's value range.  Returns every
-    ``k`` in the model's full closure group with ``value_map[theta(phi)] ==
-    theta(k(phi))`` for all ``phi``, in canonical order.  An empty result
-    signals nonexistence; more than one element signals non-uniqueness.
-    """
-    theta = model.theta(label)
-    values = set(theta)
-    pairs = dict(value_map).items()
-    mapping = {_integer(k, "value_map key"): _integer(v, f"value_map[{k!r}]") for k, v in pairs}
-    if set(mapping) != values or set(mapping.values()) != values:
-        raise ValueError(
-            f"value map must permute the range of {label!r}: {sorted(values)}"
-        )
-    matches = []
-    for k in model.full_group:
-        if all(mapping[theta[phi]] == theta[k[phi]] for phi in range(model.phi_size)):
-            matches.append(k)
-    return tuple(matches)
-
-
 def _cycles(perm: tuple) -> list[list[int]]:
     seen = [False] * len(perm)
     cycles = []
@@ -1366,3 +1326,29 @@ def verify_theorem1(model: FiniteSymmetryModel) -> VerificationReport:
         witnesses=tuple(witnesses),
         notes="; ".join(notes_parts),
     )
+
+
+# ---------------------------------------------------------------------------
+# report batteries
+#
+# The reports of each ``qastates symmetry`` subcommand, in payload order.
+# The checkers are called by their module names, so a rebound attribute of
+# this module is honoured.
+
+
+def check_reports(model: FiniteSymmetryModel) -> list[VerificationReport]:
+    """lemma1, then the assumption and theorem1 batteries."""
+    return [validate_model(model), *assumption_reports(model), *theorem1_reports(model)]
+
+
+def assumption_reports(model: FiniteSymmetryModel) -> list[VerificationReport]:
+    """assumption_1, 2, 3a, 3b, 3c and lemma2; 3b comes from the word scan."""
+    measure, closure, irreducibility, separation, lemma2 = check_assumptions(model)
+    return [measure, closure, irreducibility, detect_multivaluedness(model), separation, lemma2]
+
+
+def theorem1_reports(model: FiniteSymmetryModel) -> list[VerificationReport]:
+    """prop3 and theorem1.  theorem1 runs first: its states refuse a
+    level-splitting model before the shared word scan."""
+    theorem1 = verify_theorem1(model)
+    return [verify_word_kernel(model), theorem1]

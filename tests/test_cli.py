@@ -15,6 +15,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -140,6 +141,12 @@ class TestStateRecords:
                  "amplitudes": [[0, 0], [0, 0], [1, 0]]}
             )
 
+    def test_parse_names_dir_when_its_norm_overflows(self):
+        record = {"j": 0.5, "dir": [1e200, 0, 0], "h": 0.5, "amplitudes": [[1, 0], [0, 0]]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^dir: .* unit length, got norm inf$"):
+                cli.parse_state(record)
 
     def test_parse_refuses_kets_the_state_constructor_refuses(self):
         # The records are well formed; the ket is not a state of the
@@ -507,7 +514,37 @@ def passing_model_file(tmp_path):
     return path
 
 
+def model_file(model, path):
+    """Write a model in the model-file schema, each transfer stored once."""
+    raw = {
+        "phi_size": model.phi_size,
+        "distinguished": model.labels.index(model.distinguished),
+        "variables": [{"label": label, "theta": list(theta)} for label, theta in model.variables],
+        "subgroups": {label: [list(g) for g in gens] for label, gens in model.generators.items()},
+        "transfer": {a + b: list(k) for (a, b), k in model.transfers.items() if a < b},
+    }
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
 class TestSymmetryCommands:
+    @pytest.mark.parametrize("name", ["structural_example", "designed_failure", 3, 4, 5, 6])
+    def test_each_subcommand_emits_its_battery(self, capsys, tmp_path, name):
+        # Each subcommand's payload lists the reports of one symmetry
+        # battery, in the battery's order.
+        if isinstance(name, int):
+            source = model_file(dihedral_model(name), tmp_path / f"d{name}.json")
+        else:
+            source = symmetry.bundled_model_path(name)
+        for command, battery in (
+            ("check", symmetry.check_reports),
+            ("assumptions", symmetry.assumption_reports),
+            ("theorem1", symmetry.theorem1_reports),
+        ):
+            _, payload, _ = run_json(capsys, "symmetry", command, "--model", str(source))
+            reports = battery(symmetry.load_model(source))
+            assert payload["reports"] == [r.to_json_dict() for r in reports], command
+
     def test_designed_failure_file(self, capsys, tmp_path):
         bad = tmp_path / "bad_model.json"
         shutil.copy(symmetry.bundled_model_path("designed_failure"), bad)
@@ -719,9 +756,8 @@ class TestSymmetryCommands:
         assert len(scanned) == 1
 
         model = symmetry.load_model(symmetry.bundled_model_path("structural_example"))
-        checkers = cli.SYMMETRY_CHECKERS["check"]
-        first = cli._symmetry_reports(model, checkers)
-        assert cli._symmetry_reports(model, checkers) == first
+        first = symmetry.check_reports(model)
+        assert symmetry.check_reports(model) == first
         assert scanned[1:] == [model]
 
     def test_scan_past_the_state_limit_exits_2(self, capsys, monkeypatch):
@@ -898,8 +934,7 @@ def _real_payloads() -> tuple[dict, dict]:
     handlers build them."""
     args = cli._build_parser().parse_args(["spin", "catalog", "--j", "25", "--dir", "0.6,0,0.8"])
     catalog, _, _ = args.handler(args)
-    checkers = cli.SYMMETRY_CHECKERS["check"]
-    reports = cli._symmetry_reports(dihedral_model(6), checkers)
+    reports = symmetry.check_reports(dihedral_model(6))
     check = {
         "command": "symmetry check",
         "parameters": {"model": "D_6"},

