@@ -100,6 +100,25 @@ def fix_phase(v) -> np.ndarray:
     return v * (v[anchor].conjugate() / mags[anchor])
 
 
+def fix_phases(rows: np.ndarray) -> np.ndarray:
+    """`fix_phase` on every row of an (n, d) array at once, as a fresh
+    C-ordered array.
+
+    The caller vouches that every row has a nonzero finite entry; any other
+    row comes out meaningless, and numpy may warn on it.  A row of two or
+    more entries gets `fix_phase`'s bits: the magnitudes, the anchor, the
+    phase factor and the product are the same operations on the same
+    operands, and the factor multiplies each row as a broadcast scalar.  A
+    one-entry row does not: numpy multiplies it in its loop for two arrays,
+    which may round otherwise.
+    """
+    mags = np.abs(rows)
+    anchor = (mags >= mags.max(axis=1, keepdims=True) - PHASE_TIE_TOL).argmax(axis=1)
+    anchored = rows[np.arange(rows.shape[0]), anchor]
+    factors = anchored.conjugate() / np.abs(anchored)
+    return np.multiply(rows, factors[:, None], order="C")
+
+
 def gram_defect(columns) -> float | np.ndarray:
     """max |C†C - I|, how far the columns of the array C are from
     orthonormal: a float, or for a stack of C an array with each C's bits.

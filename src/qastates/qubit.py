@@ -203,7 +203,10 @@ def verify_prop2(
 
     For each random unit v: name the question via bloch_direction, rebuild
     the state for answer +1/2 by the spin recursion, and demand phase
-    equality with v.  The Bloch direction itself must round-trip too.
+    equality with v.  The Bloch direction itself must round-trip too.  The
+    samples run as stacks: one Bloch map over all vectors, the rebuilt
+    states from `spin.recursion_states` (one stack up to thousands of
+    samples), and one Bloch map over those.
     """
     check_eps(eps)
     if samples < 1:
@@ -211,8 +214,9 @@ def verify_prop2(
     rng = rng if rng is not None else np.random.default_rng(0)
     vectors = np.array([random_unit_vector(rng) for _ in range(samples)])
     directions = _bloch_directions(vectors)
-    # The recursion is the route under test, so it runs once per sample.
-    rebuilt = np.array([reconstruct_state(d) for d in directions])
+    # The recursion is the route under test: one row per sample.
+    states = spin.recursion_states(spin.SpinSystem(0.5), directions, [0.5] * samples)
+    rebuilt = np.array([state.ket for state in states])
     amplitudes = (rebuilt.conj()[:, None, :] @ vectors[:, :, None])[:, 0, 0].tolist()
     # Python's abs, not np.abs: the two round complex moduli differently.
     overlaps = [abs(amplitude) for amplitude in amplitudes]

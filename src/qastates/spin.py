@@ -18,13 +18,18 @@ operators read the same ladder table: a shared input, like j itself, after
 which the routes part.
 
 The recursion holds one recurrence: its downward pass is the upward one run
-on the mirrored basis (m -> -m).  Each constructed state is checked once,
-by the eigenvalue residual bound.  The pole branch, the recursion and the
-oracle build kets that are unit and phase-fixed by construction, so the
-residual is the only check their states get; it reads the component
-operator, built once per direction and shared by both routes like j
-itself.  Kets from outside the package go through the public
-`QuestionAnswerState` constructor, which checks every invariant.
+on the mirrored basis (m -> -m).  States are built a stack at a time, in
+`_stack_states`: the recursion runs per row, then the norms, the phase
+convention and the eigenvalue residual bound each run once over the (n, d)
+array of a direction's answers, of a verifier's samples, or of one state.
+The oracle's eigenvectors go through the same pass.  Its bits are those of
+building each state alone.  Each constructed state is checked once, by the
+residual bound: the pole branch, the recursion and the oracle build kets
+that are unit and phase-fixed by construction.  The residual reads the
+component operator, built once per direction and shared by both routes
+like j itself, or one per row where the rows differ in direction.  Kets
+from outside the package go through the public `QuestionAnswerState`
+constructor, which checks every invariant.
 
 Basis convention: the J_z eigenbasis ordered by ascending eigenvalue, so
 index 0 is m = -j and the last index is m = +j.  All operators and kets in
@@ -60,6 +65,9 @@ _RESCALE_LIMIT = 1e150
 # Spin magnitudes whose ladder tables, operators and algebra defects are
 # kept; a handful covers a request.
 _OPERATOR_CACHE_SIZE = 4
+# Bytes of complex component operators held per recursion stack whose rows
+# differ in direction: 12 rows at j = 25, thousands at j = 1/2.
+_OPERATOR_STACK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,9 @@ class Direction:
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "Direction":
+        for c in (x, y, z):
+            if not math.isfinite(c):
+                raise ValueError("direction components must be finite")
         n = math.sqrt(x * x + y * y + z * z)
         if math.isinf(n):
             raise ValueError("cannot normalize a direction whose norm overflows to inf")
@@ -230,8 +241,10 @@ class QuestionAnswerState:
     checks that the answer is sharp (and snaps it), that the ket is a unit
     vector of the right dimension, and that its global phase follows the
     package convention (largest-magnitude entry real positive); it keeps a
-    copy of the ket.  The package's own constructors establish those three
-    by construction and go through `_built`, which checks the residual only.
+    copy of the ket.  The package's own constructors build their states a
+    stack at a time in `_stack_states`, which establishes the unit norm and
+    the phase itself and checks the residuals; each such state's ket is a
+    row of one read-only stack.
     """
 
     system: SpinSystem
@@ -256,27 +269,6 @@ class QuestionAnswerState:
         ket.flags.writeable = False
         object.__setattr__(self, "ket", ket)
         object.__setattr__(self, "residual", residual)
-
-    @classmethod
-    def _built(
-        cls,
-        system: SpinSystem,
-        direction: Direction,
-        answer: float,
-        ket: np.ndarray,
-        op: np.ndarray,
-    ) -> "QuestionAnswerState":
-        """A state from one of this module's constructors, which pass a
-        snapped answer, a fresh unit ket under the phase convention and the
-        component operator `op` along the direction.  Only the residual is
-        checked; the ket is kept, not copied, and made read-only."""
-        residual = _checked_residual(op, ket, answer)
-        ket.flags.writeable = False
-        state = object.__new__(cls)
-        state.__dict__.update(
-            system=system, direction=direction, answer=answer, ket=ket, residual=residual
-        )
-        return state
 
 
 def _recurrence_up(
@@ -328,6 +320,136 @@ def _recurrence_down(
     return np.ascontiguousarray(b[::-1])
 
 
+def _recursion_row(
+    system: SpinSystem, direction: Direction, h: float, out: np.ndarray
+) -> None:
+    """The unnormalized recursion coefficients for (direction, h), written
+    into the zeroed row `out`: the pole basis vector, or the upward,
+    downward or stitched passes of `eigenstate_recursion`."""
+    j = system.j
+    d = system.dim
+
+    if direction.transverse < POLE_THRESHOLD:
+        m = h if direction.z > 0.0 else -h
+        out[system.m_index(m)] = 1.0
+        return
+
+    junction = min(max(round(h * direction.z + j), 0), d - 1)
+    if junction >= d - 1:
+        out[:] = _recurrence_up(system, direction, h, d - 1)
+    elif junction <= 0:
+        out[:] = _recurrence_down(system, direction, h, 0)
+    else:
+        lo = _recurrence_up(system, direction, h, junction + 1)
+        hi = _recurrence_down(system, direction, h, junction)
+        # Match the passes on their two-point overlap.  Two consecutive
+        # coefficients of a nonzero solution cannot both vanish, so the
+        # projection is well conditioned at the envelope peak.
+        over_lo = lo[junction : junction + 2]
+        over_hi = hi[0:2]
+        denom = float(np.sum(np.abs(over_hi) ** 2))
+        if denom == 0.0:
+            raise RuntimeError(
+                f"recursion junction degenerate for j={j}, h={h}"
+            )
+        alpha = complex(np.sum(over_hi.conjugate() * over_lo)) / denom
+        out[: junction + 1] = lo[: junction + 1]
+        out[junction + 1 :] = alpha * hi[1:]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """`linalg.norm` of each row of an (n, d) array: a stacked (1, d) @ (d, 1)
+    product rounds as np.vdot does.  The squares are never negative, so the
+    clamp at zero that `linalg.norm` applies is left out.  numpy warns on an
+    overflowing or non-finite row, where np.vdot does not."""
+    return np.sqrt((rows.conj()[:, None] @ rows[:, :, None])[:, 0, 0].real)
+
+
+def _stack_states(
+    system: SpinSystem,
+    directions: list[Direction],
+    answers: list[float],
+    op: np.ndarray,
+    kets: np.ndarray | None = None,
+    catalog: bool = False,
+) -> list[QuestionAnswerState]:
+    """The states for n rows (directions[i], answers[i]) at one spin
+    magnitude, built as one (n, d) stack.
+
+    `answers` are snapped; `op` is the component operator, one (d, d)
+    matrix shared by every row or an (n, d, d) stack with each row's own.
+    With `kets` None the recursion runs per row (`_recursion_row`), and the
+    rows are then normalized once over the stack.  Otherwise `kets` holds
+    the oracle's unit eigenvectors as rows.  Either way the phase
+    convention is applied and the residual bound checked once over the
+    stack, and the stack is made read-only; each state's ket is its row.
+    Every step is the one-state step on the same operands, so each ket and
+    residual has the bits it would have if built alone.
+
+    A refused stack raises what building its rows one at a time would
+    have: the exception of the first failing row, from that row's first
+    failing check.  A row that overflows, vanishes or has no phase anchor
+    comes out of every later step as NaN, so the residual bound, which NaN
+    fails, finds every failing row; only that row is then looked at again.
+    With `catalog` the message is prefixed by the row's direction and
+    answer, as `state_catalog` reports it.
+    """
+    refusal = None  # (row, exception) of a row whose recursion was refused
+    recursion = kets is None
+    if recursion:
+        rows = np.zeros((len(answers), system.dim), dtype=complex)
+        for row, (direction, h) in enumerate(zip(directions, answers)):
+            try:
+                _recursion_row(system, direction, h, rows[row])
+            except RuntimeError as exc:
+                # Only the rows before it can be refused first.
+                refusal, rows = (row, exc), rows[:row]
+                op = op[:row] if op.ndim == 3 else op
+                break
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if recursion:
+            norms = _row_norms(rows)
+            kets = rows / norms[:, None]
+        unphased = kets
+        kets = linalg.fix_phases(unphased)
+        residuals = _row_norms(
+            (op @ kets[:, :, None])[:, :, 0] - np.array(answers[: len(kets)])[:, None] * kets
+        ).tolist()
+    if not all(residual <= STATE_RESIDUAL_TOL for residual in residuals):
+        row = next(k for k, res in enumerate(residuals) if not res <= STATE_RESIDUAL_TOL)
+        try:
+            if recursion and not np.isfinite(rows[row].view(float)).all():
+                raise RuntimeError(
+                    f"recursion overflowed for j={system.j}, h={answers[row]}, "
+                    f"direction={directions[row]}"
+                )
+            if recursion and norms[row] == 0.0:
+                raise RuntimeError("recursion produced the zero vector")
+            linalg.fix_phase(unphased[row])
+            raise ValueError(
+                f"ket is not an eigenvector: residual {residuals[row]:.3e} "
+                f"exceeds {STATE_RESIDUAL_TOL:g}"
+            )
+        except (ValueError, RuntimeError) as exc:
+            refusal = (row, exc)
+    if refusal is not None:
+        row, exc = refusal
+        if catalog:
+            raise type(exc)(
+                f"catalog failed at direction={directions[row]}, h={answers[row]}: {exc}"
+            ) from exc
+        raise exc
+    kets.flags.writeable = False
+    states = []
+    for direction, h, ket, residual in zip(directions, answers, kets, residuals):
+        state = object.__new__(QuestionAnswerState)
+        state.__dict__.update(
+            system=system, direction=direction, answer=h, ket=ket, residual=residual
+        )
+        states.append(state)
+    return states
+
+
 def eigenstate_recursion(
     system: SpinSystem, direction: Direction, answer: float
 ) -> QuestionAnswerState:
@@ -350,55 +472,42 @@ def eigenstate_recursion(
     most POLE_THRESHOLD * sqrt(j(j+1)/2), below STATE_RESIDUAL_TOL for
     every j.  The recursion would still run there, but its denominator
     overflows once the transverse component is subnormal.
+
+    This is a stack of one in `_stack_states`.
     """
     h = _snap_answer(system, answer)
-    return _recursion_state(system, direction, h, component_operator(system, direction))
+    return _stack_states(system, [direction], [h], component_operator(system, direction))[0]
 
 
-def _recursion_state(
-    system: SpinSystem, direction: Direction, h: float, op: np.ndarray
-) -> QuestionAnswerState:
-    """`eigenstate_recursion` for a snapped answer h, with `op` the component
-    operator along the direction; `op` serves the residual check only."""
-    j = system.j
-    d = system.dim
-
-    if direction.transverse < POLE_THRESHOLD:
-        m = h if direction.z > 0.0 else -h
-        ket = np.zeros(d, dtype=complex)
-        ket[system.m_index(m)] = 1.0
-        return QuestionAnswerState._built(system, direction, h, ket, op)
-
-    junction = min(max(round(h * direction.z + j), 0), d - 1)
-    if junction >= d - 1:
-        b = _recurrence_up(system, direction, h, d - 1)
-    elif junction <= 0:
-        b = _recurrence_down(system, direction, h, 0)
-    else:
-        lo = _recurrence_up(system, direction, h, junction + 1)
-        hi = _recurrence_down(system, direction, h, junction)
-        # Match the passes on their two-point overlap.  Two consecutive
-        # coefficients of a nonzero solution cannot both vanish, so the
-        # projection is well conditioned at the envelope peak.
-        over_lo = lo[junction : junction + 2]
-        over_hi = hi[0:2]
-        denom = float(np.sum(np.abs(over_hi) ** 2))
-        if denom == 0.0:
-            raise RuntimeError(
-                f"recursion junction degenerate for j={j}, h={h}"
-            )
-        alpha = complex(np.sum(over_hi.conjugate() * over_lo)) / denom
-        b = np.concatenate([lo[: junction + 1], alpha * hi[1:]])
-
-    if not np.all(np.isfinite(b.view(float))):
-        raise RuntimeError(
-            f"recursion overflowed for j={j}, h={h}, direction={direction}"
+def recursion_states(
+    system: SpinSystem, directions: list[Direction], answers: list[float]
+) -> list[QuestionAnswerState]:
+    """`eigenstate_recursion` for each row (directions[i], answers[i]), each
+    row on its own component operator.  The rows are built as one stack, or
+    as consecutive stacks whose operators each take at most
+    _OPERATOR_STACK_BYTES, so memory does not grow with the row count; the
+    first refused row still raises first."""
+    answers = [_snap_answer(system, h) for h in answers]
+    size = max(1, _OPERATOR_STACK_BYTES // (16 * system.dim**2))
+    states = []
+    for start in range(0, len(answers), size):
+        rows = slice(start, start + size)
+        states += _stack_states(
+            system, directions[rows], answers[rows], _component_operators(system, directions[rows])
         )
-    nrm = linalg.norm(b)
-    if nrm == 0.0:
-        raise RuntimeError("recursion produced the zero vector")
-    ket = linalg.fix_phase(b / nrm)
-    return QuestionAnswerState._built(system, direction, h, ket, op)
+    return states
+
+
+def _component_operators(system: SpinSystem, directions: list[Direction]) -> np.ndarray:
+    """`component_operator` along each direction, as one (n, d, d) stack
+    with each operator's bits."""
+    jx, jy, jz = angular_momentum_operators(system)
+    x, y, z = np.array([(a.x, a.y, a.z) for a in directions]).reshape(-1, 3).T[:, :, None, None]
+    # Summed in place, in `component_operator`'s order: two stacks live at once.
+    ops = x * jx
+    ops += y * jy
+    ops += z * jz
+    return ops
 
 
 def oracle_catalog(system: SpinSystem, direction: Direction) -> list[QuestionAnswerState]:
@@ -416,7 +525,8 @@ def oracle_catalog(system: SpinSystem, direction: Direction) -> list[QuestionAns
 def _oracle_states(
     system: SpinSystem, direction: Direction, op: np.ndarray
 ) -> list[QuestionAnswerState]:
-    """`oracle_catalog` with `op` the component operator along the direction."""
+    """`oracle_catalog` with `op` the component operator along the direction:
+    the eigenvectors, as rows, go through `_stack_states` as one stack."""
     dec = linalg.hermitian_eig(op)
     answers = system.m_values
     gaps = np.abs(dec.eigenvalues - answers)
@@ -426,12 +536,9 @@ def _oracle_states(
             f"the component operator's spectrum is not -j, ..., +j: eigenvalue {worst} "
             f"is {dec.eigenvalues[worst]!r}, more than 1e-6 from the answer {answers[worst]}"
         )
-    return [
-        QuestionAnswerState._built(
-            system, direction, h, linalg.fix_phase(dec.eigenvectors[:, k]), op
-        )
-        for k, h in enumerate(answers.tolist())
-    ]
+    return _stack_states(
+        system, [direction] * system.dim, answers.tolist(), op, kets=dec.eigenvectors.T
+    )
 
 
 def eigenstate_oracle(
@@ -445,17 +552,13 @@ def eigenstate_oracle(
 def state_catalog(system: SpinSystem, direction: Direction) -> list[QuestionAnswerState]:
     """The states for every sharp answer along one direction, recursion route.
 
-    The component operator is built once.  Errors propagate with the
-    offending answer identified.
+    The component operator is built once, and the states are built as one
+    stack.  A refusal names the first failing answer.
     """
     op = component_operator(system, direction)
-    out = []
-    for h in system.m_values:
-        try:
-            out.append(_recursion_state(system, direction, float(h), op))
-        except (ValueError, RuntimeError) as exc:
-            raise type(exc)(f"catalog failed at direction={direction}, h={h}: {exc}") from exc
-    return out
+    return _stack_states(
+        system, [direction] * system.dim, system.m_values.tolist(), op, catalog=True
+    )
 
 
 def transition_probability(s: QuestionAnswerState, t: QuestionAnswerState) -> float:
@@ -512,8 +615,8 @@ def verify_eigenstates(
     For each sampled direction (plus both axis poles) and every sharp
     answer, the recursion state's overlap with the oracle state must be at
     least 1 - eps.  The component operator is built once per direction and
-    shared by the oracle, which diagonalizes it once, and by every answer's
-    recursion state, which uses it only for its residual.  Residuals are
+    shared by the oracle, which diagonalizes it once, and by the recursion;
+    each route builds the direction's states as one stack.  Residuals are
     only recorded here: the construction of every state, by either route,
     already rejects any above STATE_RESIDUAL_TOL.
     """
@@ -521,13 +624,15 @@ def verify_eigenstates(
     rng = rng if rng is not None else np.random.default_rng(0)
     dirs = [random_direction(rng) for _ in range(samples)]
     dirs += [Direction(0.0, 0.0, 1.0), Direction(0.0, 0.0, -1.0)]
+    answers = system.m_values.tolist()
     witnesses = []
     max_residual = 0.0
     min_overlap = 1.0
     for direction in dirs:
         op = component_operator(system, direction)
-        for h, orc in zip(system.m_values, _oracle_states(system, direction, op)):
-            rec = _recursion_state(system, direction, float(h), op)
+        oracle = _oracle_states(system, direction, op)
+        recursion = _stack_states(system, [direction] * system.dim, answers, op)
+        for h, rec, orc in zip(answers, recursion, oracle):
             overlap = abs(linalg.inner(rec.ket, orc.ket))
             max_residual = max(max_residual, rec.residual)
             min_overlap = min(min_overlap, overlap)
@@ -535,7 +640,7 @@ def verify_eigenstates(
                 witnesses.append(
                     {
                         "direction": [direction.x, direction.y, direction.z],
-                        "answer": float(h),
+                        "answer": h,
                         "residual": rec.residual,
                         "overlap": overlap,
                     }
@@ -612,17 +717,36 @@ def verify_ray_collisions(
     (also counting the antipode) must not be phase-equal unless they are
     that exact collision.  Phase-equal means an overlap magnitude of at
     least 1 - eps, read directly: `QuestionAnswerState` guarantees unit kets.
+    Every sample is drawn first, then the three states of each (the pair,
+    its mirror and the separated pair) are built together, by
+    `recursion_states`.
     """
     check_eps(eps)
     rng = rng if rng is not None else np.random.default_rng(0)
-    collisions = []
-    failures = []
-    worst_collision = 1.0
+    draws = []
     for _ in range(samples):
         direction = random_direction(rng)
         h = float(rng.choice(system.m_values))
-        state = eigenstate_recursion(system, direction, h)
-        mirror = eigenstate_recursion(system, direction.antipode(), -h)
+        # A separated second pair must stay distinct.
+        while True:
+            other = random_direction(rng)
+            if (
+                angle_between(direction, other) >= COLLISION_SEPARATION
+                and angle_between(direction.antipode(), other) >= COLLISION_SEPARATION
+            ):
+                break
+        h2 = float(rng.choice(system.m_values))
+        draws.append((direction, h, other, h2))
+    states = recursion_states(
+        system,
+        [a for direction, _, other, _ in draws for a in (direction, direction.antipode(), other)],
+        [x for _, h, _, h2 in draws for x in (h, -h, h2)],
+    )
+    collisions = []
+    failures = []
+    worst_collision = 1.0
+    for k, (direction, h, other, h2) in enumerate(draws):
+        state, mirror, second = states[3 * k : 3 * k + 3]
         overlap = abs(linalg.inner(state.ket, mirror.ket))
         worst_collision = min(worst_collision, overlap)
         collisions.append(
@@ -641,16 +765,6 @@ def verify_ray_collisions(
                     "overlap": overlap,
                 }
             )
-        # A separated second pair must stay distinct.
-        while True:
-            other = random_direction(rng)
-            if (
-                angle_between(direction, other) >= COLLISION_SEPARATION
-                and angle_between(direction.antipode(), other) >= COLLISION_SEPARATION
-            ):
-                break
-        h2 = float(rng.choice(system.m_values))
-        second = eigenstate_recursion(system, other, h2)
         if abs(linalg.inner(state.ket, second.ket)) >= 1.0 - eps:
             failures.append(
                 {

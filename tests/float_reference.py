@@ -26,6 +26,14 @@ numpy scalars and hoists the products of its direction.  The fourth part
 keeps the loop it replaced, which reads each coefficient back from the
 array; tests require the two to return the same bytes.
 
+`qastates.spin` builds its states a stack at a time: the recursion per
+row, then one pass over the stack for the norms, the phase convention and
+the residual bound.  The fifth part keeps the per-state constructors it
+replaced (`recursion_state`, `built`, `oracle_states`) and the verifiers
+written on them, one state at a time.  Tests require every ket and
+residual, every report and the generator state after it to be equal, and
+a refused build to raise the same exception with the same text.
+
 Only tests import this module.
 """
 
@@ -175,7 +183,7 @@ def verify_prop2(
     for _ in range(samples):
         v = qubit.random_unit_vector(rng)
         direction = bloch_direction(v)
-        rebuilt = qubit.reconstruct_state(direction)
+        rebuilt = eigenstate_recursion(spin.SpinSystem(0.5), direction, 0.5).ket
         overlap = abs(linalg.inner(rebuilt, v))
         worst_deficit = max(worst_deficit, 1.0 - overlap)
         # Naming the rebuilt state must give the same question back.
@@ -354,3 +362,208 @@ def recurrence_up(system, direction, h, k_end) -> np.ndarray:
         if peak > spin._RESCALE_LIMIT:
             b[: k + 2] /= peak
     return b
+
+
+def built(system, direction, answer, ket, op) -> spin.QuestionAnswerState:
+    """A state from one of the per-state constructors, which pass a snapped
+    answer, a fresh unit ket under the phase convention and the component
+    operator `op` along the direction.  Only the residual is checked; the
+    ket is kept, not copied, and made read-only."""
+    residual = spin._checked_residual(op, ket, answer)
+    ket.flags.writeable = False
+    state = object.__new__(spin.QuestionAnswerState)
+    state.__dict__.update(
+        system=system, direction=direction, answer=answer, ket=ket, residual=residual
+    )
+    return state
+
+
+def recursion_state(system, direction, h, op) -> spin.QuestionAnswerState:
+    """`spin.eigenstate_recursion` for a snapped answer h, one state at a
+    time, with `op` the component operator along the direction; `op` serves
+    the residual check only."""
+    j = system.j
+    d = system.dim
+
+    if direction.transverse < spin.POLE_THRESHOLD:
+        m = h if direction.z > 0.0 else -h
+        ket = np.zeros(d, dtype=complex)
+        ket[system.m_index(m)] = 1.0
+        return built(system, direction, h, ket, op)
+
+    junction = min(max(round(h * direction.z + j), 0), d - 1)
+    if junction >= d - 1:
+        b = spin._recurrence_up(system, direction, h, d - 1)
+    elif junction <= 0:
+        b = spin._recurrence_down(system, direction, h, 0)
+    else:
+        lo = spin._recurrence_up(system, direction, h, junction + 1)
+        hi = spin._recurrence_down(system, direction, h, junction)
+        # Match the passes on their two-point overlap.  Two consecutive
+        # coefficients of a nonzero solution cannot both vanish, so the
+        # projection is well conditioned at the envelope peak.
+        over_lo = lo[junction : junction + 2]
+        over_hi = hi[0:2]
+        denom = float(np.sum(np.abs(over_hi) ** 2))
+        if denom == 0.0:
+            raise RuntimeError(
+                f"recursion junction degenerate for j={j}, h={h}"
+            )
+        alpha = complex(np.sum(over_hi.conjugate() * over_lo)) / denom
+        b = np.concatenate([lo[: junction + 1], alpha * hi[1:]])
+
+    if not np.all(np.isfinite(b.view(float))):
+        raise RuntimeError(
+            f"recursion overflowed for j={j}, h={h}, direction={direction}"
+        )
+    nrm = linalg.norm(b)
+    if nrm == 0.0:
+        raise RuntimeError("recursion produced the zero vector")
+    ket = linalg.fix_phase(b / nrm)
+    return built(system, direction, h, ket, op)
+
+
+def oracle_states(system, direction, op) -> list[spin.QuestionAnswerState]:
+    """`spin.oracle_catalog` with `op` the component operator along the
+    direction, one state at a time."""
+    dec = linalg.hermitian_eig(op)
+    answers = system.m_values
+    gaps = np.abs(dec.eigenvalues - answers)
+    worst = int(np.argmax(gaps))
+    if gaps[worst] > 1e-6:
+        raise RuntimeError(
+            f"the component operator's spectrum is not -j, ..., +j: eigenvalue {worst} "
+            f"is {dec.eigenvalues[worst]!r}, more than 1e-6 from the answer {answers[worst]}"
+        )
+    return [
+        built(system, direction, h, linalg.fix_phase(dec.eigenvectors[:, k]), op)
+        for k, h in enumerate(answers.tolist())
+    ]
+
+
+def eigenstate_recursion(system, direction, answer) -> spin.QuestionAnswerState:
+    """`spin.eigenstate_recursion`, one state at a time."""
+    h = spin._snap_answer(system, answer)
+    return recursion_state(system, direction, h, spin.component_operator(system, direction))
+
+
+def state_catalog(system, direction) -> list[spin.QuestionAnswerState]:
+    """`spin.state_catalog`, one state at a time."""
+    op = spin.component_operator(system, direction)
+    out = []
+    for h in system.m_values:
+        try:
+            out.append(recursion_state(system, direction, float(h), op))
+        except (ValueError, RuntimeError) as exc:
+            raise type(exc)(f"catalog failed at direction={direction}, h={h}: {exc}") from exc
+    return out
+
+
+def verify_eigenstates(system, samples=100, eps=1e-9, rng=None) -> VerificationReport:
+    """`spin.verify_eigenstates`, one state at a time."""
+    check_eps(eps)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    dirs = [spin.random_direction(rng) for _ in range(samples)]
+    dirs += [spin.Direction(0.0, 0.0, 1.0), spin.Direction(0.0, 0.0, -1.0)]
+    witnesses = []
+    max_residual = 0.0
+    min_overlap = 1.0
+    for direction in dirs:
+        op = spin.component_operator(system, direction)
+        for h, orc in zip(system.m_values, oracle_states(system, direction, op)):
+            rec = recursion_state(system, direction, float(h), op)
+            overlap = abs(linalg.inner(rec.ket, orc.ket))
+            max_residual = max(max_residual, rec.residual)
+            min_overlap = min(min_overlap, overlap)
+            if overlap < 1.0 - eps:
+                witnesses.append(
+                    {
+                        "direction": [direction.x, direction.y, direction.z],
+                        "answer": float(h),
+                        "residual": rec.residual,
+                        "overlap": overlap,
+                    }
+                )
+    verdict = "pass" if not witnesses else "fail"
+    return VerificationReport(
+        subject="prop1",
+        verdict=verdict,
+        metrics={
+            "j": system.j,
+            "directions": float(len(dirs)),
+            "max_residual": max_residual,
+            "min_overlap": min_overlap,
+            **spin.algebra_defects(system),
+        },
+        witnesses=tuple(witnesses),
+        notes="recursion route vs eigensolver oracle, axis poles included",
+    )
+
+
+def verify_ray_collisions(system, samples=100, eps=1e-9, rng=None) -> VerificationReport:
+    """`spin.verify_ray_collisions`, one sample and one state at a time."""
+    check_eps(eps)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    collisions = []
+    failures = []
+    worst_collision = 1.0
+    for _ in range(samples):
+        direction = spin.random_direction(rng)
+        h = float(rng.choice(system.m_values))
+        state = eigenstate_recursion(system, direction, h)
+        mirror = eigenstate_recursion(system, direction.antipode(), -h)
+        overlap = abs(linalg.inner(state.ket, mirror.ket))
+        worst_collision = min(worst_collision, overlap)
+        collisions.append(
+            {
+                "direction": [direction.x, direction.y, direction.z],
+                "answer": h,
+                "mirror_overlap": overlap,
+            }
+        )
+        if not overlap >= 1.0 - eps:
+            failures.append(
+                {
+                    "kind": "antipodal_pair_not_collided",
+                    "direction": [direction.x, direction.y, direction.z],
+                    "answer": h,
+                    "overlap": overlap,
+                }
+            )
+        # A separated second pair must stay distinct.
+        while True:
+            other = spin.random_direction(rng)
+            if (
+                spin.angle_between(direction, other) >= spin.COLLISION_SEPARATION
+                and spin.angle_between(direction.antipode(), other) >= spin.COLLISION_SEPARATION
+            ):
+                break
+        h2 = float(rng.choice(system.m_values))
+        second = eigenstate_recursion(system, other, h2)
+        if abs(linalg.inner(state.ket, second.ket)) >= 1.0 - eps:
+            failures.append(
+                {
+                    "kind": "separated_pair_collided",
+                    "direction": [direction.x, direction.y, direction.z],
+                    "answer": h,
+                    "other_direction": [other.x, other.y, other.z],
+                    "other_answer": h2,
+                }
+            )
+    return VerificationReport(
+        subject="cor2",
+        verdict="fail" if failures else "pass",
+        metrics={
+            "j": system.j,
+            "samples": float(samples),
+            "worst_collision_overlap": worst_collision,
+        },
+        witnesses=tuple(failures or collisions),
+        notes=(
+            "two-to-one labeling violated"
+            if failures
+            else "label map is two-to-one: every antipodal (direction, answer) pair "
+            "produced the same ray (witnesses list the collisions); separated "
+            "pairs stayed distinct"
+        ),
+    )

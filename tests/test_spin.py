@@ -72,6 +72,20 @@ class TestDirection:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^cannot normalize .* norm overflows to inf$"):
                 Direction.normalized(1e200, 0.0, 0.0)
+            with pytest.raises(ValueError, match="^cannot normalize .* norm overflows to inf$"):
+                Direction.normalized(1e200, 1e200, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_normalizing_non_finite_components_names_them(self, bad, axis):
+        # A NaN component was called a (near-)zero direction, and an
+        # infinite one an overflowing norm.
+        components = [0.0, 0.0, 1.0]
+        components[axis] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^direction components must be finite$"):
+                Direction.normalized(*components)
 
     def test_antipode(self):
         d = Direction.normalized(1.0, 2.0, 2.0)
@@ -661,25 +675,31 @@ class TestTrustedConstructors:
         assert len(built) == 3 + 2
 
     def test_constructors_fix_the_phase_once(self, monkeypatch):
+        # One phase pass per stack, over all of its rows: a state alone is
+        # a stack of one, pole branch included, and the oracle fixes a
+        # direction's eigenvectors together.
         calls = []
-        fix_phase = linalg.fix_phase
+        for name in ("fix_phase", "fix_phases"):
+            original = getattr(linalg, name)
 
-        def counted(v):
-            calls.append(v)
-            return fix_phase(v)
+            def counted(v, _name=name, _original=original):
+                calls.append((_name, np.shape(v)))
+                return _original(v)
 
-        monkeypatch.setattr(linalg, "fix_phase", counted)
+            monkeypatch.setattr(linalg, name, counted)
         s = SpinSystem(1.5)
+        one, catalog = ("fix_phases", (1, s.dim)), ("fix_phases", (s.dim, s.dim))
         direction = spin.random_direction(np.random.default_rng(9))
         spin.eigenstate_recursion(s, direction, 0.5)
-        assert len(calls) == 1
+        assert calls == [one]
         spin.eigenstate_recursion(s, Z, 0.5)
-        assert len(calls) == 1
+        assert calls == [one] * 2
         spin.oracle_catalog(s, direction)
-        assert len(calls) == 1 + s.dim
+        spin.state_catalog(s, direction)
+        assert calls == [one] * 2 + [catalog] * 2
         # The public constructor still checks the phase of what it is given.
         spin.QuestionAnswerState(s, Z, 0.5, np.eye(s.dim)[s.m_index(0.5)])
-        assert len(calls) == 2 + s.dim
+        assert calls == [one] * 2 + [catalog] * 2 + [("fix_phase", (s.dim,))]
 
     def test_residual_bound_enforced_on_built_states(self, monkeypatch):
         # A route that produced a unit, phase-fixed ket which is not an
