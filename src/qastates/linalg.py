@@ -5,9 +5,11 @@ Hermitian eigensolver is a cyclic Jacobi iteration written out in full so it
 can serve as an independent route against states constructed by recursion
 elsewhere in the package; it does not call numpy.linalg.  Matrix sizes here
 stay small (dimension 60 or less), where Jacobi is accurate and fast enough.
-It rotates the matrix and its eigenvectors as one stacked array, in place,
-through operands preallocated once per solve, and its bits equal those of
-a loop that rotates separate matrices through copied columns.
+It rotates the matrix and its eigenvectors as one stacked array, in place:
+each rotation multiplies a strided view of its pair of columns, then of
+its pair of rows, by one coefficient block, and reads and writes its
+scalar entries through flat views.  Its bits equal those of a loop that
+rotates separate matrices through copied columns.
 Orthonormality and unitarity checks across the package measure one defect,
 max |C†C - I| over the columns C, of one C or a stack, with `gram_defect`.
 """
@@ -169,6 +171,25 @@ class EigenDecomposition:
         return int(self.eigenvalues.shape[0])
 
 
+def _rotation_pairs(w: np.ndarray) -> list[tuple]:
+    """What each rotation (p, q) of `hermitian_eig` reads and writes in the
+    stacked (2n, n) array w, in cyclic order: the flat indices of h[p, q],
+    h[q, p], h[p, p] and h[q, q], then the columns p and q of w as one
+    (2, 1, 2n) view and one at a time, then the rows p and q of h likewise."""
+    n = w.shape[1]
+    h = w[:n]
+    cols, rows = list(w.T), list(h)
+    return [
+        (
+            p * n + q, q * n + p, p * (n + 1), q * (n + 1),
+            w.T[p : q + 1 : q - p, None], cols[p], cols[q],
+            h[p : q + 1 : q - p, None], rows[p], rows[q],
+        )
+        for p in range(n - 1)
+        for q in range(p + 1, n)
+    ]
+
+
 def hermitian_eig(a) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
 
@@ -182,11 +203,16 @@ def hermitian_eig(a) -> EigenDecomposition:
     fails; failure to converge raises instead of returning bad output.
 
     The working matrix h and the eigenvector matrix v are the top and bottom
-    halves of one (2n, n) array, so one column rotation turns both.  Column
-    and row views, (2, 1) coefficient arrays and product buffers are made
-    once per solve; each rotation fills the coefficients, multiplies the
-    old pair of columns (then rows) into the buffers and combines buffer
-    rows straight into the array, with no temporaries or copies.  Every
+    halves of one (2n, n) array, so one column rotation turns both.  For
+    each pair (p, q), columns p and q of the array are one (2, 1, 2n)
+    strided view, and rows p and q of h one (2, 1, n) view; these views,
+    and the flat indices of h[p, q], h[q, p], h[p, p] and h[q, q], are made
+    once per solve, when the first sweep runs, so a matrix that is already
+    diagonal pays nothing for them.  A rotation reads and zeroes its
+    scalar entries through flat 1-d views of the array, multiplies each
+    pair by a block of its coefficients into a product buffer, and writes
+    the new pair back with one subtract and one add: six ufunc calls, with
+    no temporaries or copies.  Every
     floating-point operation is the one a loop with separate matrices and
     copied columns makes, on the same operands in the same order, so the
     eigenvalues and eigenvectors equal that loop's bit for bit.
@@ -210,18 +236,22 @@ def hermitian_eig(a) -> EigenDecomposition:
     sym = (a + a.conj().T) / 2.0
     w = np.vstack((sym, np.eye(n, dtype=complex)))
     h, v = w[:n], w[n:]
-    h_re, h_im = h.real, h.imag
-    cols, rows = list(w.T), list(h)
-    # Each rotation sets the coefficient pairs (c, s), (s conj, c conj)
-    # and (s phase, c phase), each product a numpy scalar as in
-    # `s * conj * col`.  A pair times the old column (or row) p or q fills
-    # a product buffer: col_pp is column p's share of the new p, col_pq
-    # its share of the new q.
-    cs, cq, cr = np.empty((3, 2, 1), dtype=complex)
-    col_p, col_q = np.empty((2, 2, 2 * n), dtype=complex)
-    row_p, row_q = np.empty((2, 2, n), dtype=complex)
-    (col_pp, col_pq), (col_qp, col_qq) = col_p, col_q
-    (row_pp, row_pq), (row_qp, row_qq) = row_p, row_q
+    flat = w.reshape(-1)
+    flat_re, flat_im = flat.real, flat.imag
+    # The coefficient block holds the pairs (c, s), (s conj, c conj) and
+    # (s phase, c phase), each product a numpy scalar as in
+    # `s * conj * col`.  Its first two pairs times the old columns p and q,
+    # and its first and third times the old rows p and q, fill the product
+    # buffers: col_pp is column p's share of the new p, col_pq its share of
+    # the new q.
+    coef = np.empty((3, 2, 1), dtype=complex)
+    coef_flat = coef.reshape(-1)
+    col_coef, row_coef = coef[0:2], coef[0:3:2]
+    col_prods = np.empty((2, 2, 2 * n), dtype=complex)
+    row_prods = np.empty((2, 2, n), dtype=complex)
+    (col_pp, col_pq), (col_qp, col_qq) = col_prods
+    (row_pp, row_pq), (row_qp, row_qq) = row_prods
+    pairs = None
     target, tiny = 1e-14 * scale, 1e-18 * scale
     # Summing only off-diagonal entries avoids the cancellation that a
     # "Frobenius minus diagonal" formula hits once the mass drops below
@@ -231,42 +261,44 @@ def hermitian_eig(a) -> EigenDecomposition:
         off = math.sqrt(float(np.sum(np.abs(h[offdiag_mask]) ** 2)))
         if off <= target:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = h[p, q]
-                r = abs(apq)
-                if r <= tiny:
-                    h[p, q] = h[q, p] = 0.0
-                    continue
-                phase = apq / r
-                conj = np.conj(phase)
-                tau = (h_re[q, q] - h_re[p, p]) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                cs[0, 0], cs[1, 0] = c, s
-                cq[0, 0], cq[1, 0] = s * conj, c * conj
-                cr[0, 0], cr[1, 0] = s * phase, c * phase
-                # Right-multiply by the rotation: mixes columns p and q of
-                # h and v.  The products hold every old value, so the new
-                # columns are written straight into w.
-                colp, colq = cols[p], cols[q]
-                np.multiply(cs, colp, out=col_p)
-                np.multiply(cq, colq, out=col_q)
-                np.subtract(col_pp, col_qp, out=colp)
-                np.add(col_pq, col_qq, out=colq)
-                # Left-multiply by its adjoint: mixes rows p and q of h.
-                rowp, rowq = rows[p], rows[q]
-                np.multiply(cs, rowp, out=row_p)
-                np.multiply(cr, rowq, out=row_q)
-                np.subtract(row_pp, row_qp, out=rowp)
-                np.add(row_pq, row_qq, out=rowq)
-                h[p, q] = h[q, p] = 0.0
-                h_im[p, p] = h_im[q, q] = 0.0
+        if pairs is None:
+            pairs = _rotation_pairs(w)
+        for pq, qp, pp, qq, col_pair, colp, colq, row_pair, rowp, rowq in pairs:
+            apq = flat[pq]
+            r = abs(apq)
+            if r <= tiny:
+                flat[pq] = flat[qp] = 0.0
+                continue
+            phase = apq / r
+            conj = np.conj(phase)
+            # A Python float from here on: the same IEEE operations as on
+            # numpy scalars, at a fraction of the call cost.
+            tau = float((flat_re[qq] - flat_re[pp]) / (2.0 * r))
+            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            coef_flat[0] = c
+            coef_flat[1] = s
+            coef_flat[2] = s * conj
+            coef_flat[3] = c * conj
+            coef_flat[4] = s * phase
+            coef_flat[5] = c * phase
+            # Right-multiply by the rotation: mixes columns p and q of h
+            # and v.  The products hold every old value, so the new
+            # columns are written straight into w.
+            np.multiply(col_coef, col_pair, out=col_prods)
+            np.subtract(col_pp, col_qp, out=colp)
+            np.add(col_pq, col_qq, out=colq)
+            # Left-multiply by its adjoint: mixes rows p and q of h.
+            np.multiply(row_coef, row_pair, out=row_prods)
+            np.subtract(row_pp, row_qp, out=rowp)
+            np.add(row_pq, row_qq, out=rowq)
+            flat[pq] = flat[qp] = 0.0
+            flat_im[pp] = flat_im[qq] = 0.0
     else:
         raise RuntimeError("Jacobi iteration did not converge")
 
-    diagonal = h_re.diagonal()
+    diagonal = h.real.diagonal()
     order = np.argsort(diagonal, kind="stable")
     vals, vecs = diagonal[order], v[:, order]
 

@@ -347,12 +347,17 @@ def _recursion_row(
         # projection is well conditioned at the envelope peak.
         over_lo = lo[junction : junction + 2]
         over_hi = hi[0:2]
-        denom = float(np.sum(np.abs(over_hi) ** 2))
+        # Each two-term sum is np.sum without its call overhead.  np.sum
+        # starts from +0.0, so two -0.0 terms sum to +0.0 where a bare
+        # a + b gives -0.0, and the ket's bytes would change.
+        squares = np.abs(over_hi) ** 2
+        denom = float(0.0 + (squares[0] + squares[1]))
         if denom == 0.0:
             raise RuntimeError(
                 f"recursion junction degenerate for j={j}, h={h}"
             )
-        alpha = complex(np.sum(over_hi.conjugate() * over_lo)) / denom
+        products = over_hi.conjugate() * over_lo
+        alpha = complex(0.0 + (products[0] + products[1])) / denom
         out[: junction + 1] = lo[: junction + 1]
         out[junction + 1 :] = alpha * hi[1:]
 

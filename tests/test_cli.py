@@ -838,6 +838,43 @@ class TestReportCommand:
 
 
 # ---------------------------------------------------------------------------
+# flag values that start with a minus
+
+
+class TestLeadingMinusValues:
+    """argparse reads a spaced value that starts with a minus and is not a
+    plain number, such as `-1,0,0`, as an option; the `=` form passes it to
+    its flag, as the README says."""
+
+    def test_equals_form_is_accepted(self, capsys):
+        code, record, _ = run_json(capsys, "spin", "state", "--j", "1", "--dir=-1,0,0", "--h", "1")
+        assert code == 0
+        assert record["dir"] == [-1.0, 0.0, 0.0]
+        code, payload, _ = run_json(capsys, "evar", "maximal", "--values=-2,1", "--map=-1,-1")
+        assert code == 0
+        assert payload["parameters"] == {"values": [-2.0, 1.0], "map": [-1.0, -1.0]}
+        code, payload, _ = run_json(
+            capsys, "evar", "coarse-grain", "--values=-2,1,3", "--map=-1,-1,2"
+        )
+        assert code == 0
+        assert payload["classes"] == [[0, 1], [2]]
+
+    @pytest.mark.parametrize(
+        "flag,argv",
+        [
+            ("--dir", ("spin", "state", "--j", "1", "--dir", "-1,0,0", "--h", "1")),
+            ("--values", ("evar", "maximal", "--values", "-2,1")),
+            ("--map", ("evar", "maximal", "--values=-2,1", "--map", "-1,-1")),
+        ],
+    )
+    def test_spaced_form_exits_2_naming_its_flag(self, capsys, flag, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: expected one argument" in err
+
+
+# ---------------------------------------------------------------------------
 # exit contract
 
 
