@@ -19,7 +19,7 @@ def main():
     # Ray -> direction -> ray round trip.
     v = qubit.random_unit_vector(rng)
     a = qubit.bloch_direction(v)
-    w = qubit.reconstruct_state(a)
+    w = spin.eigenstate_recursion(spin.SpinSystem(0.5), a, 0.5).ket
     print(f"random ray: ({v[0]:.4f}, {v[1]:.4f})")
     print(f"its question direction: ({a.x:+.4f}, {a.y:+.4f}, {a.z:+.4f})")
     print(f"round-trip overlap |<v|w>| = {abs(inner(v, w)):.15f}")

@@ -207,11 +207,20 @@ def _add_sampling(parser: argparse.ArgumentParser, samples: int) -> None:
     parser.add_argument("--seed", type=_seed_argument, default=DEFAULT_SEED)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end as every other exit-2 path
+    does: one ``error:`` line on stderr, with no usage lines before it.
+    Subparsers are built by the parser's own class, so they inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {' '.join(message.split())}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
     `main` call; each parse fills a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qastates",
         description="Build question-answer states and verify their structural claims.",
     )

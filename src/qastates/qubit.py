@@ -130,12 +130,6 @@ def bloch_direction(v) -> spin.Direction:
     return _bloch_directions(v[None])[0]
 
 
-def reconstruct_state(direction: spin.Direction) -> np.ndarray:
-    """The unit 2-vector answering (direction, +1/2), by the spin recursion."""
-    state = spin.eigenstate_recursion(spin.SpinSystem(0.5), direction, 0.5)
-    return state.ket
-
-
 def _covers(mats: np.ndarray) -> np.ndarray:
     """Unchecked images of an (n, 2, 2) SU(2) stack under the cover map.
 

@@ -15,6 +15,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -186,10 +187,18 @@ class TestSpinCommands:
         assert state.answer == -0.5
         assert state.residual <= 1e-9
 
-    def test_verify_passes(self, capsys):
-        code, payload, err = run_json(
-            capsys, "spin", "verify", "--j", "2", "--samples", "10"
-        )
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--j", "2", "--samples", "10"),
+            # The top of the supported range: recursion against oracle and
+            # per-direction orthonormality at d = 51.
+            ("--j", "25", "--samples", "5", "--seed", "3"),
+        ],
+        ids=["j2", "j25"],
+    )
+    def test_verify_passes(self, capsys, flags):
+        code, payload, err = run_json(capsys, "spin", "verify", *flags)
         assert code == 0
         subjects = [r["subject"] for r in payload["reports"]]
         assert subjects == ["prop1", "cor1"]
@@ -383,6 +392,11 @@ class TestEvarCommands:
         )
         assert code == 0
         assert payload["maximal"] is False
+        # A gap past 1e-9 of the largest magnitude is separated, however
+        # small next to the values.
+        code, payload, _ = run_json(capsys, "evar", "maximal", "--values", "1000000,1000000.5")
+        assert code == 0
+        assert payload["maximal"] is True
 
     def test_each_command_builds_once(self, capsys, monkeypatch):
         calls = []
@@ -410,6 +424,8 @@ class TestEvarCommands:
             ("--map", ("evar", "coarse-grain", "--values", "1,2,3", "--map", "1,1e300,1e308")),
             ("--values", ("evar", "maximal", "--values=-1e308,1e308")),
             ("--map", ("evar", "coarse-grain", "--values", "1,2", "--map=-1e308,1e308")),
+            # Refused at its flag, before the eigensolver.
+            ("--values", ("evar", "maximal", "--values", "1,1e200")),
         ],
         ids=[
             "maximal_values",
@@ -417,6 +433,7 @@ class TestEvarCommands:
             "coarse_grain_map",
             "maximal_values_range",
             "coarse_grain_map_range",
+            "maximal_values_squares",
         ],
     )
     def test_overflowing_operator_exits_2(self, capsys, flag, argv):
@@ -428,6 +445,7 @@ class TestEvarCommands:
         assert out == ""
         assert err.startswith(f"error: {flag}: ")
         assert err.count("\n") == 1
+        assert "overflow" in err
         assert "too close" not in err
 
     @pytest.mark.parametrize(
@@ -437,6 +455,8 @@ class TestEvarCommands:
             ("evar", "coarse-grain", "--values", "3,2,1", "--map", "1,1,2"),
             ("evar", "coarse-grain", "--values", "1,2,x", "--map", "1,1,2"),
             ("evar", "maximal", "--values", "1,1,2"),
+            # A gap within 1e-9 of the largest magnitude.
+            ("evar", "maximal", "--values", "1,1.0000000001"),
         ],
     )
     def test_bad_inputs_exit_2(self, capsys, argv):
@@ -528,22 +548,34 @@ def model_file(model, path):
 
 
 class TestSymmetryCommands:
-    @pytest.mark.parametrize("name", ["structural_example", "designed_failure", 3, 4, 5, 6])
+    @pytest.mark.parametrize("name", ["structural_example", "designed_failure", 3, 4, 5, 6, 32])
     def test_each_subcommand_emits_its_battery(self, capsys, tmp_path, name):
         # Each subcommand's payload lists the reports of one symmetry
-        # battery, in the battery's order.
+        # battery, in the battery's order.  A D_n left-translation model
+        # gives structural_example's verdicts.  The word scan composes each
+        # (element, letter) product once, so `check` on D_32 (128 points)
+        # ends well inside ten seconds.
         if isinstance(name, int):
             source = model_file(dihedral_model(name), tmp_path / f"d{name}.json")
         else:
             source = symmetry.bundled_model_path(name)
+        example = symmetry.load_model(symmetry.bundled_model_path("structural_example"))
         for command, battery in (
             ("check", symmetry.check_reports),
             ("assumptions", symmetry.assumption_reports),
             ("theorem1", symmetry.theorem1_reports),
         ):
-            _, payload, _ = run_json(capsys, "symmetry", command, "--model", str(source))
+            start = time.perf_counter()
+            code, payload, _ = run_json(capsys, "symmetry", command, "--model", str(source))
+            elapsed = time.perf_counter() - start
             reports = battery(symmetry.load_model(source))
             assert payload["reports"] == [r.to_json_dict() for r in reports], command
+            assert code == int(any(r.verdict == "fail" for r in reports)), command
+            if isinstance(name, int):
+                verdicts = [(r.subject, r.verdict) for r in reports]
+                assert verdicts == [(r.subject, r.verdict) for r in battery(example)], command
+            if command == "check":
+                assert elapsed < 10.0
 
     def test_designed_failure_file(self, capsys, tmp_path):
         bad = tmp_path / "bad_model.json"
@@ -622,12 +654,18 @@ class TestSymmetryCommands:
         [
             ("symmetry", "check", "--model", "/nonexistent/model.json"),
             ("symmetry", "check", "--model", "no_such_bundled_model"),
+            # The word scan runs until its queue is empty; the depth flag is gone.
             ("symmetry", "check", "--model", "designed_failure", "--max-word-len", "6"),
+            ("symmetry", "check", "--model", "structural_example", "--max-word-len", "6"),
         ],
     )
     def test_model_errors_exit_2(self, capsys, argv):
-        code, _, _ = run_cli(capsys, *argv)
+        # The error line names the last flag given.
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [a for a in argv if a.startswith("--")][-1] in err
 
     @pytest.mark.parametrize(
         "content,detail",
@@ -1178,6 +1216,8 @@ def missing_out_path(tmp_path_factory):
 class TestArgvContract:
     @settings(max_examples=200, deadline=None)
     @given(argv=cli_argvs(), unwritable_out=st.integers(0, 9).map(lambda k: k == 0))
+    # argparse once printed its usage lines before the error line.
+    @example(argv=["spin", "verify", "--j=1", "--samples=1.5"], unwritable_out=False)
     def test_exit_contract(self, missing_out_path, argv, unwritable_out):
         if unwritable_out:
             argv.append(f"--out={missing_out_path}")
@@ -1185,12 +1225,10 @@ class TestArgvContract:
         assert code in (0, 1, 2)
         assert "Traceback" not in out + err
         if code == 2:
-            # argparse prints its usage lines first; every path ends in one
-            # error line.
+            # Every path, argparse's included, ends in one error line alone.
             assert out == ""
-            errors = [line for line in err.splitlines() if "error:" in line]
-            assert len(errors) == 1 and err.endswith(errors[0] + "\n"), err
-            assert any(name in errors[0] for name in FLAG_NAMES), err
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+            assert any(name in err for name in FLAG_NAMES), err
         else:
             verdicts = [r["verdict"] for r in json.loads(out).get("reports", [])]
             assert (code == 1) == ("fail" in verdicts)

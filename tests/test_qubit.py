@@ -93,12 +93,14 @@ class TestBlochDirection:
     def test_round_trip_through_recursion(self, seed):
         rng = np.random.default_rng(seed)
         v = qubit.random_unit_vector(rng)
-        rebuilt = qubit.reconstruct_state(qubit.bloch_direction(v))
+        direction = qubit.bloch_direction(v)
+        rebuilt = spin.eigenstate_recursion(spin.SpinSystem(0.5), direction, 0.5).ket
         assert abs(linalg.inner(rebuilt, v)) >= 1.0 - 1e-10
 
     def test_round_trip_spec_corner(self):
         v = np.array([1.0, np.exp(1j * math.pi / 4)]) / math.sqrt(2)
-        rebuilt = qubit.reconstruct_state(qubit.bloch_direction(v))
+        direction = qubit.bloch_direction(v)
+        rebuilt = spin.eigenstate_recursion(spin.SpinSystem(0.5), direction, 0.5).ket
         assert linalg.phase_equal(rebuilt, v, 1e-9)
 
 
@@ -423,15 +425,26 @@ class TestBatteries:
 S2 = 1.0 / math.sqrt(2.0)
 
 
+SIZES = (1, 2, 3, 50, 200, 1000)
+
+
 class TestFloatReference:
     """The stacked kernels give the reference loops' bits: every float in a
     report, and every bit of a rotation entry or Bloch component, down to
     the sign of a zero."""
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_verifiers_match_reference(self, seed):
-        for size in (1, 2, 3, 50, 200, 1000):
-            for name in ("verify_prop2", "verify_homomorphism"):
+    @pytest.mark.parametrize(
+        "seed,sizes",
+        [pytest.param(seed, {"verify_prop2": SIZES, "verify_homomorphism": SIZES}, id=str(seed))
+         for seed in range(20)]
+        # verify_prop2 at twice the largest size above, at each numpy
+        # dispatch level.
+        + [pytest.param(20, {"verify_prop2": (2000,), "verify_homomorphism": (1000,)},
+                        id="20", marks=pytest.mark.dispatch)],
+    )
+    def test_verifiers_match_reference(self, seed, sizes):
+        for name, name_sizes in sizes.items():
+            for size in name_sizes:
                 lib_rng = np.random.default_rng(seed)
                 ref_rng = np.random.default_rng(seed)
                 lib = getattr(qubit, name)(size, rng=lib_rng)

@@ -578,19 +578,30 @@ def route_of(system, direction, h):
     return "down" if junction <= 0 else "stitched"
 
 
-def route_directions(j):
-    """One random direction, two just off either pole (transverse
-    log-uniform between POLE_THRESHOLD and 1e-3), both poles, and one
-    direction inside POLE_THRESHOLD of the south pole."""
-    rng = np.random.default_rng(round(8 * j))
-    directions = [spin.random_direction(rng)]
+def near_pole_directions(rng):
+    """One direction just off the north pole, then one off the south:
+    transverse log-uniform between POLE_THRESHOLD and 1e-3."""
+    directions = []
     for z in (1.0, -1.0):
         t = 10.0 ** rng.uniform(math.log10(spin.POLE_THRESHOLD), -3.0)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         direction = Direction.normalized(t * math.cos(phi), t * math.sin(phi), z)
         assert spin.POLE_THRESHOLD <= direction.transverse <= 1e-3
         directions.append(direction)
-    return directions + [Z, Z.antipode(), Direction.normalized(3e-12, -4e-12, -1.0)]
+    return directions
+
+
+def route_directions(j):
+    """One random direction, two just off either pole, both poles, and one
+    direction inside POLE_THRESHOLD of the south pole."""
+    rng = np.random.default_rng(round(8 * j))
+    return [
+        spin.random_direction(rng),
+        *near_pole_directions(rng),
+        Z,
+        Z.antipode(),
+        Direction.normalized(3e-12, -4e-12, -1.0),
+    ]
 
 
 def assert_same_as_public(state, system, direction, answer):
@@ -608,16 +619,30 @@ def assert_same_as_public(state, system, direction, answer):
 ALL_SPINS = [k / 2 for k in range(1, 51)]
 
 
+def _drawn_directions() -> dict[float, list[Direction]]:
+    """Three random and two near-pole directions for each j in ALL_SPINS,
+    drawn in turn, j ascending, from one seed-21 generator."""
+    rng = np.random.default_rng(21)
+    drawn = {}
+    for j in ALL_SPINS:
+        drawn[j] = [spin.random_direction(rng) for _ in range(3)] + near_pole_directions(rng)
+    return drawn
+
+
+DRAWN_DIRECTIONS = _drawn_directions()
+
+
 class TestTrustedConstructors:
     """The pole branch, the recursion and the oracle skip the public
     constructor's snapping, norm and phase checks; their states must be the
-    ones that constructor makes from the same inputs."""
+    ones that constructor makes from the same inputs.  Each j takes its
+    route directions and its share of the seed-21 draw."""
 
     @pytest.mark.parametrize("j", ALL_SPINS)
     def test_recursion_routes_match_public_constructor(self, j):
         s = SpinSystem(j)
         seen = set()
-        for direction in route_directions(j):
+        for direction in route_directions(j) + DRAWN_DIRECTIONS[j]:
             catalog = spin.state_catalog(s, direction)
             for h, shared in zip(s.m_values.tolist(), catalog):
                 seen.add(route_of(s, direction, h))
@@ -638,8 +663,9 @@ class TestTrustedConstructors:
     def test_oracle_matches_public_constructor(self, j):
         s = SpinSystem(j)
         # Jacobi at d=51 takes about 0.1 s a direction: the random, one
-        # near-pole and one pole direction per spin.
-        for direction in [route_directions(j)[k] for k in (0, 1, 4)]:
+        # near-pole and one pole route direction per spin, and the draw.
+        routes = [route_directions(j)[k] for k in (0, 1, 4)]
+        for direction in routes + DRAWN_DIRECTIONS[j]:
             for h, state in zip(s.m_values.tolist(), spin.oracle_catalog(s, direction)):
                 try:
                     assert_same_as_public(state, s, direction, h)

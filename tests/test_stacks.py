@@ -12,7 +12,8 @@ its text: that of the first failing row, from its first failing check.
 The stacks mix the fragile zones: the poles, directions just off them,
 the xz and yz planes, random directions, the extreme answers h = +-j, and
 answers whose recursion junction sits one step inside either end.  numpy
-picks its loops by CPU level, so CI runs this module at each level.
+picks its loops by CPU level, so the module carries the `dispatch` marker,
+which CI runs at each level.
 """
 
 import contextlib
@@ -27,6 +28,8 @@ from hypothesis import strategies as st
 import float_reference as ref
 from qastates import cli, linalg, qubit, spin
 from qastates.spin import Direction, SpinSystem
+
+pytestmark = pytest.mark.dispatch
 
 ALL_SPINS = [k / 2 for k in range(1, 51)]
 Z = Direction(0.0, 0.0, 1.0)
