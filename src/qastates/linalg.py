@@ -5,11 +5,14 @@ Hermitian eigensolver is a cyclic Jacobi iteration written out in full so it
 can serve as an independent route against states constructed by recursion
 elsewhere in the package; it does not call numpy.linalg.  Matrix sizes here
 stay small (dimension 60 or less), where Jacobi is accurate and fast enough.
-It rotates the matrix and its eigenvectors as one stacked array, in place:
-each rotation multiplies a strided view of its pair of columns, then of
-its pair of rows, by one coefficient block, and reads and writes its
-scalar entries through flat views.  Its bits equal those of a loop that
-rotates separate matrices through copied columns.
+`hermitian_eigs` solves a stack of matrices of one size, with the setup,
+the sort and the checks run once over the stack, and `hermitian_eig` is its
+stack of one.  The sweeps run per matrix: each rotates the matrix and its
+eigenvectors as one (2n, n) array, in place, and each rotation multiplies
+a strided view of its pair of columns, then of its pair of rows, by one
+coefficient block, and reads and writes its scalar entries through flat
+views.  Its bits equal those of a loop that rotates separate matrices
+through copied columns, one matrix at a time.
 Orthonormality and unitarity checks across the package measure one defect,
 max |C†C - I| over the columns C, of one C or a stack, with `gram_defect`.
 """
@@ -59,11 +62,6 @@ def inner(u, v) -> complex:
 
 def norm(v) -> float:
     return math.sqrt(max(inner(v, v).real, 0.0))
-
-
-def frobenius(a) -> float:
-    a = np.asarray(a, dtype=complex)
-    return math.sqrt(float(np.sum(np.abs(a) ** 2)))
 
 
 def phase_equal(u, v, eps: float = 1e-9) -> bool:
@@ -172,7 +170,7 @@ class EigenDecomposition:
 
 
 def _rotation_pairs(w: np.ndarray) -> list[tuple]:
-    """What each rotation (p, q) of `hermitian_eig` reads and writes in the
+    """What each rotation (p, q) of `_jacobi_sweeps` reads and writes in the
     stacked (2n, n) array w, in cyclic order: the flat indices of h[p, q],
     h[q, p], h[p, p] and h[q, q], then the columns p and q of w as one
     (2, 1, 2n) view and one at a time, then the rows p and q of h likewise."""
@@ -190,79 +188,53 @@ def _rotation_pairs(w: np.ndarray) -> list[tuple]:
     ]
 
 
-def hermitian_eig(a) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
-
-    Each sweep conjugates by two-dimensional unitary rotations chosen to zero
-    one off-diagonal entry at a time; off-diagonal mass decreases until it is
-    negligible relative to the Frobenius norm.  A matrix whose entries or
-    computed Frobenius norm are not finite (entries beyond about 1e154
-    overflow it) is rejected with ValueError.  Before returning, the
-    eigenpair residuals and the orthonormality of the eigenvector matrix
-    are checked against RESIDUAL_TOL and ORTHO_TOL, in a form that NaN
-    fails; failure to converge raises instead of returning bad output.
+def _jacobi_sweeps(w: np.ndarray, scale: float, offdiag_mask: np.ndarray) -> bool:
+    """Rotate one (2n, n) working array in place until its top half is
+    diagonal: whether that took at most _MAX_SWEEPS sweeps.
 
     The working matrix h and the eigenvector matrix v are the top and bottom
-    halves of one (2n, n) array, so one column rotation turns both.  For
-    each pair (p, q), columns p and q of the array are one (2, 1, 2n)
-    strided view, and rows p and q of h one (2, 1, n) view; these views,
-    and the flat indices of h[p, q], h[q, p], h[p, p] and h[q, q], are made
-    once per solve, when the first sweep runs, so a matrix that is already
-    diagonal pays nothing for them.  A rotation reads and zeroes its
-    scalar entries through flat 1-d views of the array, multiplies each
-    pair by a block of its coefficients into a product buffer, and writes
-    the new pair back with one subtract and one add: six ufunc calls, with
-    no temporaries or copies.  Every
-    floating-point operation is the one a loop with separate matrices and
-    copied columns makes, on the same operands in the same order, so the
-    eigenvalues and eigenvectors equal that loop's bit for bit.
+    halves of w, so one column rotation turns both.  For each pair (p, q),
+    columns p and q of w are one (2, 1, 2n) strided view, and rows p and q
+    of h one (2, 1, n) view; these views, and the flat indices of h[p, q],
+    h[q, p], h[p, p] and h[q, q], are made when the first sweep runs, so a
+    matrix that is already diagonal pays nothing for them, and so are the
+    coefficient block and the product buffers.  A rotation reads and zeroes
+    its scalar entries through flat 1-d views of w, multiplies each pair by
+    a block of its coefficients into a product buffer, and writes the new
+    pair back with one subtract and one add: six ufunc calls, with no
+    temporaries or copies.  Every floating-point operation is the one a
+    loop with separate matrices and copied columns makes, on the same
+    operands in the same order, so the eigenvalues and eigenvectors equal
+    that loop's bit for bit.
     """
-    a = as_matrix(a)
-    with np.errstate(over="ignore"):
-        scale = frobenius(a)
-    if not math.isfinite(scale):
-        raise ValueError(
-            "matrix entries must be finite, and small enough that the "
-            "Frobenius norm does not overflow"
-        )
-    # Entries this close to overflow can overflow the defect's squares;
-    # an infinite defect is refused like any other large one.
-    with np.errstate(over="ignore"):
-        defect = frobenius(a - a.conj().T)
-    if defect > HERM_TOL * max(1.0, scale):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    n = a.shape[0]
-    # Symmetrize roundoff so the working diagonal is real from the start.
-    sym = (a + a.conj().T) / 2.0
-    w = np.vstack((sym, np.eye(n, dtype=complex)))
-    h, v = w[:n], w[n:]
+    n = w.shape[1]
+    h = w[:n]
     flat = w.reshape(-1)
     flat_re, flat_im = flat.real, flat.imag
-    # The coefficient block holds the pairs (c, s), (s conj, c conj) and
-    # (s phase, c phase), each product a numpy scalar as in
-    # `s * conj * col`.  Its first two pairs times the old columns p and q,
-    # and its first and third times the old rows p and q, fill the product
-    # buffers: col_pp is column p's share of the new p, col_pq its share of
-    # the new q.
-    coef = np.empty((3, 2, 1), dtype=complex)
-    coef_flat = coef.reshape(-1)
-    col_coef, row_coef = coef[0:2], coef[0:3:2]
-    col_prods = np.empty((2, 2, 2 * n), dtype=complex)
-    row_prods = np.empty((2, 2, n), dtype=complex)
-    (col_pp, col_pq), (col_qp, col_qq) = col_prods
-    (row_pp, row_pq), (row_qp, row_qq) = row_prods
     pairs = None
     target, tiny = 1e-14 * scale, 1e-18 * scale
     # Summing only off-diagonal entries avoids the cancellation that a
     # "Frobenius minus diagonal" formula hits once the mass drops below
     # sqrt(machine epsilon) times the scale.
-    offdiag_mask = ~np.eye(n, dtype=bool)
     for _ in range(_MAX_SWEEPS):
-        off = math.sqrt(float(np.sum(np.abs(h[offdiag_mask]) ** 2)))
+        off = math.sqrt(float((np.abs(h[offdiag_mask]) ** 2).sum()))
         if off <= target:
-            break
+            return True
         if pairs is None:
             pairs = _rotation_pairs(w)
+            # The coefficient block holds the pairs (c, s), (s conj, c conj)
+            # and (s phase, c phase), each product a numpy scalar as in
+            # `s * conj * col`.  Its first two pairs times the old columns p
+            # and q, and its first and third times the old rows p and q,
+            # fill the product buffers: col_pp is column p's share of the
+            # new p, col_pq its share of the new q.
+            coef = np.empty((3, 2, 1), dtype=complex)
+            coef_flat = coef.reshape(-1)
+            col_coef, row_coef = coef[0:2], coef[0:3:2]
+            col_prods = np.empty((2, 2, 2 * n), dtype=complex)
+            row_prods = np.empty((2, 2, n), dtype=complex)
+            (col_pp, col_pq), (col_qp, col_qq) = col_prods
+            (row_pp, row_pq), (row_qp, row_qq) = row_prods
         for pq, qp, pp, qq, col_pair, colp, colq, row_pair, rowp, rowq in pairs:
             apq = flat[pq]
             r = abs(apq)
@@ -295,21 +267,95 @@ def hermitian_eig(a) -> EigenDecomposition:
             np.add(row_pq, row_qq, out=rowq)
             flat[pq] = flat[qp] = 0.0
             flat_im[pp] = flat_im[qq] = 0.0
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
+    return False
 
-    diagonal = h.real.diagonal()
-    order = np.argsort(diagonal, kind="stable")
-    vals, vecs = diagonal[order], v[:, order]
 
-    spectral = max(float(np.abs(vals).max()), 1e-300)
-    residual = float(np.abs(sym @ vecs - vecs * vals[np.newaxis, :]).max())
-    if not residual <= RESIDUAL_TOL * spectral:
-        raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")
-    ortho = gram_defect(vecs)
-    if not ortho <= ORTHO_TOL:
-        raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
-    return EigenDecomposition(vals, vecs)
+def hermitian_eig(a) -> EigenDecomposition:
+    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps:
+    `hermitian_eigs` on a stack of one.
+
+    Each sweep conjugates by two-dimensional unitary rotations chosen to zero
+    one off-diagonal entry at a time; off-diagonal mass decreases until it is
+    negligible relative to the Frobenius norm.  A matrix whose entries or
+    computed Frobenius norm are not finite (entries beyond about 1e154
+    overflow it) is rejected with ValueError.  Before returning, the
+    eigenpair residuals and the orthonormality of the eigenvector matrix
+    are checked against RESIDUAL_TOL and ORTHO_TOL, in a form that NaN
+    fails; failure to converge raises instead of returning bad output.
+    """
+    return hermitian_eigs(as_matrix(a)[None])[0]
+
+
+def hermitian_eigs(stack) -> list[EigenDecomposition]:
+    """`hermitian_eig` of each matrix of a nonempty (k, n, n) stack.
+
+    The setup and the checks run once over the stack: the Frobenius scales
+    and Hermitian defects, the symmetrized (k, 2n, n) working array, the
+    stable ascending sort, the eigenpair residuals and one `gram_defect`.
+    The sweeps run per matrix, on its (2n, n) slice, in `_jacobi_sweeps`.
+    Each matrix gets the eigenvalues and eigenvectors it gets alone, bit for
+    bit, and a refused stack raises what its first refused matrix raises
+    alone: the matrices after it are not swept, and those before it are
+    still checked first.
+    """
+    a = np.asarray(stack, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or 0 in a.shape:
+        raise ValueError("expected a nonempty stack of nonempty square matrices")
+    n = a.shape[1]
+    adjoint = a.conj().swapaxes(1, 2)
+    # Entries this close to overflow can overflow the squares; an infinite
+    # scale or defect is refused like any other large one.  The defect of a
+    # refused non-finite matrix is never read.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = np.sqrt((np.abs(a) ** 2).sum(axis=(1, 2))).tolist()
+        defects = np.sqrt((np.abs(a - adjoint) ** 2).sum(axis=(1, 2))).tolist()
+    refusal = None
+    for k, (scale, defect) in enumerate(zip(scales, defects)):
+        if not math.isfinite(scale):
+            refusal = ValueError(
+                "matrix entries must be finite, and small enough that the "
+                "Frobenius norm does not overflow"
+            )
+        elif defect > HERM_TOL * max(1.0, scale):
+            refusal = ValueError("matrix is not Hermitian within tolerance")
+        else:
+            continue
+        if k == 0:
+            raise refusal
+        a, adjoint = a[:k], adjoint[:k]
+        break
+    # Symmetrize roundoff so the working diagonal is real from the start.
+    sym = (a + adjoint) / 2.0
+    # h atop v = I, in each matrix's (2n, n) slice; `flat` holds each slice
+    # as one row.
+    w = np.zeros((len(sym), 2 * n, n), dtype=complex)
+    w[:, :n] = sym
+    flat = w.reshape(len(w), -1)
+    flat[:, n * n :: n + 1] = 1.0
+    offdiag_mask = ~np.eye(n, dtype=bool)
+    for k, (wk, scale) in enumerate(zip(w, scales)):
+        if not _jacobi_sweeps(wk, scale, offdiag_mask):
+            refusal = RuntimeError("Jacobi iteration did not converge")
+            sym, w, flat = sym[:k], w[:k], flat[:k]
+            break
+
+    diagonal = flat[:, : n * n : n + 1].real
+    order = diagonal.argsort(axis=1, kind="stable")
+    rows = np.arange(len(w))[:, None]
+    vals = diagonal[rows, order]
+    vecs = w[rows[:, :, None], np.arange(n, 2 * n)[:, None], order[:, None, :]]
+
+    spectral = np.abs(vals).max(axis=1).tolist()
+    residuals = np.abs(sym @ vecs - vecs * vals[:, None, :]).max(axis=(1, 2)).tolist()
+    orthos = gram_defect(vecs).tolist()
+    for residual, top, ortho in zip(residuals, spectral, orthos):
+        if not residual <= RESIDUAL_TOL * max(top, 1e-300):
+            raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")
+        if not ortho <= ORTHO_TOL:
+            raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
+    if refusal is not None:
+        raise refusal
+    return [EigenDecomposition(*pair) for pair in zip(vals, vecs)]
 
 
 def operator_norm(a) -> float:

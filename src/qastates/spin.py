@@ -8,7 +8,8 @@ oracle.  Keeping the routes independent is the point; their agreement is a
 verified claim, not an assumption.  So the oracle keeps its own in-house
 Jacobi solver and never reuses anything from the recursion; it diagonalizes
 the component operator once per direction and serves every sharp answer
-from that one decomposition (`oracle_catalog`).
+from that one decomposition (`oracle_catalog`, or `_oracle_states` for a
+verifier's directions at once).
 
 The ladder coefficients and the angular momentum operators depend only on
 j, so they are built once per spin magnitude, kept in small bounded caches
@@ -21,13 +22,15 @@ The recursion holds one recurrence: its downward pass is the upward one run
 on the mirrored basis (m -> -m).  States are built a stack at a time, in
 `_stack_states`: the recursion runs per row, then the norms, the phase
 convention and the eigenvalue residual bound each run once over the (n, d)
-array of a direction's answers, of a verifier's samples, or of one state.
-The oracle's eigenvectors go through the same pass.  Its bits are those of
-building each state alone.  Each constructed state is checked once, by the
-residual bound: the pole branch, the recursion and the oracle build kets
-that are unit and phase-fixed by construction.  The residual reads the
-component operator, built once per direction and shared by both routes
-like j itself, or one per row where the rows differ in direction.  Kets
+array of a direction's answers, of a verifier's samples or whole request,
+or of one state.  The oracle's eigenvectors go through the same pass, all
+of a request's directions diagonalized by one `linalg.hermitian_eigs`
+call.  Its bits are those of building each state alone.  Each constructed
+state is checked once, by the residual bound: the pole branch, the
+recursion and the oracle build kets that are unit and phase-fixed by
+construction.  The residual reads the component operator, built once per
+direction and shared by both routes like j itself, and broadcast over
+that direction's rows.  Kets
 from outside the package go through the public `QuestionAnswerState`
 constructor, which checks every invariant.
 
@@ -65,8 +68,8 @@ _RESCALE_LIMIT = 1e150
 # Spin magnitudes whose ladder tables, operators and algebra defects are
 # kept; a handful covers a request.
 _OPERATOR_CACHE_SIZE = 4
-# Bytes of complex component operators held per recursion stack whose rows
-# differ in direction: 12 rows at j = 25, thousands at j = 1/2.
+# Bytes of complex component operators held per stack of directions: 12
+# at j = 25, thousands at j = 1/2.
 _OPERATOR_STACK_BYTES = 1 << 19
 
 
@@ -382,45 +385,49 @@ def _stack_states(
     magnitude, built as one (n, d) stack.
 
     `answers` are snapped; `op` is the component operator, one (d, d)
-    matrix shared by every row or an (n, d, d) stack with each row's own.
-    With `kets` None the recursion runs per row (`_recursion_row`), and the
-    rows are then normalized once over the stack.  Otherwise `kets` holds
-    the oracle's unit eigenvectors as rows.  Either way the phase
-    convention is applied and the residual bound checked once over the
-    stack, and the stack is made read-only; each state's ket is its row.
-    Every step is the one-state step on the same operands, so each ket and
-    residual has the bits it would have if built alone.
+    matrix shared by every row or an (m, d, d) stack whose operators each
+    serve one of m equal runs of consecutive rows: one per direction of a
+    catalog-shaped stack, or one per row.  Each operator is broadcast over
+    its rows, never copied per row.  With `kets` None the recursion runs
+    per row (`_recursion_row`), and the rows are then normalized once over
+    the stack.  Otherwise `kets` holds the oracle's unit eigenvectors as
+    rows.  Either way the phase convention is applied and the residual
+    bound checked once over the stack, and the stack is made read-only;
+    each state's ket is its row.  Every step is the one-state step on the
+    same operands, so each ket and residual has the bits it would have if
+    built alone.
 
     A refused stack raises what building its rows one at a time would
     have: the exception of the first failing row, from that row's first
     failing check.  A row that overflows, vanishes or has no phase anchor
     comes out of every later step as NaN, so the residual bound, which NaN
     fails, finds every failing row; only that row is then looked at again.
+    The rows after a refused recursion row are left zero and never read.
     With `catalog` the message is prefixed by the row's direction and
     answer, as `state_catalog` reports it.
     """
     refusal = None  # (row, exception) of a row whose recursion was refused
+    built = len(answers)  # the rows before a refused recursion row
     recursion = kets is None
+    d = system.dim
     if recursion:
-        rows = np.zeros((len(answers), system.dim), dtype=complex)
+        rows = np.zeros((built, d), dtype=complex)
         for row, (direction, h) in enumerate(zip(directions, answers)):
             try:
                 _recursion_row(system, direction, h, rows[row])
             except RuntimeError as exc:
-                # Only the rows before it can be refused first.
-                refusal, rows = (row, exc), rows[:row]
-                op = op[:row] if op.ndim == 3 else op
+                refusal, built = (row, exc), row
                 break
+    ops = op.reshape(-1, 1, d, d)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if recursion:
             norms = _row_norms(rows)
             kets = rows / norms[:, None]
         unphased = kets
         kets = linalg.fix_phases(unphased)
-        residuals = _row_norms(
-            (op @ kets[:, :, None])[:, :, 0] - np.array(answers[: len(kets)])[:, None] * kets
-        ).tolist()
-    if not all(residual <= STATE_RESIDUAL_TOL for residual in residuals):
+        images = (ops @ kets.reshape(len(ops), -1, d, 1)).reshape(-1, d)
+        residuals = _row_norms(images - np.array(answers)[:, None] * kets).tolist()
+    if not all(residual <= STATE_RESIDUAL_TOL for residual in residuals[:built]):
         row = next(k for k, res in enumerate(residuals) if not res <= STATE_RESIDUAL_TOL)
         try:
             if recursion and not np.isfinite(rows[row].view(float)).all():
@@ -493,14 +500,20 @@ def recursion_states(
     _OPERATOR_STACK_BYTES, so memory does not grow with the row count; the
     first refused row still raises first."""
     answers = [_snap_answer(system, h) for h in answers]
-    size = max(1, _OPERATOR_STACK_BYTES // (16 * system.dim**2))
     states = []
-    for start in range(0, len(answers), size):
-        rows = slice(start, start + size)
+    for rows in _operator_runs(system, len(answers)):
         states += _stack_states(
             system, directions[rows], answers[rows], _component_operators(system, directions[rows])
         )
     return states
+
+
+def _operator_runs(system: SpinSystem, count: int) -> list[slice]:
+    """`count` operators in consecutive runs of at most
+    _OPERATOR_STACK_BYTES each: one run up to 404 operators at d = 9, runs
+    of 12 at j = 25."""
+    size = max(1, _OPERATOR_STACK_BYTES // (16 * system.dim**2))
+    return [slice(start, start + size) for start in range(0, count, size)]
 
 
 def _component_operators(system: SpinSystem, directions: list[Direction]) -> np.ndarray:
@@ -524,25 +537,35 @@ def oracle_catalog(system: SpinSystem, direction: Direction) -> list[QuestionAns
     or the spectrum is reported as an error.  Answers are 1 apart, so answer
     k then takes eigenvector k, its only eigenvalue that close.
     """
-    return _oracle_states(system, direction, component_operator(system, direction))
+    return _oracle_states(system, [direction], component_operator(system, direction)[None])
 
 
 def _oracle_states(
-    system: SpinSystem, direction: Direction, op: np.ndarray
+    system: SpinSystem, directions: list[Direction], ops: np.ndarray
 ) -> list[QuestionAnswerState]:
-    """`oracle_catalog` with `op` the component operator along the direction:
-    the eigenvectors, as rows, go through `_stack_states` as one stack."""
-    dec = linalg.hermitian_eig(op)
+    """`oracle_catalog` along each direction in turn, with ops[i] the
+    component operator along directions[i]: one `linalg.hermitian_eigs` over
+    the (k, d, d) stack, the spectrum checked per direction, in order, and
+    every eigenvector, as a row, through one `_stack_states` pass.  One
+    direction is solved by `linalg.hermitian_eig`, the one-matrix case, by
+    that name, so a stand-in or a wrapper put in its place sees it."""
+    decs = linalg.hermitian_eigs(ops) if len(ops) > 1 else [linalg.hermitian_eig(ops[0])]
     answers = system.m_values
-    gaps = np.abs(dec.eigenvalues - answers)
-    worst = int(np.argmax(gaps))
-    if gaps[worst] > 1e-6:
-        raise RuntimeError(
-            f"the component operator's spectrum is not -j, ..., +j: eigenvalue {worst} "
-            f"is {dec.eigenvalues[worst]!r}, more than 1e-6 from the answer {answers[worst]}"
-        )
+    for direction, dec in zip(directions, decs):
+        gaps = np.abs(dec.eigenvalues - answers)
+        worst = int(np.argmax(gaps))
+        if gaps[worst] > 1e-6:
+            raise RuntimeError(
+                f"the component operator's spectrum along {direction} is not -j, ..., +j: "
+                f"eigenvalue {worst} is {float(dec.eigenvalues[worst])}, more than 1e-6 "
+                f"from the answer {float(answers[worst])}"
+            )
     return _stack_states(
-        system, [direction] * system.dim, answers.tolist(), op, kets=dec.eigenvectors.T
+        system,
+        [direction for direction in directions for _ in answers],
+        answers.tolist() * len(directions),
+        ops,
+        kets=np.concatenate([dec.eigenvectors.T for dec in decs]),
     )
 
 
@@ -619,11 +642,17 @@ def verify_eigenstates(
 
     For each sampled direction (plus both axis poles) and every sharp
     answer, the recursion state's overlap with the oracle state must be at
-    least 1 - eps.  The component operator is built once per direction and
-    shared by the oracle, which diagonalizes it once, and by the recursion;
-    each route builds the direction's states as one stack.  Residuals are
-    only recorded here: the construction of every state, by either route,
-    already rejects any above STATE_RESIDUAL_TOL.
+    least 1 - eps.  The request runs as one stacked pass, or as
+    consecutive passes whose operators each take at most
+    _OPERATOR_STACK_BYTES, so memory does not grow with the sample count.
+    In a pass each direction's component operator is built once, into one
+    stack shared by both routes; the oracle diagonalizes the stack in one
+    `linalg.hermitian_eigs` call, whose rotations still run per matrix;
+    each route builds all its states as one stack; and every overlap comes
+    from one stacked product.  So a refusal names the first refused oracle
+    direction of a pass before any recursion row of it.  Residuals are only recorded here: the
+    construction of every state, by either route, already rejects any
+    above STATE_RESIDUAL_TOL.
     """
     check_eps(eps)
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -633,20 +662,28 @@ def verify_eigenstates(
     witnesses = []
     max_residual = 0.0
     min_overlap = 1.0
-    for direction in dirs:
-        op = component_operator(system, direction)
-        oracle = _oracle_states(system, direction, op)
-        recursion = _stack_states(system, [direction] * system.dim, answers, op)
-        for h, rec, orc in zip(answers, recursion, oracle):
-            overlap = abs(linalg.inner(rec.ket, orc.ket))
-            max_residual = max(max_residual, rec.residual)
+    for run in _operator_runs(system, len(dirs)):
+        passed = dirs[run]
+        ops = np.array([component_operator(system, direction) for direction in passed])
+        oracle = _oracle_states(system, passed, ops)
+        rows = [direction for direction in passed for _ in answers]
+        recursion = _stack_states(system, rows, answers * len(passed), ops)
+        rec = np.array([state.ket for state in recursion])
+        orc = np.array([state.ket for state in oracle])
+        amplitudes = (rec.conj()[:, None, :] @ orc[:, :, None])[:, 0, 0].tolist()
+        for state, amplitude in zip(recursion, amplitudes):
+            # Python's abs, as each overlap was taken alone: np.abs
+            # rounds complex moduli otherwise.
+            overlap = abs(amplitude)
+            max_residual = max(max_residual, state.residual)
             min_overlap = min(min_overlap, overlap)
             if overlap < 1.0 - eps:
+                direction = state.direction
                 witnesses.append(
                     {
                         "direction": [direction.x, direction.y, direction.z],
-                        "answer": h,
-                        "residual": rec.residual,
+                        "answer": state.answer,
+                        "residual": state.residual,
                         "overlap": overlap,
                     }
                 )
@@ -675,16 +712,32 @@ def verify_orthogonality(
     """Check that each direction's states form an orthonormal basis.
 
     The Gram matrix of the full answer catalog for one direction must match
-    the identity entrywise within eps.
+    the identity entrywise within eps.  Every direction is drawn first;
+    then the catalogs are built as one stack, or as consecutive stacks as
+    in `verify_eigenstates`, and their Gram defects measured by one stacked
+    `linalg.gram_defect`.  A refusal names the first failing row, as
+    `state_catalog` does.
     """
     check_eps(eps)
     rng = rng if rng is not None else np.random.default_rng(0)
+    dirs = [random_direction(rng) for _ in range(samples)]
+    answers = system.m_values.tolist()
+    d = system.dim
+    defects = []
+    for run in _operator_runs(system, samples):
+        passed = dirs[run]
+        rows = [direction for direction in passed for _ in answers]
+        states = _stack_states(
+            system, rows, answers * len(passed), _component_operators(system, passed), catalog=True
+        )
+        kets = np.array([state.ket for state in states]).reshape(-1, d, d)
+        # Each catalog's kets as the columns of a C-ordered matrix, as
+        # `np.column_stack` lays them out, so each Gram product rounds as
+        # one catalog's alone.
+        defects += linalg.gram_defect(np.ascontiguousarray(kets.swapaxes(1, 2))).tolist()
     witnesses = []
     max_defect = 0.0
-    for _ in range(samples):
-        direction = random_direction(rng)
-        states = state_catalog(system, direction)
-        defect = linalg.gram_defect(np.column_stack([s.ket for s in states]))
+    for direction, defect in zip(dirs, defects):
         max_defect = max(max_defect, defect)
         if defect > eps:
             witnesses.append(

@@ -14,12 +14,13 @@ one inner product per Pauli expectation, and one sample at a time in the
 prop2 and homomorphism checks.  Tests require the two to agree bit for bit,
 and the random generator to be left in the same state.
 
-`qastates.linalg.hermitian_eig` keeps the working matrix and the eigenvector
-matrix as the two halves of one stacked array and rotates its columns in
-place.  The third part keeps the loop it replaced, with a separate
-eigenvector matrix and a copy of each rotated column and row.  Tests require
-the eigenvalues and eigenvectors of the two to be equal byte for byte, and
-their errors to be the same.
+`qastates.linalg.hermitian_eigs` solves a stack of matrices, each with its
+working matrix and eigenvector matrix as the two halves of one array whose
+columns it rotates in place; `hermitian_eig` is its stack of one.  The
+third part keeps the loop they replaced, one matrix at a time, with a
+separate eigenvector matrix and a copy of each rotated column and row.
+Tests require the eigenvalues and eigenvectors of the two to be equal byte
+for byte, and their errors to be the same.
 
 `qastates.spin._recurrence_up` carries its last two coefficients as local
 numpy scalars and hoists the products of its direction.  The fourth part
@@ -28,11 +29,13 @@ array; tests require the two to return the same bytes.
 
 `qastates.spin` builds its states a stack at a time: the recursion per
 row, then one pass over the stack for the norms, the phase convention and
-the residual bound.  The fifth part keeps the per-state constructors it
-replaced (`recursion_state`, `built`, `oracle_states`) and the verifiers
-written on them, one state at a time.  Tests require every ket and
-residual, every report and the generator state after it to be equal, and
-a refused build to raise the same exception with the same text.
+the residual bound; its verifiers build all of a request's states, and
+solve all of its oracle directions, as one stack.  The fifth part keeps
+the per-state constructors it replaced (`recursion_state`, `built`,
+`oracle_states`) and the verifiers written on them, one direction and one
+state at a time.  Tests require every ket and residual, every report and
+the generator state after it to be equal, and a refused build to raise the
+same exception with the same text.
 
 Only tests import this module.
 """
@@ -263,18 +266,25 @@ def verify_homomorphism(
     )
 
 
+def frobenius(a) -> float:
+    """The Frobenius norm of one matrix, as `linalg.hermitian_eigs` computes
+    it for each matrix of a stack."""
+    a = np.asarray(a, dtype=complex)
+    return math.sqrt(float(np.sum(np.abs(a) ** 2)))
+
+
 def hermitian_eig(a) -> linalg.EigenDecomposition:
     """`linalg.hermitian_eig` with separate working and eigenvector matrices
     and a copy of each pair of columns and rows it rotates."""
     a = linalg.as_matrix(a)
     with np.errstate(over="ignore"):
-        scale = linalg.frobenius(a)
+        scale = frobenius(a)
     if not math.isfinite(scale):
         raise ValueError(
             "matrix entries must be finite, and small enough that the "
             "Frobenius norm does not overflow"
         )
-    if linalg.frobenius(a - a.conj().T) > linalg.HERM_TOL * max(1.0, scale):
+    if frobenius(a - a.conj().T) > linalg.HERM_TOL * max(1.0, scale):
         raise ValueError("matrix is not Hermitian within tolerance")
     n = a.shape[0]
     # Symmetrize roundoff so the working diagonal is real from the start.
@@ -432,8 +442,9 @@ def oracle_states(system, direction, op) -> list[spin.QuestionAnswerState]:
     worst = int(np.argmax(gaps))
     if gaps[worst] > 1e-6:
         raise RuntimeError(
-            f"the component operator's spectrum is not -j, ..., +j: eigenvalue {worst} "
-            f"is {dec.eigenvalues[worst]!r}, more than 1e-6 from the answer {answers[worst]}"
+            f"the component operator's spectrum along {direction} is not -j, ..., +j: "
+            f"eigenvalue {worst} is {float(dec.eigenvalues[worst])}, more than 1e-6 "
+            f"from the answer {float(answers[worst])}"
         )
     return [
         built(system, direction, h, linalg.fix_phase(dec.eigenvectors[:, k]), op)
@@ -497,6 +508,39 @@ def verify_eigenstates(system, samples=100, eps=1e-9, rng=None) -> VerificationR
         },
         witnesses=tuple(witnesses),
         notes="recursion route vs eigensolver oracle, axis poles included",
+    )
+
+
+def verify_orthogonality(system, samples=100, eps=1e-9, rng=None) -> VerificationReport:
+    """`spin.verify_orthogonality`, one sample at a time: one catalog and
+    one Gram defect per direction."""
+    check_eps(eps)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    witnesses = []
+    max_defect = 0.0
+    for _ in range(samples):
+        direction = spin.random_direction(rng)
+        states = state_catalog(system, direction)
+        defect = linalg.gram_defect(np.column_stack([s.ket for s in states]))
+        max_defect = max(max_defect, defect)
+        if defect > eps:
+            witnesses.append(
+                {
+                    "direction": [direction.x, direction.y, direction.z],
+                    "gram_defect": defect,
+                }
+            )
+    verdict = "pass" if not witnesses else "fail"
+    return VerificationReport(
+        subject="cor1",
+        verdict=verdict,
+        metrics={
+            "j": system.j,
+            "directions": float(samples),
+            "max_gram_defect": max_defect,
+        },
+        witnesses=tuple(witnesses),
+        notes="Gram matrix of the per-direction answer catalog vs identity",
     )
 
 

@@ -299,7 +299,8 @@ class TestHermitianEig:
             dec = linalg.hermitian_eig(a)
             scale = max(np.abs(dec.eigenvalues).max(), 1.0)
             recon = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.conj().T
-            assert linalg.frobenius(a - recon) <= 1e-9 * max(1.0, linalg.frobenius(a))
+            frobenius = float_reference.frobenius
+            assert frobenius(a - recon) <= 1e-9 * max(1.0, frobenius(a))
             residual = np.abs(a @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues).max()
             assert residual <= 1e-10 * scale
             assert np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(n)).max() <= 1e-10

@@ -7,6 +7,7 @@ eigenproblems, textbook ladder values, and the package's eigensolver oracle
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -469,6 +470,50 @@ class TestOracleCatalog:
         for state, column in zip(states, columns):
             assert np.array_equal(state.ket, linalg.fix_phase(vectors[:, column]))
 
+    def test_spectrum_refusal_names_the_direction(self, monkeypatch):
+        # Plain floats, not numpy reprs, and the direction whose spectrum
+        # is off, as the per-direction reference says it.
+        system, direction = SpinSystem(1), Direction(0.6, 0.0, 0.8)
+        op = spin.component_operator(system, direction)
+        true_eig = linalg.hermitian_eig
+
+        def shifted(a):
+            dec = true_eig(a)
+            return linalg.EigenDecomposition(dec.eigenvalues + 0.01, dec.eigenvectors)
+
+        monkeypatch.setattr(linalg, "hermitian_eig", shifted)
+        text = (
+            "the component operator's spectrum along Direction(x=0.6, y=0.0, z=0.8) is "
+            "not -j, ..., +j: eigenvalue 0 is -0.9899999999999997, more than 1e-6 from "
+            "the answer -1.0"
+        )
+        for build in (
+            lambda: spin.oracle_catalog(system, direction),
+            lambda: float_reference.oracle_states(system, direction, op),
+        ):
+            with pytest.raises(RuntimeError) as info:
+                build()
+            assert str(info.value) == text
+
+    def test_stacked_spectrum_refusal_names_its_direction(self, monkeypatch):
+        # One solve for a request's directions: the refusal names the
+        # direction whose spectrum is off, here the second.
+        true_eigs = linalg.hermitian_eigs
+
+        def second_shifted(stack):
+            decs = true_eigs(stack)
+            decs[1] = linalg.EigenDecomposition(decs[1].eigenvalues + 0.01, decs[1].eigenvectors)
+            return decs
+
+        monkeypatch.setattr(linalg, "hermitian_eigs", second_shifted)
+        rng = np.random.default_rng(3)
+        second = [spin.random_direction(rng) for _ in range(2)][1]
+        with pytest.raises(RuntimeError) as info:
+            spin.verify_eigenstates(SpinSystem(1), samples=3, rng=np.random.default_rng(3))
+        assert str(info.value).startswith(
+            f"the component operator's spectrum along {second} is not -j, ..., +j: eigenvalue "
+        )
+
     def test_missing_eigenvalue_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "hermitian_eig", degenerate_eig([0.3, 0.4]))
         with pytest.raises(RuntimeError, match=r"not -j, \.\.\., \+j: eigenvalue 0 "):
@@ -882,6 +927,20 @@ class TestVerificationBatteries:
         assert len(calls) == 4
         first, second = (json.dumps(r.to_json_dict()).encode() for r in reports)
         assert first == second
+
+    def test_no_operator_copied_per_row(self):
+        # Each direction's operator is broadcast over its rows.  A copy per
+        # row, (n * d, d, d) at j = 12.5 and 40 samples plus the two poles,
+        # would alone take 42 * 26 * 26**2 * 16 bytes, about 11.8 MB.
+        system = SpinSystem(12.5)
+        spin.verify_eigenstates(system, samples=1)  # fill the operator caches
+        tracemalloc.start()
+        try:
+            spin.verify_eigenstates(system, samples=40, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 42 * 26 * 26**2 * 16 / 2
 
     def test_batteries_deterministic(self):
         a = spin.verify_eigenstates(SpinSystem(1.0), samples=5, rng=np.random.default_rng(7))

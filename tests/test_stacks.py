@@ -227,15 +227,53 @@ class TestPhaseStack:
                 assert got.tobytes() == linalg.fix_phase(v).tobytes(), (d, v)
 
 
+def assert_same_report(name, j, samples, seed, eps=1e-9):
+    """The library verifier and its one-direction-at-a-time reference give
+    the same report and leave the generator in the same state."""
+    lib_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    lib = getattr(spin, name)(SpinSystem(j), samples=samples, eps=eps, rng=lib_rng)
+    want = getattr(ref, name)(SpinSystem(j), samples=samples, eps=eps, rng=ref_rng)
+    assert repr(lib.to_json_dict()) == repr(want.to_json_dict())
+    assert lib_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestVerifiersAgainstReference:
-    @pytest.mark.parametrize("j,samples", [(0.5, 6), (1.0, 5), (2.5, 4), (3.5, 3), (7.0, 2), (12.5, 1)])
+    # The last two hold many directions to one stack.
+    @pytest.mark.parametrize(
+        "j,samples",
+        [(0.5, 6), (1.0, 5), (2.5, 4), (3.5, 3), (7.0, 2), (12.5, 1), (2.0, 40), (7.0, 12)],
+    )
     def test_verify_eigenstates(self, j, samples):
         for seed in range(2):
-            lib_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            lib = spin.verify_eigenstates(SpinSystem(j), samples=samples, rng=lib_rng)
-            want = ref.verify_eigenstates(SpinSystem(j), samples=samples, rng=ref_rng)
-            assert repr(lib.to_json_dict()) == repr(want.to_json_dict())
-            assert lib_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert_same_report("verify_eigenstates", j, samples, seed)
+
+    # At j = 25 fourteen directions take two passes of twelve and two.
+    @pytest.mark.parametrize("j,samples", [(0.5, 30), (2.0, 40), (7.0, 12), (25.0, 14)])
+    def test_verify_orthogonality(self, j, samples):
+        for seed in range(2):
+            assert_same_report("verify_orthogonality", j, samples, seed)
+        # An eps below the defects: every direction is a witness.
+        assert_same_report("verify_orthogonality", j, 3, 2, eps=1e-300)
+
+    @pytest.mark.parametrize("per_pass", [1, 2, 3])
+    def test_requests_split_into_passes(self, monkeypatch, per_pass):
+        # Directions whose operators exceed the byte budget go in
+        # consecutive passes, with the same reports.
+        system = SpinSystem(3.5)
+        monkeypatch.setattr(spin, "_OPERATOR_STACK_BYTES", per_pass * 16 * system.dim**2)
+        for name in ("verify_eigenstates", "verify_orthogonality"):
+            assert_same_report(name, system.j, 5, per_pass)
+
+    @pytest.mark.parametrize("j", [0.5, 2.0, 3.5])
+    def test_orthogonality_refuses_as_the_reference(self, monkeypatch, j):
+        # A wrong recursion: the first failing row of the first failing
+        # catalog, with `state_catalog`'s prefix.
+        monkeypatch.setattr(spin, "_recurrence_up", scaled_recurrence_up)
+        system = SpinSystem(j)
+        got = outcome(lambda: spin.verify_orthogonality(system, samples=3, rng=np.random.default_rng(1)))
+        want = outcome(lambda: ref.verify_orthogonality(system, samples=3, rng=np.random.default_rng(1)))
+        assert got == want and got[0] is ValueError
+        assert got[1].startswith("catalog failed at direction=")
 
     @pytest.mark.parametrize("j", [0.5, 1.0, 2.0, 3.5, 12.5, 25.0])
     def test_verify_ray_collisions(self, j):
