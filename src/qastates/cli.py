@@ -183,6 +183,8 @@ def _resolve_model(text: str) -> tuple[symmetry.FiniteSymmetryModel, str]:
     path = Path(text)
     if not path.is_file():
         if path.suffix or "/" in text:
+            if path.exists():
+                raise ValueError(f"--model: {text!r} is not a regular file")
             raise ValueError(f"--model: no such file: {text!r}")
         try:
             path = symmetry.bundled_model_path(text)
@@ -523,8 +525,11 @@ def _cmd_report(args) -> tuple[dict, list, str]:
 
 # Compact C encoder: numbers and number rows are encoded in one call each,
 # then indented by replacing separators, since number text holds no comma
-# or bracket.
-_compact = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+# or bracket.  It sees only such leaves, which cannot hold themselves, so
+# it keeps no record of the containers it has entered.
+_compact = json.JSONEncoder(
+    separators=(",", ":"), allow_nan=False, check_circular=False
+).encode
 _NUMBER_TYPES = frozenset((int, float))
 _ROW_TYPES = frozenset((list, tuple))
 
@@ -547,6 +552,10 @@ def _render(value, indent: str) -> str:
     """JSON text of ``value`` nested at ``indent`` (a newline and spaces)."""
     if type(value) is int:  # the commonest scalar: no encoder call
         return repr(value)
+    if type(value) is float and math.isfinite(value):
+        # As the encoder writes it; a NaN or an infinity is left to the
+        # encoder, which refuses it.
+        return float.__repr__(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     inner = indent + "  "

@@ -20,12 +20,21 @@ which the routes part.
 
 The recursion holds one recurrence: its downward pass is the upward one run
 on the mirrored basis (m -> -m).  States are built a stack at a time, in
-`_stack_states`: the recursion runs per row, then the norms, the phase
-convention and the eigenvalue residual bound each run once over the (n, d)
-array of a direction's answers, of a verifier's samples or whole request,
-or of one state.  The oracle's eigenvectors go through the same pass, all
-of a request's directions diagonalized by one `linalg.hermitian_eigs`
-call.  Its bits are those of building each state alone.  Each constructed
+`_stack_states`.  The recursion collects every row's upward and downward
+passes and computes them in one `_pass_coefficients` call: below
+_STEPPED_PASSES (40) passes each pass runs alone in `_recurrence_up`, and
+from there all of them step together, one array operation per step, in
+`_stepped_passes`.  The crossover was measured on a 2-vCPU host: a stack
+of 8 passes steps at 0.4x the speed of the per-pass loop at every j, one
+of 32 at 0.96-1.28x, 40 at 0.97-1.71x and 96 at 1.5x (j = 1/2) to 3.5x
+(j = 25); the stacks of `spin verify` at j <= 4 with two samples make at
+most 36 passes.  Every junction row is then stitched in one vectorized
+pass, and the norms, the phase convention and the eigenvalue residual
+bound each run once over the (n, d) array of a direction's answers, of a
+verifier's samples or whole request, or of one state.  The oracle's
+eigenvectors go through the same pass, all of a request's directions
+diagonalized by one `linalg.hermitian_eigs` call.  Its bits are those of
+building each state alone.  Each constructed
 state is checked once, by the residual bound: the pole branch, the
 recursion and the oracle build kets that are unit and phase-fixed by
 construction.  The residual reads the component operator, built once per
@@ -65,6 +74,11 @@ COLLISION_SEPARATION = 1e-3
 STATE_RESIDUAL_TOL = 1e-9
 # Coefficient magnitude that triggers prefix rescaling mid-recursion.
 _RESCALE_LIMIT = 1e150
+# Passes per stack from which `_pass_coefficients` steps every pass at once
+# (measured crossover: the module docstring), and the most passes it steps
+# together, which bounds its per-step tables to 64 bytes per pass and step.
+_STEPPED_PASSES = 40
+_STEPPED_RUN = 256
 # Spin magnitudes whose ladder tables, operators and algebra defects are
 # kept; a handful covers a request.
 _OPERATOR_CACHE_SIZE = 4
@@ -309,60 +323,185 @@ def _recurrence_up(
     return b
 
 
-def _recurrence_down(
-    system: SpinSystem, direction: Direction, h: float, k_start: int
+def _pass_coefficients(
+    system: SpinSystem, passes: list[tuple[Direction, float, int]]
 ) -> np.ndarray:
-    """Coefficients b_k_start..b_{d-1} from the seed b_{d-1} = 1, b_d = 0.
+    """The coefficients of a stack's recurrence passes: row i holds b_0..b_k
+    of `_recurrence_up(system, *passes[i])` for passes[i] = (direction, h,
+    k), then zeros, in an (n, d) array.
 
-    The upward pass mirrored: reversing the basis (m -> -m) carries J_a to
-    J_a' with a' = (x, -y, -z), so the upward recurrence along a' to index
-    d-1-k_start, read backwards, runs the ladder downward along a.
+    Below _STEPPED_PASSES passes each pass runs alone, in `_recurrence_up`.
+    From there the passes are sorted longest first and stepped together,
+    in `_stepped_passes`, in as few equal runs of at most _STEPPED_RUN
+    passes as hold them all, with the same bits.  This is the one place
+    that picks the loop.
     """
-    mirror = Direction(direction.x, -direction.y, -direction.z)
-    b = _recurrence_up(system, mirror, h, system.dim - 1 - k_start)
-    return np.ascontiguousarray(b[::-1])
+    table = np.zeros((len(passes), system.dim), dtype=complex)
+    if len(passes) < _STEPPED_PASSES:
+        for row, (direction, h, k_end) in zip(table, passes):
+            row[: k_end + 1] = _recurrence_up(system, direction, h, k_end)
+        return table
+    order = sorted(range(len(passes)), key=lambda i: passes[i][2], reverse=True)
+    size = -(-len(order) // -(-len(order) // _STEPPED_RUN))
+    for start in range(0, len(order), size):
+        run = order[start : start + size]
+        table[run, : passes[run[0]][2] + 1] = _stepped_passes(system, [passes[i] for i in run]).T
+    return table
 
 
-def _recursion_row(
-    system: SpinSystem, direction: Direction, h: float, out: np.ndarray
-) -> None:
-    """The unnormalized recursion coefficients for (direction, h), written
-    into the zeroed row `out`: the pole basis vector, or the upward,
-    downward or stitched passes of `eigenstate_recursion`."""
+def _stepped_passes(
+    system: SpinSystem, passes: list[tuple[Direction, float, int]]
+) -> np.ndarray:
+    """`_recurrence_up` for n passes at once, sorted longest first: a
+    (k + 1, n) array whose row k holds every pass's b_k, for k up to the
+    first pass's end, and zeros past each pass's own end.
+
+    The passes still running at step k are a prefix of the row.  Each
+    operation is the one `_recurrence_up` applies to a pass alone, on
+    arrays: (h - z m) b_k as a complex multiply by a value stored with a
+    zero imaginary part; the raising term, a product of two complex values,
+    on real planes, since numpy's complex multiply loops may fuse a
+    multiply and an add where its scalar product does not; numpy's complex
+    divide; and `np.hypot`, which rounds as the scalar `abs` does where
+    `np.abs` does not.  The ladder products half_up * lowering[k + 1] and
+    half_dn * raising[k - 1] are Python's complex times float: for a factor
+    of at least 1, as every ladder coefficient used here is, that is each
+    part of (half * 1.0) times the factor.
+    """
+    j = system.j
+    raising, lowering = _ladder_table(system)
+    n = len(passes)
+    steps = passes[0][2]
+    ends = np.array([k_end for _, _, k_end in passes])
+    running = np.searchsorted(-ends, -np.arange(steps), side="left")
+    halves, heights = [], []
+    for direction, h, _ in passes:
+        up = complex(direction.x, direction.y)
+        halves.append((0.5 * up * 1.0, 0.5 * up.conjugate() * 1.0))
+        heights.append((h, direction.z))
+    half_up, half_dn = np.array(halves).view(float).reshape(n, 2, 2).transpose(1, 0, 2)
+    h, z = np.array(heights).T
+    # Per step and pass: the factor h - z m, with m = -j + k; the divisor
+    # half_up * lowering[k + 1]; and the block [[c.re, -c.im], [c.im,
+    # c.re]] of c = half_dn * raising[k - 1], whose rows, times (re, im) of
+    # b_{k-1} and summed, are the parts of c b_{k-1}.  Each is written in
+    # place.
+    factor = np.zeros((steps, n), dtype=complex)
+    np.multiply(z, (-j + np.arange(steps, dtype=float))[:, None], out=factor.real)
+    np.subtract(h, factor.real, out=factor.real)
+    divisor = np.empty((steps, n), dtype=complex)
+    divisor_planes = divisor.view(float).reshape(steps, n, 2)
+    np.multiply(np.array(lowering[1 : steps + 1])[:, None, None], half_up, out=divisor_planes)
+    ladder = np.array((0.0,) + raising[: steps - 1])[:, None]
+    block = np.empty((steps, n, 2, 2))
+    np.multiply(ladder, half_dn[:, 0], out=block[..., 0, 0])
+    np.multiply(ladder, -half_dn[:, 1], out=block[..., 0, 1])
+    np.multiply(ladder, half_dn[:, 1], out=block[..., 1, 0])
+    block[..., 1, 1] = block[..., 0, 0]
+    b = np.zeros((steps + 1, n), dtype=complex)
+    b[0] = 1.0
+    planes = b.view(float).reshape(steps + 1, n, 2)
+    num = np.empty(n, dtype=complex)
+    raised = np.empty_like(num)
+    raised_planes = raised.view(float).reshape(n, 2)
+    products = np.empty((n, 2, 2))
+    peak = np.empty(n)
+    for k in range(steps):
+        r = running[k]
+        np.multiply(factor[k, :r], b[k, :r], out=num[:r])
+        if k > 0:
+            np.multiply(block[k, :r], planes[k - 1, :r, None], out=products[:r])
+            np.add(products[:r, :, 0], products[:r, :, 1], out=raised_planes[:r])
+            np.subtract(num[:r], raised[:r], out=num[:r])
+        np.divide(num[:r], divisor[k, :r], out=b[k + 1, :r])
+        np.hypot(planes[k + 1, :r, 0], planes[k + 1, :r, 1], out=peak[:r])
+        if peak[:r].max() > _RESCALE_LIMIT:
+            rescaled = np.flatnonzero(peak[:r] > _RESCALE_LIMIT)
+            b[: k + 2, rescaled] /= peak[rescaled]
+    return b
+
+
+def _recursion_rows(
+    system: SpinSystem, directions: list[Direction], answers: list[float]
+) -> tuple[np.ndarray, tuple[int, RuntimeError] | None]:
+    """The unnormalized recursion coefficients of each row (directions[i],
+    answers[i]), as an (n, d) array, and the first row refused, if any,
+    with its exception; the rows from that one on are zero.
+
+    A pole row is its basis vector.  Every other row contributes an upward
+    pass, a downward pass or both (`eigenstate_recursion`), all computed by
+    one `_pass_coefficients` call.  Reversing the basis (m -> -m) carries
+    J_a to J_a' with a' = (x, -y, -z), so a downward pass is the upward one
+    along a', read backwards.  The rows with both are then stitched
+    together, each with the bits of stitching it alone.
+    """
     j = system.j
     d = system.dim
-
-    if direction.transverse < POLE_THRESHOLD:
-        m = h if direction.z > 0.0 else -h
-        out[system.m_index(m)] = 1.0
-        return
-
-    junction = min(max(round(h * direction.z + j), 0), d - 1)
-    if junction >= d - 1:
-        out[:] = _recurrence_up(system, direction, h, d - 1)
-    elif junction <= 0:
-        out[:] = _recurrence_down(system, direction, h, 0)
-    else:
-        lo = _recurrence_up(system, direction, h, junction + 1)
-        hi = _recurrence_down(system, direction, h, junction)
-        # Match the passes on their two-point overlap.  Two consecutive
-        # coefficients of a nonzero solution cannot both vanish, so the
-        # projection is well conditioned at the envelope peak.
-        over_lo = lo[junction : junction + 2]
-        over_hi = hi[0:2]
-        # Each two-term sum is np.sum without its call overhead.  np.sum
-        # starts from +0.0, so two -0.0 terms sum to +0.0 where a bare
-        # a + b gives -0.0, and the ket's bytes would change.
-        squares = np.abs(over_hi) ** 2
-        denom = float(0.0 + (squares[0] + squares[1]))
-        if denom == 0.0:
-            raise RuntimeError(
-                f"recursion junction degenerate for j={j}, h={h}"
+    rows = np.zeros((len(answers), d), dtype=complex)
+    passes = []
+    up_rows, up_passes = [], []  # the rows with an upward pass only
+    down_rows, down_passes = [], []  # the rows with a downward pass only
+    # Per stitched row: the row, its two passes, and the columns of their
+    # two-point overlap, b_J and b_{J+1} of the upward pass and b_L and
+    # b_{L-1} of the downward one, L = d - 1 - J for the junction J.
+    stitched = []
+    last = mirror = None  # consecutive rows mostly share a direction
+    for row, (a, h) in enumerate(zip(directions, answers)):
+        if a.transverse < POLE_THRESHOLD:
+            rows[row, system.m_index(h if a.z > 0.0 else -h)] = 1.0
+            continue
+        if a is not last:
+            last, mirror = a, Direction(a.x, -a.y, -a.z)
+        junction = min(max(round(h * a.z + j), 0), d - 1)
+        if junction >= d - 1:
+            up_rows.append(row)
+            up_passes.append(len(passes))
+            passes.append((a, h, d - 1))
+        elif junction <= 0:
+            down_rows.append(row)
+            down_passes.append(len(passes))
+            passes.append((mirror, h, d - 1))
+        else:
+            span = d - 1 - junction
+            stitched.append(
+                (row, len(passes), len(passes) + 1, junction, junction + 1, span, span - 1)
             )
-        products = over_hi.conjugate() * over_lo
-        alpha = complex(0.0 + (products[0] + products[1])) / denom
-        out[: junction + 1] = lo[: junction + 1]
-        out[junction + 1 :] = alpha * hi[1:]
+            passes += [(a, h, junction + 1), (mirror, h, span)]
+    table = _pass_coefficients(system, passes)
+    if up_rows:
+        rows[up_rows] = table[up_passes]
+    if down_rows:
+        rows[down_rows] = table[down_passes, ::-1]
+    if not stitched:
+        return rows, None
+    stitched = np.array(stitched)
+    at, lo, hi, junction = stitched[:, :4].T
+    # Match the passes on their two-point overlap.  Two consecutive
+    # coefficients of a nonzero solution cannot both vanish, so the
+    # projection is well conditioned at the envelope peak.  Each sum starts
+    # from +0.0, as np.sum does: a bare a + b of two -0.0 terms gives -0.0,
+    # and the ket's bytes would change.
+    over_lo = table[lo[:, None], stitched[:, 3:5]]
+    over_hi = table[hi[:, None], stitched[:, 5:7]]
+    squares = np.abs(over_hi) ** 2
+    denoms = (0.0 + (squares[:, 0] + squares[:, 1])).tolist()
+    products = over_hi.conjugate() * over_lo
+    sums = (0.0 + (products[:, 0] + products[:, 1])).tolist()
+    refusal = None
+    built = len(at)
+    if 0.0 in denoms:
+        built = denoms.index(0.0)
+        row = int(at[built])
+        refusal = row, RuntimeError(f"recursion junction degenerate for j={j}, h={answers[row]}")
+        at, lo, hi, junction = at[:built], lo[:built], hi[:built], junction[:built]
+    # Python's complex / float, as each row was stitched alone.
+    alpha = np.array([s / q for s, q in zip(sums[:built], denoms)], dtype=complex)
+    # Column k of a reversed downward pass holds its b_{d-1-k}.
+    upper = np.arange(d) > junction[:, None]
+    rows[at] = np.where(upper, alpha[:, None] * table[hi, ::-1], table[lo])
+    if refusal is not None:
+        rows[refusal[0] :] = 0.0
+    return rows, refusal
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -388,12 +527,13 @@ def _stack_states(
     matrix shared by every row or an (m, d, d) stack whose operators each
     serve one of m equal runs of consecutive rows: one per direction of a
     catalog-shaped stack, or one per row.  Each operator is broadcast over
-    its rows, never copied per row.  With `kets` None the recursion runs
-    per row (`_recursion_row`), and the rows are then normalized once over
-    the stack.  Otherwise `kets` holds the oracle's unit eigenvectors as
-    rows.  Either way the phase convention is applied and the residual
-    bound checked once over the stack, and the stack is made read-only;
-    each state's ket is its row.  Every step is the one-state step on the
+    its rows, never copied per row.  With `kets` None the recursion builds
+    every row (`_recursion_rows`: all passes in one call, all stitches in
+    one pass), and the rows are then normalized once over the stack.
+    Otherwise `kets` holds the oracle's unit eigenvectors as rows.  Either
+    way the phase convention is applied and the residual bound checked
+    once over the stack, and the stack is made read-only; each state's ket
+    is its row.  Every step is the one-state step on the
     same operands, so each ket and residual has the bits it would have if
     built alone.
 
@@ -411,13 +551,9 @@ def _stack_states(
     recursion = kets is None
     d = system.dim
     if recursion:
-        rows = np.zeros((built, d), dtype=complex)
-        for row, (direction, h) in enumerate(zip(directions, answers)):
-            try:
-                _recursion_row(system, direction, h, rows[row])
-            except RuntimeError as exc:
-                refusal, built = (row, exc), row
-                break
+        rows, refusal = _recursion_rows(system, directions, answers)
+        if refusal is not None:
+            built = refusal[0]
     ops = op.reshape(-1, 1, d, d)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if recursion:

@@ -23,19 +23,25 @@ Tests require the eigenvalues and eigenvectors of the two to be equal byte
 for byte, and their errors to be the same.
 
 `qastates.spin._recurrence_up` carries its last two coefficients as local
-numpy scalars and hoists the products of its direction.  The fourth part
-keeps the loop it replaced, which reads each coefficient back from the
-array; tests require the two to return the same bytes.
+numpy scalars and hoists the products of its direction, and
+`qastates.spin._stepped_passes` steps every recurrence pass of a stack of
+at least `spin._STEPPED_PASSES` (40) passes at once, one array operation
+per step.  The fourth part keeps the loop both replaced, which runs one
+pass and reads each coefficient back from the array; tests require all
+three to return the same bytes.
 
-`qastates.spin` builds its states a stack at a time: the recursion per
-row, then one pass over the stack for the norms, the phase convention and
-the residual bound; its verifiers build all of a request's states, and
-solve all of its oracle directions, as one stack.  The fifth part keeps
-the per-state constructors it replaced (`recursion_state`, `built`,
-`oracle_states`) and the verifiers written on them, one direction and one
-state at a time.  Tests require every ket and residual, every report and
-the generator state after it to be equal, and a refused build to raise the
-same exception with the same text.
+`qastates.spin` builds its states a stack at a time: the recursion's
+passes in one `spin._pass_coefficients` call (one at a time below 40
+passes, stepped together from there), every junction row stitched in one
+vectorized pass, then one pass over the stack for the norms, the phase
+convention and the residual bound; its verifiers build all of a request's
+states, and solve all of its oracle directions, as one stack.  The fifth
+part keeps the per-state constructors it replaced (`recursion_state`,
+`built`, `oracle_states`) and the verifiers written on them, one direction
+and one state at a time, each pass computed alone and stitched alone.
+Tests require every ket and residual, every report and the generator state
+after it to be equal, and a refused build to raise the same exception with
+the same text.
 
 Only tests import this module.
 """
@@ -374,6 +380,22 @@ def recurrence_up(system, direction, h, k_end) -> np.ndarray:
     return b
 
 
+def recurrence_pass(system, direction, h, k_end) -> np.ndarray:
+    """Coefficients b_0..b_k_end of one upward pass, computed alone through
+    `spin._pass_coefficients`, the seam where tests plant recursion faults;
+    a stack of one pass runs `spin._recurrence_up`."""
+    return spin._pass_coefficients(system, [(direction, h, k_end)])[0, : k_end + 1]
+
+
+def recurrence_down(system, direction, h, k_start) -> np.ndarray:
+    """Coefficients b_k_start..b_{d-1} from the seed b_{d-1} = 1, b_d = 0:
+    the upward pass along the mirror (x, -y, -z) to index d-1-k_start, read
+    backwards."""
+    mirror = spin.Direction(direction.x, -direction.y, -direction.z)
+    b = recurrence_pass(system, mirror, h, system.dim - 1 - k_start)
+    return np.ascontiguousarray(b[::-1])
+
+
 def built(system, direction, answer, ket, op) -> spin.QuestionAnswerState:
     """A state from one of the per-state constructors, which pass a snapped
     answer, a fresh unit ket under the phase convention and the component
@@ -403,12 +425,12 @@ def recursion_state(system, direction, h, op) -> spin.QuestionAnswerState:
 
     junction = min(max(round(h * direction.z + j), 0), d - 1)
     if junction >= d - 1:
-        b = spin._recurrence_up(system, direction, h, d - 1)
+        b = recurrence_pass(system, direction, h, d - 1)
     elif junction <= 0:
-        b = spin._recurrence_down(system, direction, h, 0)
+        b = recurrence_down(system, direction, h, 0)
     else:
-        lo = spin._recurrence_up(system, direction, h, junction + 1)
-        hi = spin._recurrence_down(system, direction, h, junction)
+        lo = recurrence_pass(system, direction, h, junction + 1)
+        hi = recurrence_down(system, direction, h, junction)
         # Match the passes on their two-point overlap.  Two consecutive
         # coefficients of a nonzero solution cannot both vanish, so the
         # projection is well conditioned at the envelope peak.

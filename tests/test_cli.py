@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -686,6 +687,13 @@ class TestSymmetryCommands:
         assert out == ""
         assert err.startswith(f"error: --model: {str(path)!r} {detail}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["directory", "device"])
+    def test_model_path_that_is_not_a_regular_file(self, capsys, tmp_path, kind):
+        # An existing path that is not a file is named as such, not as missing.
+        path = str(tmp_path) if kind == "directory" else os.devnull
+        code, out, err = run_cli(capsys, "symmetry", "check", "--model", path)
+        assert (code, out, err) == (2, "", f"error: --model: {path!r} is not a regular file\n")
 
     def test_malformed_model_names_field(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -13,9 +13,13 @@ and checks all of its matrices at once: a pole beside rotating
 directions, and at small dimension random, diagonal and zero matrices.  The
 recurrence, which carries its last two coefficients as locals, must give
 the bytes of the loop that reads them back from the array, at every h,
-over a full and a partial pass.  Both run at every j up to 25, along
-three random, two near-pole, one xz-plane (a real operator) and one
-yz-plane (purely imaginary off-diagonals) direction each.
+over a full and a partial pass; so must every pass of a stepped batch,
+which runs passes of mixed lengths and both mirrors together, through
+rescales and both branches of numpy's complex divide.  All run at every j
+up to 25, along three random, two near-pole, one xz-plane (a real
+operator) and one yz-plane (purely imaginary off-diagonals) direction
+each.  The reference solves are memoized per session, so each operator is
+solved by the reference once.
 
 The recursion stitches its two passes with two-term sums that must round
 as np.sum does, signed zeros included; the pinned rows below are ones
@@ -53,12 +57,27 @@ def _directions_by_spin():
 DIRECTIONS = _directions_by_spin()
 
 
+@pytest.fixture(scope="session")
+def reference_eig():
+    """`float_reference.hermitian_eig`, solved once per operator per session:
+    the single and stacked solve tests share seven operators per j."""
+    solves = {}
+
+    def solve(m):
+        key = (m.shape, m.tobytes())
+        if key not in solves:
+            solves[key] = ref.hermitian_eig(m)
+        return solves[key]
+
+    return solve
+
+
 @pytest.mark.parametrize("twice_j", sorted(DIRECTIONS))
-def test_eigensolver_matches_reference(twice_j):
+def test_eigensolver_matches_reference(twice_j, reference_eig):
     system = spin.SpinSystem(twice_j / 2)
     for direction in DIRECTIONS[twice_j]:
         m = spin.component_operator(system, direction)
-        assert_same_bytes(linalg.hermitian_eig(m), ref.hermitian_eig(m), (system.j, direction))
+        assert_same_bytes(linalg.hermitian_eig(m), reference_eig(m), (system.j, direction))
 
 
 def assert_same_bytes(got, want, where):
@@ -67,7 +86,7 @@ def assert_same_bytes(got, want, where):
 
 
 @pytest.mark.parametrize("twice_j", sorted(DIRECTIONS))
-def test_stacked_solves_match_reference(twice_j):
+def test_stacked_solves_match_reference(twice_j, reference_eig):
     # One stack per j: the poles, which converge at once, around the seven
     # directions, which rotate; at n <= 8 random Hermitian, diagonal and
     # zero matrices between them.
@@ -84,7 +103,7 @@ def test_stacked_solves_match_reference(twice_j):
     decompositions = linalg.hermitian_eigs(np.array(matrices))
     assert len(decompositions) == len(matrices)
     for k, (m, got) in enumerate(zip(matrices, decompositions)):
-        assert_same_bytes(got, ref.hermitian_eig(m), (system.j, k))
+        assert_same_bytes(got, reference_eig(m), (system.j, k))
 
 
 def outcome(solve, m):
@@ -143,6 +162,53 @@ def test_recurrence_matches_reference(twice_j):
                 got = spin._recurrence_up(system, direction, h, k_end)
                 want = ref.recurrence_up(system, direction, h, k_end)
                 assert got.tobytes() == want.tobytes(), (system.j, direction, h, k_end)
+
+
+def unlimited(system, direction, h, k_end):
+    """The reference pass with no rescale, its overflow left silent."""
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        patch.setattr(spin, "_RESCALE_LIMIT", math.inf)
+        return ref.recurrence_up(system, direction, h, k_end)
+
+
+@pytest.mark.parametrize("limit", [None, 1e3], ids=["limit", "low_limit"])
+@pytest.mark.parametrize("twice_j", sorted(DIRECTIONS))
+def test_stepped_passes_match_reference(monkeypatch, twice_j, limit):
+    # One stepped batch per j: every h along each direction and its mirror,
+    # as the downward passes run, half of them full and half of mixed
+    # partial lengths, sorted longest first as `_pass_coefficients` hands
+    # them over.  Two directions sit just outside the pole threshold; with
+    # the rescale limit lowered, nearly every pass rescales.
+    if limit is not None:
+        monkeypatch.setattr(spin, "_RESCALE_LIMIT", limit)
+    system = spin.SpinSystem(twice_j / 2)
+    d = system.dim
+    t = 2.0 * spin.POLE_THRESHOLD
+    near = [spin.Direction.normalized(0.6 * t, -0.8 * t, z) for z in (1.0, -1.0)]
+    passes = []
+    for a in DIRECTIONS[twice_j] + near:
+        for direction in (a, spin.Direction(a.x, -a.y, -a.z)):
+            for i, h in enumerate(system.m_values.tolist()):
+                k_end = d - 1 if i % 2 == 0 else 1 + (3 * i + len(passes)) % (d - 1)
+                passes.append((direction, h, k_end))
+    passes.sort(key=lambda p: p[2], reverse=True)
+    got = spin._stepped_passes(system, passes)
+    assert got.shape == (d, len(passes))
+    rescaled = signed_zeros = 0
+    for column, (direction, h, k_end) in zip(got.T, passes):
+        want = ref.recurrence_up(system, direction, h, k_end)
+        assert column[: k_end + 1].tobytes() == want.tobytes(), (system.j, direction, h, k_end)
+        assert not column[k_end + 1 :].any()
+        rescaled += want.tobytes() != unlimited(system, direction, h, k_end).tobytes()
+        parts = want.view(float)
+        signed_zeros += bool(np.any((parts == 0.0) & np.signbit(parts)))
+    # The divisor half_up * lowering takes numpy's |Re| >= |Im| branch
+    # where |x| >= |y| (the xz plane: a real operator) and the other where
+    # |x| < |y| (the yz plane: purely imaginary off-diagonals).
+    assert {abs(a.x) >= abs(a.y) for a, _, _ in passes} == {True, False}
+    assert signed_zeros > 0
+    # Just off a pole the passes outgrow the true limit from j = 7 on.
+    assert rescaled > 0 or (limit is None and system.j < 7)
 
 
 # (j, yz-plane direction, answers): rows whose stitch sums two -0.0 terms,

@@ -777,7 +777,14 @@ class TestTrustedConstructors:
         # eigenvector is still refused, by the residual check alone.
         s = SpinSystem(1.5)
         direction = spin.random_direction(np.random.default_rng(13))
-        monkeypatch.setattr(spin, "_recurrence_up", lambda system, a, h, k_end: np.ones(k_end + 1))
+
+        def ones(system, passes):
+            table = np.zeros((len(passes), system.dim), dtype=complex)
+            for row, (_, _, k_end) in zip(table, passes):
+                row[: k_end + 1] = 1.0
+            return table
+
+        monkeypatch.setattr(spin, "_pass_coefficients", ones)
         for h in (-1.5, 0.5, 1.5):
             with pytest.raises(ValueError, match="^ket is not an eigenvector: residual "):
                 spin.eigenstate_recursion(s, direction, h)

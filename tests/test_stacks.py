@@ -1,9 +1,13 @@
 """Spin states built a stack at a time, against the per-state reference.
 
-`qastates.spin` builds its states in `_stack_states`: the recursion runs
-per row, then the norms, the phase convention and the residual bound run
-once over the (n, d) stack; the oracle's eigenvectors take the same pass.
-`float_reference` keeps the constructors that built one state at a time.
+`qastates.spin` builds its states in `_stack_states`: the recursion's
+passes run one at a time below `_STEPPED_PASSES` passes and step together
+from there, the rows are stitched in one pass, then the norms, the phase
+convention and the residual bound run once over the (n, d) stack; the
+oracle's eigenvectors take the same pass.  `float_reference` keeps the
+constructors that built one state at a time.  Recursion faults are planted
+at `spin._pass_coefficients`, which the library and the reference both
+call, so they reach either loop.
 Here every ket must equal the reference's byte for byte and every residual
 bit for bit, every verifier report and the generator state after it must
 be the same, and a refused stack must raise the reference's exception with
@@ -211,6 +215,75 @@ class TestStacksAgainstReference:
         assert_same_states(spin.oracle_catalog(system, a), ref.oracle_states(system, a, op))
 
 
+def pass_count(system, direction, h):
+    """The recurrence passes of a row: none at a pole, one when its
+    junction sits at an end, else two."""
+    if direction.transverse < spin.POLE_THRESHOLD:
+        return 0
+    return 1 if junction(system, direction, h) in (0, system.dim - 1) else 2
+
+
+def rows_making(system, count, rng):
+    """A pole row, then rows from the other fragile zones whose recursion
+    makes `count` passes in all, the last ones one-sided: h = +j just off
+    the north pole."""
+    rows, total = [(Z, system.j)], 0
+    while total < count - 2:
+        a = [
+            spin.random_direction(rng),
+            near_pole(10.0 ** rng.uniform(math.log10(spin.POLE_THRESHOLD), -3.0), 1.0, -1.0),
+            Direction.normalized(math.sin(len(rows)), 0.0, math.cos(len(rows))),
+            Direction.normalized(0.0, math.sin(len(rows)), math.cos(len(rows))),
+        ][len(rows) % 4]
+        h = float(rng.choice(system.m_values))
+        if total + pass_count(system, a, h) <= count - 2:
+            rows.append((a, h))
+            total += pass_count(system, a, h)
+        else:
+            break
+    north = near_pole(2.0 * spin.POLE_THRESHOLD, 0.5, 1.0)
+    assert pass_count(system, north, system.j) == 1
+    rows += [(north, system.j)] * (count - total)
+    return [a for a, _ in rows], [h for _, h in rows]
+
+
+class TestSteppedThreshold:
+    """Stacks of _STEPPED_PASSES - 1 passes, whose passes each run alone,
+    and of _STEPPED_PASSES, whose passes step together, against the
+    reference: the same kets and residuals, and the same refusals."""
+
+    @pytest.mark.parametrize("side", [-1, 0], ids=["loop", "stepped"])
+    @pytest.mark.parametrize("j", [0.5, 2.0, 3.5, 12.5, 25.0])
+    def test_either_side(self, monkeypatch, j, side):
+        system = SpinSystem(j)
+        count = spin._STEPPED_PASSES + side
+        dirs, answers = rows_making(system, count, np.random.default_rng(round(4 * j) - side))
+        assert sum(pass_count(system, a, h) for a, h in zip(dirs, answers)) == count
+        stepped = []
+        true_stepped = spin._stepped_passes
+
+        def counted(system, passes):
+            stepped.append(len(passes))
+            return true_stepped(system, passes)
+
+        monkeypatch.setattr(spin, "_stepped_passes", counted)
+        ops = spin._component_operators(system, dirs)
+        got = spin._stack_states(system, dirs, answers, ops)
+        assert stepped == ([count] if side == 0 else [])
+        assert_same_states(got, reference_rows(system, dirs, answers))
+        # A fault on one answer, planted on what either loop computed, is
+        # refused as the reference refuses it.
+        pool = sorted(set(answers))
+        for kind in ("scaled", "zeros", "nan", "ones"):
+            faults = {pool[len(pool) // 2]: kind}
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spin, "_pass_coefficients", faulted_passes(faults))
+                got = outcome(lambda: spin._stack_states(system, dirs, answers, ops))
+                want = outcome(lambda: reference_rows(system, dirs, answers))
+            assert_same_outcome(got, want)
+            assert isinstance(want, tuple)
+
+
 class TestPhaseStack:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_rows_match_fix_phase(self, order):
@@ -268,7 +341,7 @@ class TestVerifiersAgainstReference:
     def test_orthogonality_refuses_as_the_reference(self, monkeypatch, j):
         # A wrong recursion: the first failing row of the first failing
         # catalog, with `state_catalog`'s prefix.
-        monkeypatch.setattr(spin, "_recurrence_up", scaled_recurrence_up)
+        monkeypatch.setattr(spin, "_pass_coefficients", per_pass(scaled_recurrence_up))
         system = SpinSystem(j)
         got = outcome(lambda: spin.verify_orthogonality(system, samples=3, rng=np.random.default_rng(1)))
         want = outcome(lambda: ref.verify_orthogonality(system, samples=3, rng=np.random.default_rng(1)))
@@ -310,30 +383,49 @@ def scaled_recurrence_up(system, direction, h, k_end):
     return b
 
 
-def faulted_recurrence(faults):
-    """`_recurrence_up` with a fault per answer: "ones" (not an eigenvector),
-    "zeros" (a vanishing pass, or a degenerate junction), "nan" (a pass that
-    left the floats; NaN, unlike inf, passes the stitch without a warning),
-    "huge" (finite coefficients whose norm overflows, planted on one-sided
-    routes only, where no stitch squares them), or "scaled"."""
-    true_up = spin._recurrence_up
+def per_pass(recurrence):
+    """A stand-in for `spin._pass_coefficients`, the seam every recursion
+    pass of the library and of the reference goes through, that computes
+    each pass with `recurrence(system, direction, h, k_end)` in place of
+    `_recurrence_up`, on either side of _STEPPED_PASSES."""
 
-    def recurrence(system, direction, h, k_end):
-        fault = faults.get(h)  # the downward pass runs along the mirror, at h
-        if fault == "ones":
-            return np.ones(k_end + 1, dtype=complex)
-        if fault == "zeros":
-            return np.zeros(k_end + 1, dtype=complex)
-        if fault == "scaled":
-            return scaled_recurrence_up(system, direction, h, k_end)
-        b = true_up(system, direction, h, k_end)
-        if fault == "nan":
-            b[k_end // 2] = math.nan
-        if fault == "huge":
-            b *= 1e300 / np.abs(b).max()
-        return b
+    def pass_coefficients(system, passes):
+        table = np.zeros((len(passes), system.dim), dtype=complex)
+        for row, (direction, h, k_end) in zip(table, passes):
+            row[: k_end + 1] = recurrence(system, direction, h, k_end)
+        return table
 
-    return recurrence
+    return pass_coefficients
+
+
+def faulted_passes(faults):
+    """`spin._pass_coefficients` with a fault per answer, planted on the
+    passes the true seam computed, whichever loop it ran: "ones" (not an
+    eigenvector), "zeros" (a vanishing pass, or a degenerate junction),
+    "nan" (a pass that left the floats; NaN, unlike inf, passes the stitch
+    without a warning), "huge" (finite coefficients whose norm overflows,
+    planted on one-sided routes only, where no stitch squares them), or
+    "scaled"."""
+    true_passes = spin._pass_coefficients
+
+    def pass_coefficients(system, passes):
+        table = true_passes(system, passes)
+        for row, (direction, h, k_end) in zip(table, passes):
+            fault = faults.get(h)  # the downward pass runs along the mirror, at h
+            b = row[: k_end + 1]
+            if fault == "ones":
+                b[:] = 1.0
+            elif fault == "zeros":
+                b[:] = 0.0
+            elif fault == "scaled":
+                b[:] = scaled_recurrence_up(system, direction, h, k_end)
+            elif fault == "nan":
+                b[k_end // 2] = math.nan
+            elif fault == "huge":
+                b *= 1e300 / np.abs(b).max()
+        return table
+
+    return pass_coefficients
 
 
 FAULTS = st.sampled_from(["none", "ones", "zeros", "nan", "scaled"])
@@ -347,7 +439,7 @@ class TestRefusals:
         pool = system.m_values.tolist()
         faults = dict(zip(pool, data.draw(st.lists(FAULTS, min_size=len(pool), max_size=len(pool)))))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spin, "_recurrence_up", faulted_recurrence(faults))
+            patch.setattr(spin, "_pass_coefficients", faulted_passes(faults))
             per_stack = data.draw(st.sampled_from([1, 2, 3, 64]))
             patch.setattr(spin, "_OPERATOR_STACK_BYTES", per_stack * 16 * system.dim**2)
             got = outcome(lambda: spin.recursion_states(system, dirs, answers))
@@ -366,7 +458,7 @@ class TestRefusals:
         system = SpinSystem(3.0)
         direction = Direction.normalized(0.3, 0.4, 0.8)
         assert junction(system, direction, 3.0) == system.dim - 1
-        monkeypatch.setattr(spin, "_recurrence_up", faulted_recurrence({3.0: "huge", 2.0: "ones"}))
+        monkeypatch.setattr(spin, "_pass_coefficients", faulted_passes({3.0: "huge", 2.0: "ones"}))
         for answers in ([3.0], [2.0, 3.0], [3.0, 3.0, 2.0]):
             dirs = [direction] * len(answers)
             got = outcome(lambda: spin.recursion_states(system, dirs, answers))
@@ -395,7 +487,7 @@ class TestRefusals:
 
     @pytest.mark.parametrize("j", [0.5, 2.0, 3.5])
     def test_verifiers_refuse_as_the_reference(self, monkeypatch, j):
-        monkeypatch.setattr(spin, "_recurrence_up", scaled_recurrence_up)
+        monkeypatch.setattr(spin, "_pass_coefficients", per_pass(scaled_recurrence_up))
         system = SpinSystem(j)
         for name in ("verify_eigenstates", "verify_ray_collisions"):
             got = outcome(lambda: getattr(spin, name)(system, samples=3, rng=np.random.default_rng(1)))
@@ -441,7 +533,7 @@ class TestFaultParity:
 
     @pytest.mark.parametrize("argv,line", FAULTED_COMMANDS, ids=[a for a, _ in FAULTED_COMMANDS])
     def test_planted_fault(self, monkeypatch, argv, line):
-        monkeypatch.setattr(spin, "_recurrence_up", scaled_recurrence_up)
+        monkeypatch.setattr(spin, "_pass_coefficients", per_pass(scaled_recurrence_up))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv.split())
