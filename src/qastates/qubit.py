@@ -199,8 +199,8 @@ def verify_prop2(
     the state for answer +1/2 by the spin recursion, and demand phase
     equality with v.  The Bloch direction itself must round-trip too.  The
     samples run as stacks: one Bloch map over all vectors, the rebuilt
-    states from `spin.recursion_states` (one stack up to thousands of
-    samples), and one Bloch map over those.
+    states from `spin.recursion_states` (one stack, whose operators are
+    built and applied in runs), and one Bloch map over those.
     """
     check_eps(eps)
     if samples < 1:

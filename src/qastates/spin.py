@@ -82,8 +82,9 @@ _STEPPED_RUN = 256
 # Spin magnitudes whose ladder tables, operators and algebra defects are
 # kept; a handful covers a request.
 _OPERATOR_CACHE_SIZE = 4
-# Bytes of complex component operators held per stack of directions: 12
-# at j = 25, thousands at j = 1/2.
+# Bytes of complex component operators held at once, per stack of
+# directions or per run of a stack's rows: 12 at j = 25, thousands at
+# j = 1/2.
 _OPERATOR_STACK_BYTES = 1 << 19
 
 
@@ -516,7 +517,7 @@ def _stack_states(
     system: SpinSystem,
     directions: list[Direction],
     answers: list[float],
-    op: np.ndarray,
+    op: np.ndarray | None,
     kets: np.ndarray | None = None,
     catalog: bool = False,
 ) -> list[QuestionAnswerState]:
@@ -527,7 +528,10 @@ def _stack_states(
     matrix shared by every row or an (m, d, d) stack whose operators each
     serve one of m equal runs of consecutive rows: one per direction of a
     catalog-shaped stack, or one per row.  Each operator is broadcast over
-    its rows, never copied per row.  With `kets` None the recursion builds
+    its rows, never copied per row.  With `op` None each row has its own
+    operator, built and applied in consecutive runs of at most
+    _OPERATOR_STACK_BYTES (`_operator_runs`), so memory does not grow with
+    the row count.  With `kets` None the recursion builds
     every row (`_recursion_rows`: all passes in one call, all stitches in
     one pass), and the rows are then normalized once over the stack.
     Otherwise `kets` holds the oracle's unit eigenvectors as rows.  Either
@@ -554,15 +558,24 @@ def _stack_states(
         rows, refusal = _recursion_rows(system, directions, answers)
         if refusal is not None:
             built = refusal[0]
-    ops = op.reshape(-1, 1, d, d)
+    if op is None:
+        runs = (
+            (run, _component_operators(system, directions[run]))
+            for run in _operator_runs(system, len(answers))
+        )
+    else:
+        runs = [(slice(None), op)]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if recursion:
             norms = _row_norms(rows)
             kets = rows / norms[:, None]
         unphased = kets
         kets = linalg.fix_phases(unphased)
-        images = (ops @ kets.reshape(len(ops), -1, d, 1)).reshape(-1, d)
-        residuals = _row_norms(images - np.array(answers)[:, None] * kets).tolist()
+        residuals = []
+        for run, ops in runs:
+            ops = ops.reshape(-1, 1, d, d)
+            images = (ops @ kets[run].reshape(len(ops), -1, d, 1)).reshape(-1, d)
+            residuals += _row_norms(images - np.array(answers[run])[:, None] * kets[run]).tolist()
     if not all(residual <= STATE_RESIDUAL_TOL for residual in residuals[:built]):
         row = next(k for k, res in enumerate(residuals) if not res <= STATE_RESIDUAL_TOL)
         try:
@@ -631,17 +644,13 @@ def recursion_states(
     system: SpinSystem, directions: list[Direction], answers: list[float]
 ) -> list[QuestionAnswerState]:
     """`eigenstate_recursion` for each row (directions[i], answers[i]), each
-    row on its own component operator.  The rows are built as one stack, or
-    as consecutive stacks whose operators each take at most
+    row on its own component operator.  The rows are built as one stack:
+    every row's passes in one `_pass_coefficients` call, and only the
+    operator products and residuals in consecutive runs of at most
     _OPERATOR_STACK_BYTES, so memory does not grow with the row count; the
     first refused row still raises first."""
     answers = [_snap_answer(system, h) for h in answers]
-    states = []
-    for rows in _operator_runs(system, len(answers)):
-        states += _stack_states(
-            system, directions[rows], answers[rows], _component_operators(system, directions[rows])
-        )
-    return states
+    return _stack_states(system, directions, answers, None)
 
 
 def _operator_runs(system: SpinSystem, count: int) -> list[slice]:

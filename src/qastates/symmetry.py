@@ -61,11 +61,12 @@ import math
 import numbers
 import types
 from collections import deque
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any
 
 # `inner` is unused here, but the benchmark tracer patches `symmetry.inner`;
 # it goes when the trace moves into the package.
@@ -92,6 +93,9 @@ def identity_permutation(size: int) -> tuple[int, ...]:
     return tuple(range(size))
 
 
+_INT_TYPE = frozenset((int,))
+
+
 def _integer(value, field: str) -> int:
     """A Python, JSON or numpy integer as an int; bools and floats are rejected."""
     # `int` first: the `numbers.Integral` check alone is several times
@@ -109,7 +113,16 @@ def _entries(value, field: str) -> list:
 
 
 def _integers(value, field: str) -> tuple[int, ...]:
-    return tuple(_integer(x, f"{field}[{i}]") for i, x in enumerate(_entries(value, field)))
+    """The items of a list-like field as ints.
+
+    A field whose items are all exactly ``int``, as JSON gives, passes one
+    type test; any other goes item by item through `_integer`, which
+    accepts numpy integers and names the first bad item.
+    """
+    items = _entries(value, field)
+    if set(map(type, items)) <= _INT_TYPE:
+        return tuple(items)
+    return tuple(_integer(x, f"{field}[{i}]") for i, x in enumerate(items))
 
 
 def _as_permutation(
@@ -173,8 +186,10 @@ def _closure(gens: Sequence[tuple], size: int, field: str) -> tuple:
     """`group_closure` of generators already validated on ``size`` points.
 
     ``field`` names the generators' model-file field in the error raised
-    when the closure outgrows ``CLOSURE_LIMIT``.
+    when the closure outgrows ``CLOSURE_LIMIT``.  A repeated generator is
+    composed once: its later copies could only reach elements already seen.
     """
+    gens = tuple(dict.fromkeys(gens))
     identity = identity_permutation(size)
     seen = {identity}
     frontier = [identity]
@@ -362,12 +377,18 @@ class FiniteSymmetryModel:
 
     @cached_property
     def _subgroups(self) -> dict[str, tuple]:
-        return {
-            label: _closure(
-                self.generators[label], self.phi_size, f"subgroups[{json.dumps(label)}]"
-            )
-            for label in self.labels
-        }
+        """Per label, its subgroup's closure.  Each distinct generator set is
+        closed once, labels sharing it share the closure, and an overflow
+        names the first label that holds the set."""
+        closures: dict[frozenset, tuple] = {}
+        subgroups = {}
+        for label in self.labels:
+            gens = self.generators[label]
+            if frozenset(gens) not in closures:
+                where = f"subgroups[{json.dumps(label)}]"
+                closures[frozenset(gens)] = _closure(gens, self.phi_size, where)
+            subgroups[label] = closures[frozenset(gens)]
+        return subgroups
 
     def subgroup(self, label: str) -> tuple:
         """Closure of one variable's subgroup, in canonical order."""

@@ -1072,6 +1072,24 @@ class TestRenderPayload:
     @example(D6_CHECK_PAYLOAD)
     @example({"a": [], "b": {}, "c": [[]], "d": [{}, [[], [[]]]], "e": [[1.0], []]})
     @example({"z": [[-0.0, 5e-324], [1e308, 0]], "i": [True, 1, None], "s": "\x00é\u2028"})
+    # Scalar containers, one encoder call each past four items and written
+    # in place up to four: separators, brackets, braces, quotes and
+    # backslashes inside their strings and keys.
+    @example({", ": ": ", "[": "]", "{": "}", '"': "\\", "],\n  [": '",\n'})
+    @example(["a, b", "c: d", "[1, 2]", "{}", '"', "\\", '\\"', "],\n    ["])
+    @example({"x": {", ": ": ", "]": "[", '"': "\\"}, "y": ["a, b", '"', "}{"]})
+    @example({None: 1, True: "t", False: 0.5, 2: None, -1.5: [1, 2], 1e300: {"k": 0}})
+    @example([{None: "a", True: 1, -0.0: 2.5, 7: False}, {1e16: None, False: True}])
+    @example(["x", True, None, 3, -0.0, 1e-7, False, "", 10**30])
+    @example({"a": np.float64(0.1), "b": np.float64(-0.0), "c": 1.0, "d": np.float64(1e16)})
+    # Rows of scalars, one encoder call for all of them.
+    @example({"word": [["0", 5], ["1, ]", 1], ["],\n[", None], [True, 2.5]]})
+    # Ten levels of nesting: lists and dicts in turn around a scalar list.
+    @example(
+        functools.reduce(
+            lambda inner, k: [k, inner] if k % 2 else {"k": inner, "s": "x"}, range(9), [1.0, "x"]
+        )
+    )
     def test_matches_json_dumps(self, payload):
         expected = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         assert cli.render_payload(payload) == expected
@@ -1086,8 +1104,13 @@ class TestRenderPayload:
             lambda v: {"x": {"y": v}},
             lambda v: {v: 0},
             lambda v: {"amplitudes": [[0.0, np.float64(v)]]},
+            lambda v: {"m": {"a": 1.0, "b": v}},
+            lambda v: ["x", v],
         ],
-        ids=["scalar", "float_list", "row", "dict_value", "key", "numpy_in_row"],
+        ids=[
+            "scalar", "float_list", "row", "dict_value", "key", "numpy_in_row",
+            "scalar_dict", "mixed_list",
+        ],
     )
     def test_non_finite_raises_value_error(self, value, place):
         with pytest.raises(ValueError):
@@ -1095,8 +1118,14 @@ class TestRenderPayload:
 
     @pytest.mark.parametrize(
         "payload",
-        [{1, 2}, {"x": [1j]}, {"x": np.array([1.0, 2.0])}, [[1.0], np.zeros(2)], {(1,): 0}],
-        ids=["set", "complex", "ndarray", "ndarray_row", "tuple_key"],
+        [
+            {1, 2}, {"x": [1j]}, {"x": np.array([1.0, 2.0])}, [[1.0], np.zeros(2)], {(1,): 0},
+            {"a": 1, "b": 1j}, {"x": {(1,): 0}},
+        ],
+        ids=[
+            "set", "complex", "ndarray", "ndarray_row", "tuple_key",
+            "complex_in_dict", "nested_tuple_key",
+        ],
     )
     def test_unserializable_raises_type_error(self, payload):
         with pytest.raises(TypeError):

@@ -546,6 +546,55 @@ class TestGroupClosure:
         monkeypatch.setattr(sym, "CLOSURE_LIMIT", 24)
         assert len(sym.group_closure([(1, 2, 3, 0), (1, 0, 2, 3)])) == 24
 
+    def test_repeated_generators_close_as_distinct_ones(self, monkeypatch):
+        # A repeated generator is composed once: the same tuple, the same
+        # products, and past the limit the same message.
+        gens = [left(TAU), left(RHO)]
+        repeated = [gens[0], gens[1], gens[0], gens[1], gens[1]]
+        composed = []
+        compose = sym._compose
+        monkeypatch.setattr(sym, "_compose", lambda p, q: composed.append(p) or compose(p, q))
+        assert sym.group_closure(repeated) == sym.group_closure(gens) == closure_oracle(gens, 12)
+        assert len(composed) == 2 * 2 * 6
+        monkeypatch.setattr(sym, "CLOSURE_LIMIT", 5)
+        messages = []
+        for generators in (gens, repeated):
+            with pytest.raises(ValueError) as error:
+                sym.group_closure(generators)
+            messages.append(str(error.value))
+        assert messages == ["generators: the closure of these generators exceeds 5 elements"] * 2
+
+    def test_shared_generator_set_closed_once(self, monkeypatch):
+        cycle, swap = (1, 2, 3, 0), (1, 0, 2, 3)
+        model = sym.FiniteSymmetryModel(
+            phi_size=4,
+            variables=(("a", (0, 0, 1, 1)), ("b", (0, 1, 1, 0)), ("c", (0, 1, 2, 3))),
+            distinguished="a",
+            generators={"a": (swap, cycle), "b": (cycle, swap, cycle), "c": (cycle,)},
+        )
+        closures = []
+        close = sym._closure
+        monkeypatch.setattr(sym, "_closure", lambda *a: closures.append(a[2]) or close(*a))
+        assert model.subgroup("b") == model.subgroup("a") == closure_oracle([cycle, swap], 4)
+        assert model.subgroup("c") == closure_oracle([cycle], 4)
+        assert closures == ['subgroups["a"]', 'subgroups["c"]']
+
+    def test_shared_overflowing_set_names_the_first_label(self, monkeypatch):
+        gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
+        model = sym.FiniteSymmetryModel(
+            phi_size=4,
+            variables=(("x", (0, 0, 1, 1)), ("y", (0, 1, 2, 3)), ("z", (0, 1, 1, 0))),
+            distinguished="x",
+            generators={"x": [gens[0]], "y": gens, "z": gens[::-1]},
+        )
+        monkeypatch.setattr(sym, "CLOSURE_LIMIT", 23)
+        for label in ("z", "y"):
+            with pytest.raises(ValueError) as error:
+                model.subgroup(label)
+            assert str(error.value) == (
+                'subgroups["y"]: the closure of these generators exceeds 23 elements'
+            )
+
     def test_model_closures_validate_nothing_again(self, monkeypatch):
         """Generators are validated by the model constructor alone: the
         subgroup, full-group and assumption_2 closures trust them."""
@@ -634,6 +683,50 @@ class TestModelConstruction:
         )
         with pytest.raises(ValueError, match="assigns"):
             sym.load_model(path)
+
+    @pytest.mark.parametrize("position", [0, 2, 3], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "bad", [True, 1.0, "1", np.bool_(False)], ids=["bool", "float", "str", "np.bool_"]
+    )
+    @pytest.mark.parametrize("field", ["theta", "generator", "transfer"])
+    def test_non_integer_item_named(self, field, bad, position):
+        # The first item that is not an integer is named, wherever it sits,
+        # with the message the per-item check has always given.
+        raw = {
+            "phi_size": 4,
+            "distinguished": 0,
+            "variables": [
+                {"label": "0", "theta": [0, 0, 1, 1]},
+                {"label": "1", "theta": [0, 1, 1, 0]},
+            ],
+            "subgroups": {"0": [[1, 0, 3, 2]]},
+            "transfer": {"01": [0, 2, 1, 3]},
+        }
+        items, where = {
+            "theta": (raw["variables"][0]["theta"], "variables[0].theta"),
+            "generator": (raw["subgroups"]["0"][0], 'subgroups["0"][0]'),
+            "transfer": (raw["transfer"]["01"], 'transfer["01"]'),
+        }[field]
+        items[position] = bad
+        with pytest.raises(ValueError) as error:
+            sym.load_model(raw)
+        assert str(error.value) == f"{where}[{position}] must be an integer, got {bad!r}"
+
+    def test_numpy_integers_accepted(self):
+        raw = {
+            "phi_size": 4,
+            "variables": [
+                {"label": "0", "theta": [0, np.int64(0), 1, 1]},
+                {"label": "1", "theta": list(np.array([0, 1, 1, 0]))},
+            ],
+            "subgroups": {"0": [list(np.array([1, 0, 3, 2], dtype=np.int32))]},
+            "transfer": {"01": [np.int64(0), 2, np.uint8(1), 3]},
+        }
+        model = sym.load_model(raw)
+        plain = sym.load_model(json.loads(json.dumps(raw, default=int)))
+        assert model == plain
+        values = [*model.theta("0"), *model.theta("1"), *model.generators["0"][0]]
+        assert {type(x) for x in values + list(model.transfers[("0", "1")])} == {int}
 
     def test_distinguished_index_is_any_integer_in_range(self):
         base = {
