@@ -552,20 +552,24 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _render(value, indent: str) -> str:
-    """JSON text of ``value`` nested at ``indent`` (a newline and spaces)."""
+def _render(value, indent: str, out: list) -> None:
+    """Append the JSON text of ``value``, nested at ``indent`` (a newline
+    and spaces), to ``out`` as fragments that `render_payload` joins once."""
     if isinstance(value, dict):
         items, ends = value.values(), "{}"
     elif isinstance(value, (list, tuple)):
         items, ends = value, "[]"
     else:
-        return _encoder(indent)(value)
+        out.append(_encoder(indent)(value))
+        return
     if not value:
-        return ends
+        out.append(ends)
+        return
     inner = indent + "  "
     kinds = set(map(type, items))
     if kinds <= _SCALAR_TYPES and len(value) > _INLINE_SCALARS:
-        return ends[0] + inner + _encoder(inner)(value)[1:-1] + indent + ends[1]
+        out += ends[0], inner, _encoder(inner)(value)[1:-1], indent, ends[1]
+        return
     if (
         ends == "[]"
         and kinds <= _ROW_TYPES
@@ -577,20 +581,28 @@ def _render(value, indent: str) -> str:
         deeper = inner + "  "
         rows = _encoder(deeper)(value)[2:-2]
         rows = rows.replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
-        return "[" + inner + "[" + deeper + rows + inner + "]" + indent + "]"
-    texts = []
-    for item in items:
+        out += "[", inner, "[", deeper, rows, inner, "]", indent, "]"
+        return
+    comma = "," + inner
+    keyed = ends == "{}"
+    append = out.append
+    append(ends[0])
+    separator = inner
+    for key, item in value.items() if keyed else enumerate(value):
+        append(separator)
+        separator = comma
+        if keyed:
+            append(encode_basestring_ascii(key) if type(key) is str else _key(key))
+            append(": ")
         kind = type(item)
         if kind is str:
-            texts.append(encode_basestring_ascii(item))
+            append(encode_basestring_ascii(item))
         elif kind is int or kind is float and math.isfinite(item):
-            texts.append(kind.__repr__(item))
+            append(kind.__repr__(item))
         else:  # a container, or a scalar the encoder writes or refuses
-            texts.append(_render(item, inner))
-    if ends == "{}":
-        keys = (encode_basestring_ascii(k) if type(k) is str else _key(k) for k in value)
-        texts = [key + ": " + text for key, text in zip(keys, texts)]
-    return ends[0] + inner + ("," + inner).join(texts) + indent + ends[1]
+            _render(item, inner, out)
+    append(indent)
+    append(ends[1])
 
 
 def render_payload(payload: Mapping) -> str:
@@ -603,12 +615,17 @@ def render_payload(payload: Mapping) -> str:
     indentation, and a list of non-empty rows of scalars is one call at
     the rows' indent plus one replacement of the row breaks.  In any other
     container the str, int and finite float items are written in place
-    and the rest rendered one level deeper.  Strict JSON: a NaN or
-    infinite value raises ValueError instead of printing as ``NaN`` or
-    ``Infinity``.  Payloads hold Python types only (numpy floats are
-    ``float`` subclasses); anything else raises TypeError.
+    and the rest rendered one level deeper.  Every fragment goes to one
+    list that is joined once, here, so a fragment is copied into the text
+    once, whatever its depth.  Strict JSON: a NaN or infinite value raises
+    ValueError instead of printing as ``NaN`` or ``Infinity``.  Payloads
+    hold Python types only (numpy floats are ``float`` subclasses);
+    anything else raises TypeError.
     """
-    return _render(payload, "\n") + "\n"
+    out: list[str] = []
+    _render(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,12 @@ inverses and closures are computed unchecked (`_compose`, `_invert`,
 kappas, whose products the benchmark counts as
 `symmetry.compose_permutations` calls.  A closure stops past
 `CLOSURE_LIMIT` elements with an error naming its generators' model-file
-field.  The word scan runs once per model and its read-only result is
+field.  A model closes each group once, and shares closures where it can:
+labels holding one generator set share its closure, the subgroups' union
+is a label's closure when that closure holds every generator, and the full
+group is the union when the union holds every transfer; assumption_3a
+builds each distinct cyclic subgroup once, from its generator's powers.
+The word scan runs once per model and its read-only result is
 shared by every checker.  It has no depth bound: its states are finite, so
 it runs until its queue is empty and so decides the word claims over every
 reduced word; past `CLOSURE_LIMIT` states it stops with an error naming the
@@ -379,7 +384,9 @@ class FiniteSymmetryModel:
     def _subgroups(self) -> dict[str, tuple]:
         """Per label, its subgroup's closure.  Each distinct generator set is
         closed once, labels sharing it share the closure, and an overflow
-        names the first label that holds the set."""
+        names the first label that holds the set.  The union and the full
+        group reuse one of these closures when it holds all their
+        generators (`_union_group`, `full_group`)."""
         closures: dict[frozenset, tuple] = {}
         subgroups = {}
         for label in self.labels:
@@ -402,13 +409,29 @@ class FiniteSymmetryModel:
         return _enumerate_words(self)
 
     @cached_property
-    def full_group(self) -> tuple:
-        """Closure of every subgroup generator and transfer map."""
-        gens: list[tuple] = []
-        for label in self.labels:
-            gens.extend(self.generators[label])
-        gens.extend(self.transfers.values())
+    def _union_group(self) -> tuple:
+        """Closure of every subgroup generator.  A label's closure that holds
+        them all is this group, since the label's generators are among them,
+        so the first such closure is reused; only without one is the union
+        closed anew.  Its overflow names ``subgroups and transfer``, as the
+        full group's would: that group holds it, and `check_assumptions`
+        reads it first."""
+        gens = [g for label in self.labels for g in self.generators[label]]
+        for closure in self._subgroups.values():
+            if set(closure).issuperset(gens):
+                return closure
         return _closure(gens, self.phi_size, "subgroups and transfer")
+
+    @cached_property
+    def full_group(self) -> tuple:
+        """Closure of every subgroup generator and transfer map.  It is the
+        subgroups' union (`_union_group`) when that group holds every
+        transfer, and is closed anew only otherwise."""
+        union = self._union_group
+        if set(union).issuperset(self.transfers.values()):
+            return union
+        gens = [g for label in self.labels for g in self.generators[label]]
+        return _closure([*gens, *self.transfers.values()], self.phi_size, "subgroups and transfer")
 
     @cached_property
     def zero_transfers(self) -> dict[str, tuple]:
@@ -984,13 +1007,13 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
         if len(witnesses) < _WITNESS_CAP:
             witnesses.append(record)
 
-    relations_checked = 0
     for (a, b), perm in sorted(model.transfers.items()):
-        theta_a = model.theta(a)
         theta_b = model.theta(b)
-        relations_checked += 1
-        for phi in range(model.phi_size):
-            if theta_b[phi] != theta_a[perm[phi]]:
+        moved = tuple(map(model.theta(a).__getitem__, perm))
+        if moved == theta_b:
+            continue
+        for phi, (expected, got) in enumerate(zip(theta_b, moved)):
+            if expected != got:
                 violation(
                     "transfer",
                     {
@@ -998,8 +1021,8 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
                         "from": a,
                         "to": b,
                         "phi": phi,
-                        "expected": theta_b[phi],
-                        "got": theta_a[perm[phi]],
+                        "expected": expected,
+                        "got": got,
                     },
                 )
 
@@ -1018,59 +1041,55 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
                 },
             )
             continue
-        theta = model.theta(label)
-        mapping: dict[int, set] = {}
-        for phi in range(model.phi_size):
-            mapping.setdefault(theta[phi], set()).add(theta_zero[forward[phi]])
-        relabeling: dict[int, int] = {}
-        broken = False
-        for value in sorted(mapping):
-            images = sorted(mapping[value])
-            if len(images) != 1:
-                broken = True
-                violation(
-                    "relabeling",
-                    {
-                        "violation": "relabeling_not_functional",
-                        "variable": label,
-                        "value": value,
-                        "images": images,
-                    },
-                )
-            else:
-                relabeling[value] = images[0]
-        if not broken:
-            hits: dict[int, list] = {}
-            for value, image in relabeling.items():
-                hits.setdefault(image, []).append(value)
-            for image, sources in sorted(hits.items()):
-                if len(sources) > 1:
-                    broken = True
+        # The (value, distinguished value) pairs the points take, in order.
+        pairs = sorted(set(zip(model.theta(label), map(theta_zero.__getitem__, forward))))
+        relabeling = dict(pairs)
+        if len(relabeling) < len(pairs):
+            images: dict[int, list] = {}
+            for value, image in pairs:
+                images.setdefault(value, []).append(image)
+            for value, found in images.items():
+                if len(found) > 1:
+                    violation(
+                        "relabeling",
+                        {
+                            "violation": "relabeling_not_functional",
+                            "variable": label,
+                            "value": value,
+                            "images": found,
+                        },
+                    )
+        elif len(set(relabeling.values())) < len(relabeling):
+            sources: dict[int, list] = {}
+            for value, image in pairs:
+                sources.setdefault(image, []).append(value)
+            for image, values in sorted(sources.items()):
+                if len(values) > 1:
                     violation(
                         "relabeling",
                         {
                             "violation": "relabeling_not_injective",
                             "variable": label,
-                            "values": sorted(sources),
+                            "values": values,
                             "image": image,
                         },
                     )
-        if not broken:
+        else:
             witnesses.append(
-                {
-                    "relabeling": {str(v): r for v, r in sorted(relabeling.items())},
-                    "variable": label,
-                }
+                {"relabeling": {str(v): r for v, r in pairs}, "variable": label}
             )
 
     for label in model.labels:
         theta = model.theta(label)
+        levels = len(set(theta))
         for gen_index, perm in enumerate(model.generators[label]):
-            images: dict[int, dict] = {}
+            # It keeps the partition iff each value's points land on one value.
+            if len(set(zip(theta, map(theta.__getitem__, perm)))) == levels:
+                continue
+            buckets: dict[int, dict] = {}
             for phi in range(model.phi_size):
-                bucket = images.setdefault(theta[phi], {})
-                bucket.setdefault(theta[perm[phi]], phi)
-            for value, bucket in sorted(images.items()):
+                buckets.setdefault(theta[phi], {}).setdefault(theta[perm[phi]], phi)
+            for value, bucket in sorted(buckets.items()):
                 if len(bucket) > 1:
                     violation(
                         "partition",
@@ -1096,7 +1115,7 @@ def validate_model(model: FiniteSymmetryModel) -> VerificationReport:
         metrics={
             "phi_size": model.phi_size,
             "variables": len(model.labels),
-            "transfer_relations_checked": relations_checked,
+            "transfer_relations_checked": len(model.transfers),
             "transfer_violations": violations["transfer"],
             "relabeling_violations": violations["relabeling"],
             "partition_violations": violations["partition"],
@@ -1152,10 +1171,7 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
     )
 
     # assumption_2: subgroups alone already generate the full closure.
-    plain_gens: list[tuple] = []
-    for label in model.labels:
-        plain_gens.extend(model.generators[label])
-    union_closure = _closure(plain_gens, model.phi_size, "subgroups")
+    union_closure = model._union_group
     union_set = frozenset(union_closure)
     extra = [k for k in model.full_group if k not in union_set]
     closure = VerificationReport(
@@ -1175,12 +1191,20 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
     )
 
     # assumption_3a: cyclic subgroups acting irreducibly on the basis span.
-    cyclic: dict[frozenset, tuple] = {}
+    # Each is listed once, by its first generator in canonical order, and
+    # built once, as that generator's powers; the powers k^m with m prime to
+    # the order generate it too, so they are skipped.
+    cyclic: dict[tuple, int] = {}
+    generating = {identity}
     for k in k_zero:
-        if k != identity:
-            cyclic.setdefault(frozenset(_closure((k,), model.phi_size, "subgroups")), k)
+        if k not in generating:
+            powers = [k]
+            while powers[-1] != identity:
+                powers.append(_compose(k, powers[-1]))
+            order = cyclic[k] = len(powers)
+            generating.update(p for m, p in enumerate(powers, 1) if math.gcd(m, order) == 1)
     reducible_witnesses = []
-    for group, generator in sorted(cyclic.items(), key=lambda item: item[1]):
+    for generator, order in cyclic.items():
         action = actions[generator]
         cycles = _cycles(action)
         lengths = sorted(len(c) for c in cycles)
@@ -1196,7 +1220,7 @@ def check_assumptions(model: FiniteSymmetryModel) -> tuple[VerificationReport, .
             {
                 "finding": "reducible",
                 "generator": list(generator),
-                "subgroup_order": len(group),
+                "subgroup_order": order,
                 "level_cycle_lengths": lengths,
                 "proper_invariant_subspace": subspace,
             }

@@ -1090,7 +1090,42 @@ class TestRenderPayload:
             lambda inner, k: [k, inner] if k % 2 else {"k": inner, "s": "x"}, range(9), [1.0, "x"]
         )
     )
+    # An assumption_3b witness: rows of [str, int] and 16-int lists.
+    @example(
+        {
+            "from": "0", "to": "1", "status": "pair",
+            "word_1": [["0", 5], ["2", 3]], "image_1": list(range(16)),
+            "word_2": [["2", 5]], "image_2": list(range(15, -1, -1)),
+        }
+    )
+    # Dicts mixing scalars and a short list, as assumption_3c's witnesses.
+    @example(
+        [
+            {"i": 0, "j": 1, "value_i": 0, "value_j": 1, "level_sizes": [2, 2]},
+            {"i": 1, "j": 0, "value_i": "b", "value_j": None, "level_sizes": [2]},
+        ]
+    )
+    # Empty lists and dicts at depths 1 to 4, first, inside and last.
+    @example({"d1": [], "x": {"d2": {}, "y": [[], {"d4": []}, {}]}, "z": {}})
+    @example([[], {}, [[]], [{}, []], [[[{}]], {"k": {"m": []}}]])
+    # Tuples: short, long, rows of them, and one at the top.
+    @example({"t": (1, 2), "u": ((1, "a"), (2, "b")), "v": (1, 2, 3, 4, 5, 6), "w": ({"k": (1,)},)})
+    @example((1, [2, (3,)], {"a": ()}, ("x", (None, True))))
+    # Non-str keys inside nested dicts, in every kind of container.
+    @example({"o": {1: {"in": {None: [1, 2], 2.5: {True: "x"}}}, False: []}, "p": [{-3: 1}]})
+    @example({"o": {"a": {0: 1, 1: 2, 2: 3, 3: 4, 4: 5}, "b": {False: [[1, 2]], None: {}}}})
     def test_matches_json_dumps(self, payload):
+        expected = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        assert cli.render_payload(payload) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["report", "--golden"], ["spin", "catalog", "--j", "25", "--dir", "0,-0.6,0.8"]],
+        ids=["golden", "catalog_25"],
+    )
+    def test_matches_json_dumps_on_command_payloads(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        payload, _, _ = args.handler(args)
         expected = json.dumps(payload, indent=2, allow_nan=False) + "\n"
         assert cli.render_payload(payload) == expected
 

@@ -263,6 +263,79 @@ def reference_zero_transfers(model):
     return reached
 
 
+def point_walk_validation(model):
+    """validate_model's violation counts and witnesses, found by walking
+    every point of each transfer relation, relabeling and generator."""
+    counts = {"transfer": 0, "relabeling": 0, "partition": 0}
+    witnesses = []
+
+    def violation(kind, record):
+        counts[kind] += 1
+        if len(witnesses) < sym._WITNESS_CAP:
+            witnesses.append(record)
+
+    for (a, b), perm in sorted(model.transfers.items()):
+        theta_a, theta_b = model.theta(a), model.theta(b)
+        for phi in range(model.phi_size):
+            if theta_b[phi] != theta_a[perm[phi]]:
+                violation("transfer", {
+                    "violation": "transfer_relation", "from": a, "to": b, "phi": phi,
+                    "expected": theta_b[phi], "got": theta_a[perm[phi]],
+                })
+    theta_zero = model.theta(model.distinguished)
+    chains = reference_zero_transfers(model)
+    for label in model.labels:
+        if label == model.distinguished:
+            continue
+        if label not in chains:
+            violation("relabeling", {
+                "violation": "relabeling_unreachable", "variable": label,
+                "reason": "no transfer chain from the distinguished variable",
+            })
+            continue
+        theta, forward = model.theta(label), chains[label]
+        images = {}
+        for phi in range(model.phi_size):
+            images.setdefault(theta[phi], set()).add(theta_zero[forward[phi]])
+        split = [value for value in sorted(images) if len(images[value]) > 1]
+        for value in split:
+            violation("relabeling", {
+                "violation": "relabeling_not_functional", "variable": label,
+                "value": value, "images": sorted(images[value]),
+            })
+        if split:
+            continue
+        sources = {}
+        for value in sorted(images):
+            sources.setdefault(min(images[value]), []).append(value)
+        shared = [(image, values) for image, values in sorted(sources.items()) if len(values) > 1]
+        for image, values in shared:
+            violation("relabeling", {
+                "violation": "relabeling_not_injective", "variable": label,
+                "values": values, "image": image,
+            })
+        if not shared:
+            witnesses.append({
+                "relabeling": {str(v): min(images[v]) for v in sorted(images)},
+                "variable": label,
+            })
+    for label in model.labels:
+        theta = model.theta(label)
+        for gen_index, perm in enumerate(model.generators[label]):
+            for value in sorted(set(theta)):
+                targets = {}
+                for phi in range(model.phi_size):
+                    if theta[phi] == value:
+                        targets.setdefault(theta[perm[phi]], phi)
+                if len(targets) > 1:
+                    violation("partition", {
+                        "violation": "partition_not_preserved", "variable": label,
+                        "generator": gen_index, "value": value,
+                        "phi_pair": sorted(targets.values())[:2],
+                    })
+    return counts, witnesses
+
+
 def reference_letter_images(model):
     """k_0a * k * k_a0 for every subgroup element, through the validating
     public product and inverse."""
@@ -595,6 +668,87 @@ class TestGroupClosure:
                 'subgroups["y"]: the closure of these generators exceeds 23 elements'
             )
 
+    @pytest.mark.parametrize(
+        "build,closed",
+        [
+            (lambda: dihedral_model(4), ['subgroups["0"]']),
+            (
+                lambda: sym.load_model(sym.bundled_model_path("structural_example")),
+                ['subgroups["0"]', 'subgroups["1"]', 'subgroups["2"]'],
+            ),
+            (
+                lambda: sym.load_model(sym.bundled_model_path("designed_failure")),
+                ['subgroups["0"]', 'subgroups["1"]'],
+            ),
+        ],
+        ids=["dihedral4", "structural_example", "designed_failure"],
+    )
+    def test_check_closes_each_generator_set_once(self, monkeypatch, build, closed):
+        # In these models a label's closure holds every generator and every
+        # transfer, so it serves as the union and the full group, and
+        # assumption_3a builds its cyclic groups from powers.
+        model = build()
+        closures = []
+        close = sym._closure
+        monkeypatch.setattr(sym, "_closure", lambda *a: closures.append(a[2]) or close(*a))
+        sym.check_reports(model)
+        assert closures == closed
+
+    @pytest.mark.parametrize(
+        "generators,transfer",
+        [
+            ({"0": ((1, 0, 2, 3),), "1": ((1, 0, 2, 3),)}, (0, 1, 3, 2)),
+            ({"0": ((1, 0, 2, 3),), "1": ((0, 1, 3, 2),)}, (0, 1, 2, 3)),
+            ({"0": ((1, 0, 2, 3),), "1": ((0, 1, 3, 2),)}, (2, 3, 0, 1)),
+            ({"0": ((1, 2, 3, 0),), "1": ((1, 0, 2, 3),)}, (3, 2, 1, 0)),
+            ({"0": ((1, 2, 3, 0),), "1": ((2, 3, 0, 1),)}, (1, 0, 2, 3)),
+        ],
+        ids=[
+            "transfer_outside", "union_of_two_labels", "both", "union_holds_transfer",
+            "label_holds_union",
+        ],
+    )
+    def test_union_and_full_group_match_brute_force(self, generators, transfer):
+        model = sym.FiniteSymmetryModel(
+            4, (("0", (0, 1, 2, 3)), ("1", (0, 1, 2, 3))), "0", generators, {("0", "1"): transfer}
+        )
+        gens = [g for label in ("0", "1") for g in generators[label]]
+        union = closure_oracle(gens, 4)
+        full = closure_oracle([*gens, transfer], 4)
+        assert model.full_group == full
+        _, closure, *_ = sym.check_assumptions(model)
+        assert closure.metrics == {
+            "subgroup_closure_order": len(union),
+            "full_closure_order": len(full),
+            "extra_elements": len(full) - len(union),
+        }
+        assert [w["permutation"] for w in closure.witnesses] == [
+            list(k) for k in full if k not in union
+        ]
+
+    @pytest.mark.parametrize(
+        "generators,transfer",
+        [
+            ({"0": ((1, 2, 3, 0),), "1": ((1, 0, 2, 3),)}, (0, 1, 2, 3)),
+            ({"0": ((1, 2, 3, 0),), "1": ((1, 0, 2, 3),)}, (1, 0, 2, 3)),
+            ({"0": ((1, 2, 3, 0),), "1": ((1, 2, 3, 0),)}, (1, 0, 2, 3)),
+        ],
+        ids=["union_overflows", "union_overflows_transfer_inside", "full_overflows"],
+    )
+    def test_overflow_past_the_subgroups_names_subgroups_and_transfer(
+        self, monkeypatch, generators, transfer
+    ):
+        # Each subgroup fits under the limit; the full group, S_4, does not.
+        model = sym.FiniteSymmetryModel(
+            4, (("0", (0, 1, 2, 3)), ("1", (0, 1, 2, 3))), "0", generators, {("0", "1"): transfer}
+        )
+        monkeypatch.setattr(sym, "CLOSURE_LIMIT", 23)
+        with pytest.raises(ValueError) as error:
+            sym.check_reports(model)
+        assert str(error.value) == (
+            "subgroups and transfer: the closure of these generators exceeds 23 elements"
+        )
+
     def test_model_closures_validate_nothing_again(self, monkeypatch):
         """Generators are validated by the model constructor alone: the
         subgroup, full-group and assumption_2 closures trust them."""
@@ -875,6 +1029,73 @@ class TestValidateModel:
         )
         assert pointwise["phi"] == 3
         assert pointwise["expected"] == 2 and pointwise["got"] == 1
+
+    @staticmethod
+    def violating_model(kind, point):
+        """Eight points in four levels of two, and variable "1" a copy of
+        "0" through the identity transfer but for one violation at
+        ``point``."""
+        theta = tuple(phi // 2 for phi in range(8))
+        other, generators = list(theta), {}
+        if kind in ("transfer_relation", "relabeling_not_functional"):
+            # The point takes its neighbouring level's value.
+            other[point] = (theta[point] + 1) % 4
+        elif kind == "relabeling_not_injective":
+            other[point] = 9
+        else:  # a generator of "1" swapping the point into another level
+            swap = list(range(8))
+            partner = (point + 2) % 8
+            swap[point], swap[partner] = partner, point
+            generators["1"] = (tuple(swap),)
+        return sym.FiniteSymmetryModel(
+            8, (("0", theta), ("1", tuple(other))), "0", generators,
+            {("0", "1"): tuple(range(8))},
+        )
+
+    @pytest.mark.parametrize("point", [0, 4, 7], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "transfer_relation", "relabeling_not_functional", "relabeling_not_injective",
+            "partition_not_preserved",
+        ],
+    )
+    def test_violation_witnesses_match_point_walk(self, kind, point):
+        model = self.violating_model(kind, point)
+        report = sym.validate_model(model)
+        counts, witnesses = point_walk_validation(model)
+        assert list(report.witnesses) == witnesses
+        assert report.verdict == "fail"
+        assert [report.metrics[f"{k}_violations"] for k in counts] == list(counts.values())
+        found = [w for w in witnesses if w.get("violation") == kind]
+        value = model.theta("1")[point]
+        # The swap's lower point's level is the first whose points part.
+        level = min(point, (point + 2) % 8) // 2
+        assert found[0] == {
+            "transfer_relation": {
+                "violation": kind, "from": "0", "to": "1", "phi": point,
+                "expected": value, "got": point // 2,
+            },
+            "relabeling_not_functional": {
+                "violation": kind, "variable": "1", "value": value,
+                "images": sorted({point // 2, value}),
+            },
+            "relabeling_not_injective": {
+                "violation": kind, "variable": "1", "values": [point // 2, 9],
+                "image": point // 2,
+            },
+            "partition_not_preserved": {
+                "violation": kind, "variable": "1", "generator": 0,
+                "value": level, "phi_pair": [2 * level, 2 * level + 1],
+            },
+        }[kind]
+
+    def test_family_matches_point_walk(self):
+        for name, model in representation_family().items():
+            report = sym.validate_model(model)
+            counts, witnesses = point_walk_validation(model)
+            assert list(report.witnesses) == witnesses, name
+            assert [report.metrics[f"{k}_violations"] for k in counts] == list(counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1379,6 +1600,19 @@ class TestCheckAssumptions:
         witness = lemma2.witnesses[0]
         assert witness["permutation"] == [0, 2, 3, 1]
         assert witness["overlap"] > 1.0 - 1e-9
+
+    def test_cyclic_subgroups_match_closure_reference(self):
+        # One witness per distinct cyclic subgroup, named by its first
+        # generator in canonical order, as one closure per element finds them.
+        for name, model in representation_family().items():
+            _, _, irreducibility, _, _ = sym.check_assumptions(model)
+            groups = {}
+            for k in model.subgroup(model.distinguished)[1:]:
+                groups.setdefault(closure_oracle([k], model.phi_size), k)
+            expected = sorted((list(k), len(group)) for group, k in groups.items())
+            got = [(w["generator"], w["subgroup_order"]) for w in irreducibility.witnesses]
+            assert got == expected, name
+            assert irreducibility.metrics["cyclic_subgroups"] == len(groups), name
 
     def test_transfer_outside_subgroups_fails_closure_check(self):
         model = sym.FiniteSymmetryModel(
