@@ -60,6 +60,14 @@ def inner(u, v) -> complex:
     return complex(np.vdot(u, v))
 
 
+def inners(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """`inner` of each pair of vectors along the last axis of two stacks
+    that broadcast together, with its bits: a stacked (1, d) @ (d, 1)
+    product rounds as np.vdot does, where np.einsum and np.sum do not.
+    numpy warns on an overflowing or non-finite pair; np.vdot does not."""
+    return (bras.conj()[..., None, :] @ kets[..., :, None])[..., 0, 0]
+
+
 def norm(v) -> float:
     return math.sqrt(max(inner(v, v).real, 0.0))
 

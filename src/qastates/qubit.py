@@ -104,17 +104,15 @@ class Rotation3:
 def _bloch_directions(kets: np.ndarray) -> list[spin.Direction]:
     """Bloch directions of the rows of an (n, 2) array of unit vectors.
 
-    Every norm and every expectation <v|sigma|v> is a stacked (1, 2) @ (2, 1)
-    product, which numpy rounds exactly as `linalg.inner` (np.vdot) does;
-    np.einsum and np.sum round differently.
+    Every norm and every expectation <v|sigma|v> is one `linalg.inners`
+    product, with the bits of `linalg.inner`.
     """
-    bras = kets.conj()[:, None, None, :]
     # A NaN, inf or overflowing entry gives a norm the test below fails.
     with np.errstate(invalid="ignore", over="ignore"):
-        norms = np.sqrt(np.maximum((bras[:, 0] @ kets[:, :, None])[:, 0, 0].real, 0.0))
+        norms = np.sqrt(np.maximum(linalg.inners(kets, kets).real, 0.0))
     if not (np.abs(norms - 1.0) <= 1e-10).all():
         raise ValueError("bloch_direction needs a unit vector")
-    comps = (bras @ (_pauli_stack() @ kets[:, None, :, None]))[..., 0, 0].real
+    comps = linalg.inners(kets[:, None], (_pauli_stack() @ kets[:, None, :, None])[..., 0]).real
     return [spin.Direction.normalized(*c) for c in comps.tolist()]
 
 
@@ -211,7 +209,7 @@ def verify_prop2(
     # The recursion is the route under test: one row per sample.
     states = spin.recursion_states(spin.SpinSystem(0.5), directions, [0.5] * samples)
     rebuilt = np.array([state.ket for state in states])
-    amplitudes = (rebuilt.conj()[:, None, :] @ vectors[:, :, None])[:, 0, 0].tolist()
+    amplitudes = linalg.inners(rebuilt, vectors).tolist()
     # Python's abs, not np.abs: the two round complex moduli differently.
     overlaps = [abs(amplitude) for amplitude in amplitudes]
     # Naming the rebuilt state must give the same question back.

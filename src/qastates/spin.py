@@ -8,8 +8,8 @@ oracle.  Keeping the routes independent is the point; their agreement is a
 verified claim, not an assumption.  So the oracle keeps its own in-house
 Jacobi solver and never reuses anything from the recursion; it diagonalizes
 the component operator once per direction and serves every sharp answer
-from that one decomposition (`oracle_catalog`, or `_oracle_states` for a
-verifier's directions at once).
+from that one decomposition, in one `linalg.hermitian_eigs` call over the
+stack of a catalog's direction or of a verifier's (`_oracle_states`).
 
 The ladder coefficients and the angular momentum operators depend only on
 j, so they are built once per spin magnitude, kept in small bounded caches
@@ -31,17 +31,17 @@ of 32 at 0.96-1.28x, 40 at 0.97-1.71x and 96 at 1.5x (j = 1/2) to 3.5x
 most 36 passes.  Every junction row is then stitched in one vectorized
 pass, and the norms, the phase convention and the eigenvalue residual
 bound each run once over the (n, d) array of a direction's answers, of a
-verifier's samples or whole request, or of one state.  The oracle's
-eigenvectors go through the same pass, all of a request's directions
-diagonalized by one `linalg.hermitian_eigs` call.  Its bits are those of
-building each state alone.  Each constructed
-state is checked once, by the residual bound: the pole branch, the
-recursion and the oracle build kets that are unit and phase-fixed by
-construction.  The residual reads the component operator, built once per
-direction and shared by both routes like j itself, and broadcast over
-that direction's rows.  Kets
-from outside the package go through the public `QuestionAnswerState`
-constructor, which checks every invariant.
+verifier's samples or whole request, or of one state, and the norms
+are stacked inner products (`linalg.inners`).  The oracle's eigenvectors
+go through the same pass.  Its bits are those of building each state
+alone.  Each constructed state is checked once, by the residual bound:
+the pole branch, the recursion and the oracle build kets that are unit
+and phase-fixed by construction.  The residual reads the component
+operator, built once per direction (a verifier's directions as one
+`_component_operators` stack), shared by both routes like j itself, and
+broadcast over that direction's rows.  Kets from outside the package go
+through the public `QuestionAnswerState` constructor, which checks every
+invariant.
 
 Basis convention: the J_z eigenbasis ordered by ascending eigenvalue, so
 index 0 is m = -j and the last index is m = +j.  All operators and kets in
@@ -505,14 +505,6 @@ def _recursion_rows(
     return rows, refusal
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """`linalg.norm` of each row of an (n, d) array: a stacked (1, d) @ (d, 1)
-    product rounds as np.vdot does.  The squares are never negative, so the
-    clamp at zero that `linalg.norm` applies is left out.  numpy warns on an
-    overflowing or non-finite row, where np.vdot does not."""
-    return np.sqrt((rows.conj()[:, None] @ rows[:, :, None])[:, 0, 0].real)
-
-
 def _stack_states(
     system: SpinSystem,
     directions: list[Direction],
@@ -567,7 +559,7 @@ def _stack_states(
         runs = [(slice(None), op)]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if recursion:
-            norms = _row_norms(rows)
+            norms = np.sqrt(linalg.inners(rows, rows).real)
             kets = rows / norms[:, None]
         unphased = kets
         kets = linalg.fix_phases(unphased)
@@ -575,7 +567,8 @@ def _stack_states(
         for run, ops in runs:
             ops = ops.reshape(-1, 1, d, d)
             images = (ops @ kets[run].reshape(len(ops), -1, d, 1)).reshape(-1, d)
-            residuals += _row_norms(images - np.array(answers[run])[:, None] * kets[run]).tolist()
+            defects = images - np.array(answers[run])[:, None] * kets[run]
+            residuals += np.sqrt(linalg.inners(defects, defects).real).tolist()
     if not all(residual <= STATE_RESIDUAL_TOL for residual in residuals[:built]):
         row = next(k for k, res in enumerate(residuals) if not res <= STATE_RESIDUAL_TOL)
         try:
@@ -691,10 +684,10 @@ def _oracle_states(
     """`oracle_catalog` along each direction in turn, with ops[i] the
     component operator along directions[i]: one `linalg.hermitian_eigs` over
     the (k, d, d) stack, the spectrum checked per direction, in order, and
-    every eigenvector, as a row, through one `_stack_states` pass.  One
-    direction is solved by `linalg.hermitian_eig`, the one-matrix case, by
-    that name, so a stand-in or a wrapper put in its place sees it."""
-    decs = linalg.hermitian_eigs(ops) if len(ops) > 1 else [linalg.hermitian_eig(ops[0])]
+    every eigenvector, as a row, through one `_stack_states` pass.  A stack
+    of one direction takes the same call, so every oracle solve in the
+    package goes through `linalg.hermitian_eigs`."""
+    decs = linalg.hermitian_eigs(ops)
     answers = system.m_values
     for direction, dec in zip(directions, decs):
         gaps = np.abs(dec.eigenvalues - answers)
@@ -790,14 +783,14 @@ def verify_eigenstates(
     least 1 - eps.  The request runs as one stacked pass, or as
     consecutive passes whose operators each take at most
     _OPERATOR_STACK_BYTES, so memory does not grow with the sample count.
-    In a pass each direction's component operator is built once, into one
-    stack shared by both routes; the oracle diagonalizes the stack in one
+    In a pass one `_component_operators` stack, shared by both routes,
+    holds each direction's operator; the oracle diagonalizes it in one
     `linalg.hermitian_eigs` call, whose rotations still run per matrix;
     each route builds all its states as one stack; and every overlap comes
-    from one stacked product.  So a refusal names the first refused oracle
-    direction of a pass before any recursion row of it.  Residuals are only recorded here: the
-    construction of every state, by either route, already rejects any
-    above STATE_RESIDUAL_TOL.
+    from one `linalg.inners` call.  So a refusal names the first refused
+    oracle direction of a pass before any recursion row of it.  Residuals
+    are only recorded here: the construction of every state, by either
+    route, already rejects any above STATE_RESIDUAL_TOL.
     """
     check_eps(eps)
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -809,13 +802,13 @@ def verify_eigenstates(
     min_overlap = 1.0
     for run in _operator_runs(system, len(dirs)):
         passed = dirs[run]
-        ops = np.array([component_operator(system, direction) for direction in passed])
+        ops = _component_operators(system, passed)
         oracle = _oracle_states(system, passed, ops)
         rows = [direction for direction in passed for _ in answers]
         recursion = _stack_states(system, rows, answers * len(passed), ops)
         rec = np.array([state.ket for state in recursion])
         orc = np.array([state.ket for state in oracle])
-        amplitudes = (rec.conj()[:, None, :] @ orc[:, :, None])[:, 0, 0].tolist()
+        amplitudes = linalg.inners(rec, orc).tolist()
         for state, amplitude in zip(recursion, amplitudes):
             # Python's abs, as each overlap was taken alone: np.abs
             # rounds complex moduli otherwise.

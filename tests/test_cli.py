@@ -930,8 +930,8 @@ class TestExitContract:
         [
             (spin, "eigenstate_recursion", RuntimeError,
              ("spin", "state", "--j", "1", "--dir", "0,0,1", "--h", "1")),
-            # verify_eigenstates reaches the oracle through the helper that
-            # shares one component operator per direction.
+            # verify_eigenstates reaches the oracle through `_oracle_states`,
+            # the oracle's one path, which solves each pass's operator stack.
             (spin, "_oracle_states", RuntimeError, ("spin", "verify", "--j", "1", "--samples", "1")),
             (symmetry, "verify_theorem1", KeyError,
              ("symmetry", "check", "--model", "structural_example")),

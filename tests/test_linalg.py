@@ -53,6 +53,23 @@ class TestInnerAndNorm:
     def test_norm(self):
         assert linalg.norm([3.0, 4j]) == pytest.approx(5.0)
 
+    @pytest.mark.dispatch
+    @pytest.mark.parametrize("n", [1, 13, 404, 1000])
+    def test_inners_have_vdot_bits(self, n):
+        # The shapes the package takes: rows of (n, d) stacks with
+        # themselves and with others, and one bra against a stack of three
+        # kets, as the Bloch map reads its Pauli expectations.
+        rng = np.random.default_rng(n)
+        for d in (2, 9, 51):
+            u, v = rng.standard_normal((2, n, 2 * d)).view(complex)
+            for bras, kets in ((u, u), (u, v)):
+                want = [np.vdot(a, b) for a, b in zip(bras, kets)]
+                assert linalg.inners(bras, kets).tobytes() == np.array(want).tobytes(), d
+        kets = rng.standard_normal((n, 4)).view(complex)
+        images = (np.stack([SX, SY, SZ]) @ kets[:, None, :, None])[..., 0]
+        want = [[np.vdot(k, image) for image in row] for k, row in zip(kets, images)]
+        assert linalg.inners(kets[:, None], images).tobytes() == np.array(want).tobytes()
+
 
 class TestPhaseEqual:
     def test_global_phase_is_ignored(self):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import float_reference
+from fake_solves import plant_eig
 from qastates import linalg, spin
 from qastates.spin import Direction, SpinSystem
 
@@ -376,7 +377,8 @@ def per_answer_oracle_ket(system, direction, h):
 
 
 def degenerate_eig(eigenvalues):
-    """Stand-in for hermitian_eig that returns a fixed spectrum."""
+    """Stand-in for hermitian_eig that returns a fixed spectrum, planted
+    with `plant_eig`."""
 
     def fake(a):
         n = len(eigenvalues)
@@ -438,7 +440,7 @@ class TestOracleCatalog:
             spin.eigenstate_oracle(SpinSystem(1.0), X, 0.25)
 
     def test_ambiguous_spectrum_raises(self, monkeypatch):
-        monkeypatch.setattr(linalg, "hermitian_eig", degenerate_eig([-0.5, -0.5 + 1e-4]))
+        plant_eig(monkeypatch, degenerate_eig([-0.5, -0.5 + 1e-4]))
         with pytest.raises(RuntimeError, match=r"not -j, \.\.\., \+j: eigenvalue 1 "):
             spin.oracle_catalog(SpinSystem(0.5), X)
         with pytest.raises(RuntimeError, match=r"not -j, \.\.\., \+j: eigenvalue 1 "):
@@ -458,9 +460,7 @@ class TestOracleCatalog:
         # column still passes the state's residual check.
         vectors = linalg.hermitian_eig(spin.component_operator(system, X)).eigenvectors
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                linalg, "hermitian_eig", lambda a: linalg.EigenDecomposition(eigenvalues, vectors)
-            )
+            plant_eig(patch, lambda a: linalg.EigenDecomposition(eigenvalues, vectors))
             if columns is None:
                 with pytest.raises(RuntimeError, match=r"not -j, \.\.\., \+j: eigenvalue "):
                     spin.oracle_catalog(system, X)
@@ -475,13 +475,13 @@ class TestOracleCatalog:
         # is off, as the per-direction reference says it.
         system, direction = SpinSystem(1), Direction(0.6, 0.0, 0.8)
         op = spin.component_operator(system, direction)
-        true_eig = linalg.hermitian_eig
+        true_eigs = linalg.hermitian_eigs
 
         def shifted(a):
-            dec = true_eig(a)
+            dec = true_eigs(a[None])[0]
             return linalg.EigenDecomposition(dec.eigenvalues + 0.01, dec.eigenvectors)
 
-        monkeypatch.setattr(linalg, "hermitian_eig", shifted)
+        plant_eig(monkeypatch, shifted)
         text = (
             "the component operator's spectrum along Direction(x=0.6, y=0.0, z=0.8) is "
             "not -j, ..., +j: eigenvalue 0 is -0.9899999999999997, more than 1e-6 from "
@@ -515,11 +515,43 @@ class TestOracleCatalog:
         )
 
     def test_missing_eigenvalue_raises(self, monkeypatch):
-        monkeypatch.setattr(linalg, "hermitian_eig", degenerate_eig([0.3, 0.4]))
+        plant_eig(monkeypatch, degenerate_eig([0.3, 0.4]))
         with pytest.raises(RuntimeError, match=r"not -j, \.\.\., \+j: eigenvalue 0 "):
             spin.oracle_catalog(SpinSystem(0.5), X)
         with pytest.raises(RuntimeError, match=r"not -j, \.\.\., \+j: eigenvalue 0 "):
             spin.eigenstate_oracle(SpinSystem(0.5), X, 0.5)
+
+    def test_one_fake_at_the_stack_seam_reaches_every_solve(self, monkeypatch):
+        # numpy's eigh as the stand-in: a true decomposition with other
+        # bits, so every solve that reaches it passes its checks.  At j = 25
+        # a request of 11 samples and the two poles runs as passes of 12
+        # directions and of 1.
+        system = SpinSystem(25)
+        spin.algebra_defects(system)  # cached before the fake goes in
+        solved = []
+
+        def eigh(a):
+            solved.append(a.tobytes())
+            return linalg.EigenDecomposition(*np.linalg.eigh(a))
+
+        plant_eig(monkeypatch, eigh)
+        op = spin.component_operator(system, X)
+        catalog = spin.oracle_catalog(system, X)
+        state = spin.eigenstate_oracle(system, X, 3.0)
+        dec = linalg.hermitian_eig(op)
+        reference = float_reference.oracle_states(system, X, op)
+        assert solved == [op.tobytes()] * 4
+        assert np.array_equal(dec.eigenvalues, np.linalg.eigh(op)[0])
+        assert state.ket.tobytes() == catalog[28].ket.tobytes()
+        assert [s.ket.tobytes() for s in reference] == [s.ket.tobytes() for s in catalog]
+
+        solved.clear()
+        assert [len(range(13)[run]) for run in spin._operator_runs(system, 13)] == [12, 1]
+        report = spin.verify_eigenstates(system, samples=11, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        drawn = [spin.random_direction(rng) for _ in range(11)] + [Z, Direction(0.0, 0.0, -1.0)]
+        assert solved == [spin.component_operator(system, a).tobytes() for a in drawn]
+        assert report.verdict == "pass"
 
 
 class TestOperatorCache:
@@ -728,14 +760,22 @@ class TestTrustedConstructors:
             assert_same_as_public(spin.eigenstate_recursion(s, direction, h), s, direction, h)
 
     def test_one_operator_per_direction(self, monkeypatch):
+        # The directions of every operator built, by either builder: one
+        # operator per direction, and none per row (6 rows a direction).
         built = []
         component_operator = spin.component_operator
+        component_operators = spin._component_operators
 
-        def counted(system, direction):
+        def one(system, direction):
             built.append(direction)
             return component_operator(system, direction)
 
-        monkeypatch.setattr(spin, "component_operator", counted)
+        def stacked(system, directions):
+            built.extend(directions)
+            return component_operators(system, directions)
+
+        monkeypatch.setattr(spin, "component_operator", one)
+        monkeypatch.setattr(spin, "_component_operators", stacked)
         s = SpinSystem(2.5)
         directions = [spin.random_direction(np.random.default_rng(k)) for k in range(3)]
         for direction in directions:
@@ -743,7 +783,9 @@ class TestTrustedConstructors:
         assert built == directions
         built.clear()
         spin.verify_eigenstates(s, samples=3, rng=np.random.default_rng(5))
-        assert len(built) == 3 + 2
+        rng = np.random.default_rng(5)
+        drawn = [spin.random_direction(rng) for _ in range(3)]
+        assert built == drawn + [Z, Z.antipode()]
 
     def test_constructors_fix_the_phase_once(self, monkeypatch):
         # One phase pass per stack, over all of its rows: a state alone is
@@ -791,7 +833,7 @@ class TestTrustedConstructors:
         with pytest.raises(ValueError, match="^catalog failed at .*: ket is not an eigenvector"):
             spin.state_catalog(s, direction)
         # The right spectrum with the basis vectors as eigenvectors.
-        monkeypatch.setattr(linalg, "hermitian_eig", degenerate_eig([-0.5, 0.5]))
+        plant_eig(monkeypatch, degenerate_eig([-0.5, 0.5]))
         with pytest.raises(ValueError, match="^ket is not an eigenvector: residual "):
             spin.oracle_catalog(SpinSystem(0.5), X)
 

@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import float_reference as ref
+from fake_solves import plant_eig
 from qastates import cli, linalg, qubit, spin
 from qastates.spin import Direction, SpinSystem
 
@@ -473,7 +474,7 @@ class TestRefusals:
         # first eigenvector is refused by the phase convention instead.
         vectors = np.eye(2, dtype=complex)
         decomposition = linalg.EigenDecomposition(np.array([-0.5, 0.5]), vectors)
-        monkeypatch.setattr(linalg, "hermitian_eig", lambda a: decomposition)
+        plant_eig(monkeypatch, lambda a: decomposition)
         for column in (None, 1, 0):
             vectors[:] = np.eye(2)
             if column is not None:
