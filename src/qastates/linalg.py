@@ -1,18 +1,26 @@
 """Dense complex linear algebra kernel.
 
 Vectors and matrices are plain numpy arrays with complex entries.  The
-Hermitian eigensolver is a cyclic Jacobi iteration written out in full so it
-can serve as an independent route against states constructed by recursion
-elsewhere in the package; it does not call numpy.linalg.  Matrix sizes here
-stay small (dimension 60 or less), where Jacobi is accurate and fast enough.
+Hermitian eigensolver is written out in full so it can serve as an
+independent route against states constructed by recursion elsewhere in the
+package; it does not call numpy.linalg.  It has two paths, and one rule
+picks between them: a matrix whose entries off its three central diagonals
+are all exactly zero (every component operator a.J, every 2x2 and every
+diagonal matrix) goes to implicit symmetric QR steps with a Wilkinson
+shift, on Python floats, after a diagonal unitary makes it real; any other
+matrix goes to cyclic Jacobi sweeps.  Matrix sizes here stay small
+(dimension 60 or less), where both are accurate and fast enough.
 `hermitian_eigs` solves a stack of matrices of one size, with the setup,
-the sort and the checks run once over the stack, and `hermitian_eig` is its
-stack of one.  The sweeps run per matrix: each rotates the matrix and its
-eigenvectors as one (2n, n) array, in place, and each rotation multiplies
-a strided view of its pair of columns, then of its pair of rows, by one
-coefficient block, and reads and writes its scalar entries through flat
-views.  Its bits equal those of a loop that rotates separate matrices
-through copied columns, one matrix at a time.
+the path rule, the sort and the checks run once over the stack, and
+`hermitian_eig` is its stack of one.  Each path runs per matrix, in place
+on one (2n, n) array that holds the matrix atop its eigenvectors: a QR
+rotation turns a pair of rows of a real Q^T with three real ufunc calls,
+and a Jacobi rotation multiplies a strided view of its pair of columns,
+then of its pair of rows, by one coefficient block, and reads and writes
+its scalar entries through flat views.  The bits of each path equal those
+of a loop that turns separate matrices through copied columns, one matrix
+at a time.  The QR path's arithmetic is all real, so its bits do not
+depend on numpy's CPU dispatch or on the BLAS kernel.
 Orthonormality and unitarity checks across the package measure one defect,
 max |C†C - I| over the columns C, of one C or a stack, with `gram_defect`.
 """
@@ -33,8 +41,12 @@ RESIDUAL_TOL = 1e-10
 ORTHO_TOL = 1e-10
 # Magnitude window treated as a tie when picking the phase anchor.
 PHASE_TIE_TOL = 1e-12
+# The unit roundoff of a double, 2^-52.
+_EPS = 2.0**-52
 
 _MAX_SWEEPS = 60
+# QR steps allowed per eigenvalue of a tridiagonal matrix.
+_MAX_QR_STEPS = 30
 
 
 def as_vector(v) -> np.ndarray:
@@ -278,18 +290,126 @@ def _jacobi_sweeps(w: np.ndarray, scale: float, offdiag_mask: np.ndarray) -> boo
     return False
 
 
-def hermitian_eig(a) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps:
-    `hermitian_eigs` on a stack of one.
+def _tridiagonal_qr(w: np.ndarray, scale: float) -> bool:
+    """Diagonalize the Hermitian tridiagonal top half h of one (2n, n)
+    working array by implicit symmetric QR steps: whether that took at most
+    _MAX_QR_STEPS steps per eigenvalue.  The eigenvalues go onto h's
+    diagonal, h's off-diagonal is zeroed, and the eigenvectors go into the
+    bottom half v.
 
-    Each sweep conjugates by two-dimensional unitary rotations chosen to zero
-    one off-diagonal entry at a time; off-diagonal mass decreases until it is
-    negligible relative to the Frobenius norm.  A matrix whose entries or
+    The diagonal unitary D with D_0 = 1 and D_{k+1} = D_k e_k/|e_k|, where
+    e_k = h[k+1, k] (the phase 1 where e_k is zero), makes D†hD real
+    symmetric tridiagonal, with h's real diagonal and the off-diagonal
+    |e_k|, Python's `abs` of each complex entry.  Its diagonal d and
+    off-diagonal e are Python floats.  Each step deflates at the bottom,
+    where |e_k| <= 2^-52 (|d_k| + |d_{k+1}|) or 1e-18 times the Frobenius
+    scale, takes the Wilkinson shift of the bottom 2x2 block of the lowest
+    unreduced block and chases the bulge down it with Givens rotations
+    (Golub and Van Loan, Matrix Computations, section 8.3).  Each rotation
+    also turns a pair of rows of the real Q^T, as one (2, 1, n) view times
+    a coefficient block into a product buffer, then one add and one
+    subtract: three real ufunc calls, with no temporaries.  v = D Q is
+    written as two real-plane multiplies.  Past D, which Python's complex
+    arithmetic forms, every operation is real and rounds alike at every
+    numpy CPU level, and each is the one a loop with separate arrays and
+    copied columns makes, on the same operands in the same order, so the
+    bits equal that loop's.
+    """
+    n = w.shape[1]
+    h, v = w[:n], w[n:]
+    subdiagonal = h.diagonal(-1).tolist()
+    if not any(subdiagonal):
+        return True  # diagonal: D = Q = I, and w already holds the answer
+    d = h.diagonal().real.tolist()
+    e = []
+    phases = [1.0]
+    for entry in subdiagonal:
+        r = abs(entry)
+        e.append(r)
+        phases.append(phases[-1] * (entry / r) if r else phases[-1])
+    qt = np.eye(n)
+    rows = list(qt)
+    pairs = [qt[k : k + 2, None] for k in range(n - 1)]
+    # The coefficient block holds (c, s) and (s, c): times the old rows p
+    # and q it fills the product buffer with c p, s p, s q and c q.
+    coef = np.empty((2, 2, 1))
+    coef_flat = coef.reshape(-1)
+    prods = np.empty((2, 2, n))
+    (cp, sp), (sq, cq) = prods
+    tiny = 1e-18 * scale
+    steps = _MAX_QR_STEPS * n
+    hi = n - 1
+    while hi > 0:
+        r = abs(e[hi - 1])
+        if r <= _EPS * (abs(d[hi - 1]) + abs(d[hi])) or r <= tiny:
+            e[hi - 1] = 0.0
+            hi -= 1
+            continue
+        lo = hi - 1
+        while lo > 0:
+            r = abs(e[lo - 1])
+            if r <= _EPS * (abs(d[lo - 1]) + abs(d[lo])) or r <= tiny:
+                break
+            lo -= 1
+        if steps == 0:
+            return False
+        steps -= 1
+        # The Wilkinson shift: the eigenvalue of the bottom 2x2 block
+        # nearer its last diagonal entry.
+        delta = (d[hi - 1] - d[hi]) / 2.0
+        b = e[hi - 1]
+        mu = d[hi] - b * b / (delta + math.copysign(math.hypot(delta, b), delta))
+        x, z = d[lo] - mu, e[lo]
+        for k in range(lo, hi):
+            # The rotation G = [[c, -s], [s, c]] on k, k+1 with
+            # G^T (x, z) = (r, 0): x is T[k, k-1], or d[lo] - mu at the
+            # top, and z the bulge below it.
+            r = math.hypot(x, z)
+            c, s = (x / r, z / r) if r else (1.0, 0.0)
+            if k > lo:
+                e[k - 1] = r
+            dk, dk1, ek = d[k], d[k + 1], e[k]
+            cs, cc, ss = c * s, c * c, s * s
+            d[k] = cc * dk + 2.0 * cs * ek + ss * dk1
+            d[k + 1] = ss * dk - 2.0 * cs * ek + cc * dk1
+            e[k] = cs * (dk1 - dk) + (cc - ss) * ek
+            coef_flat[0] = coef_flat[3] = c
+            coef_flat[1] = coef_flat[2] = s
+            np.multiply(coef, pairs[k], out=prods)
+            np.add(cp, sq, out=rows[k])
+            np.subtract(cq, sp, out=rows[k + 1])
+            if k < hi - 1:
+                x, z = e[k], s * e[k + 1]
+                e[k + 1] = c * e[k + 1]
+    h[...] = 0.0
+    w.reshape(-1)[: n * n : n + 1] = d
+    phases = np.array(phases, dtype=complex)[:, None]
+    np.multiply(phases.real, qt.T, out=v.real)
+    np.multiply(phases.imag, qt.T, out=v.imag)
+    return True
+
+
+def hermitian_eig(a) -> EigenDecomposition:
+    """Full eigendecomposition of a Hermitian matrix: `hermitian_eigs` on a
+    stack of one.
+
+    A matrix whose entries off its three central diagonals are all exactly
+    zero, after symmetrizing, is made real symmetric tridiagonal by a
+    diagonal unitary and solved by implicit QR steps with a Wilkinson
+    shift, deflating at the bottom; each step is an orthogonal similarity
+    by a chain of Givens rotations.  Any other matrix is solved by cyclic
+    Jacobi sweeps, each of which conjugates by two-dimensional unitary
+    rotations chosen to zero one off-diagonal entry at a time, until the
+    off-diagonal mass is negligible relative to the Frobenius norm.
+    Neither path uses inverse iteration or knows the spectrum it should
+    find.  A matrix whose entries or
     computed Frobenius norm are not finite (entries beyond about 1e154
     overflow it) is rejected with ValueError.  Before returning, the
     eigenpair residuals and the orthonormality of the eigenvector matrix
     are checked against RESIDUAL_TOL and ORTHO_TOL, in a form that NaN
-    fails; failure to converge raises instead of returning bad output.
+    fails.  Failure to converge within _MAX_QR_STEPS steps per eigenvalue
+    or _MAX_SWEEPS sweeps raises RuntimeError instead of returning bad
+    output.
     """
     return hermitian_eigs(as_matrix(a)[None])[0]
 
@@ -299,12 +419,14 @@ def hermitian_eigs(stack) -> list[EigenDecomposition]:
 
     The setup and the checks run once over the stack: the Frobenius scales
     and Hermitian defects, the symmetrized (k, 2n, n) working array, the
-    stable ascending sort, the eigenpair residuals and one `gram_defect`.
-    The sweeps run per matrix, on its (2n, n) slice, in `_jacobi_sweeps`.
-    Each matrix gets the eigenvalues and eigenvectors it gets alone, bit for
-    bit, and a refused stack raises what its first refused matrix raises
-    alone: the matrices after it are not swept, and those before it are
-    still checked first.
+    band rule, the stable ascending sort, the eigenpair residuals and one
+    `gram_defect`.  The solve runs per matrix, on its (2n, n) slice: in
+    `_tridiagonal_qr` if every entry off the three central diagonals of
+    its symmetrized matrix is exactly zero, else in `_jacobi_sweeps`.  So
+    one stack may mix both paths.  Each matrix gets the eigenvalues and
+    eigenvectors it gets alone, bit for bit, and a refused stack raises
+    what its first refused matrix raises alone: the matrices after it are
+    not solved, and those before it are still checked first.
     """
     a = np.asarray(stack, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or 0 in a.shape:
@@ -341,11 +463,21 @@ def hermitian_eigs(stack) -> list[EigenDecomposition]:
     flat = w.reshape(len(w), -1)
     flat[:, n * n :: n + 1] = 1.0
     offdiag_mask = ~np.eye(n, dtype=bool)
-    for k, (wk, scale) in enumerate(zip(w, scales)):
-        if not _jacobi_sweeps(wk, scale, offdiag_mask):
+    # sym is exactly Hermitian, so its upper triangle has the zeros of both.
+    bands = (~np.triu(sym, 2).any(axis=(1, 2))).tolist()
+    for k, (wk, scale, band) in enumerate(zip(w, scales, bands)):
+        if band:
+            if _tridiagonal_qr(wk, scale):
+                continue
+            refusal = RuntimeError("QR iteration did not converge")
+        elif _jacobi_sweeps(wk, scale, offdiag_mask):
+            continue
+        else:
             refusal = RuntimeError("Jacobi iteration did not converge")
-            sym, w, flat = sym[:k], w[:k], flat[:k]
-            break
+        if k == 0:
+            raise refusal
+        sym, w, flat = sym[:k], w[:k], flat[:k]
+        break
 
     diagonal = flat[:, : n * n : n + 1].real
     order = diagonal.argsort(axis=1, kind="stable")

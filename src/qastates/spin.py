@@ -6,15 +6,20 @@ The pair determines a state vector, constructed two independent ways: a
 coefficient recursion that never diagonalizes anything, and an eigensolver
 oracle.  Keeping the routes independent is the point; their agreement is a
 verified claim, not an assumption.  So the oracle keeps its own in-house
-Jacobi solver and never reuses anything from the recursion; it diagonalizes
+eigensolver and never reuses anything from the recursion; it diagonalizes
 the component operator once per direction and serves every sharp answer
 from that one decomposition, in one `linalg.hermitian_eigs` call over the
-stack of a catalog's direction or of a verifier's (`_oracle_states`).
+stack of a catalog's direction or of a verifier's (`_oracle_states`).  The
+operator is Hermitian tridiagonal, so the solver's band rule sends it to
+tridiagonal QR steps, an orthogonal similarity that reads only the
+operator's entries: no ladder table, no recurrence such as inverse
+iteration, and no shift by the answers m it should find.  The spectrum is
+then checked against -j, ..., +j.
 
 The ladder coefficients and the angular momentum operators depend only on
 j, so they are built once per spin magnitude, kept in small bounded caches
 and handed out read-only; so are the algebra defects computed from the
-operators (`algebra_defects`, four Jacobi solves).  The recursion and the
+operators (`algebra_defects`, four eigensolver calls).  The recursion and the
 operators read the same ladder table: a shared input, like j itself, after
 which the routes part.
 

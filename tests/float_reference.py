@@ -15,12 +15,17 @@ prop2 and homomorphism checks.  Tests require the two to agree bit for bit,
 and the random generator to be left in the same state.
 
 `qastates.linalg.hermitian_eigs` solves a stack of matrices, each with its
-working matrix and eigenvector matrix as the two halves of one array whose
-columns it rotates in place; `hermitian_eig` is its stack of one.  The
-third part keeps the loop they replaced, one matrix at a time, with a
-separate eigenvector matrix and a copy of each rotated column and row.
-Tests require the eigenvalues and eigenvectors of the two to be equal byte
-for byte, and their errors to be the same.
+working matrix and eigenvector matrix as the two halves of one array that
+it turns in place; `hermitian_eig` is its stack of one.  A matrix whose
+entries off its three central diagonals are all exactly zero takes
+tridiagonal QR steps, on Python float lists and a real Q^T turned through
+pair views into buffers; any other takes Jacobi sweeps.  The third part
+keeps plain loops for both, one matrix at a time, picked by the same
+rule: QR on separate diagonal and off-diagonal arrays with a separate Q,
+and Jacobi with a separate eigenvector matrix, each with a copy of every
+column and row it rotates.  Tests require the eigenvalues and
+eigenvectors of the two to be equal byte for byte, and their errors to
+be the same.
 
 `qastates.spin._recurrence_up` carries its last two coefficients as local
 numpy scalars and hoists the products of its direction, and
@@ -281,7 +286,9 @@ def frobenius(a) -> float:
 
 def hermitian_eig(a) -> linalg.EigenDecomposition:
     """`linalg.hermitian_eig` with separate working and eigenvector matrices
-    and a copy of each pair of columns and rows it rotates."""
+    and a copy of each pair of columns and rows it rotates: the QR loop for
+    a matrix whose entries off its three central diagonals are all exactly
+    zero after symmetrizing, the Jacobi loop for any other."""
     a = linalg.as_matrix(a)
     with np.errstate(over="ignore"):
         scale = frobenius(a)
@@ -295,12 +302,32 @@ def hermitian_eig(a) -> linalg.EigenDecomposition:
     n = a.shape[0]
     # Symmetrize roundoff so the working diagonal is real from the start.
     h = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    if n == 1 or scale == 0.0:
-        vals = h.diagonal().real.copy()
-        order = np.argsort(vals, kind="stable")
-        return linalg.EigenDecomposition(vals[order], v[:, order])
+    offset = np.arange(n)
+    if h[np.abs(offset[:, None] - offset) > 1].any():
+        vals, v = jacobi(h, scale)
+    else:
+        vals, v = tridiagonal_qr(h, scale)
 
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    vecs = v[:, order]
+
+    spectral = max(float(np.abs(vals).max()), 1e-300)
+    residual = float(np.abs(h @ vecs - vecs * vals[np.newaxis, :]).max())
+    if not residual <= linalg.RESIDUAL_TOL * spectral:
+        raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")
+    ortho = linalg.gram_defect(vecs)
+    if not ortho <= linalg.ORTHO_TOL:
+        raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
+    return linalg.EigenDecomposition(vals, vecs)
+
+
+def jacobi(h, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi sweeps on a copy of the symmetrized matrix h: its
+    diagonal after the sweeps and the accumulated rotations."""
+    h = h.copy()
+    n = h.shape[0]
+    v = np.eye(n, dtype=complex)
     target = 1e-14 * scale
     tiny = 1e-18 * scale
     offdiag_mask = ~np.eye(n, dtype=bool)
@@ -341,21 +368,72 @@ def hermitian_eig(a) -> linalg.EigenDecomposition:
                 v[:, q] = s * vp + c * phase.conjugate() * vq
     else:
         raise RuntimeError("Jacobi iteration did not converge")
+    return h.diagonal().real.copy(), v
 
-    vals = h.diagonal().real.copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
 
-    spectral = max(float(np.abs(vals).max()), 1e-300)
-    sym = (a + a.conj().T) / 2.0
-    residual = float(np.abs(sym @ vecs - vecs * vals[np.newaxis, :]).max())
-    if not residual <= linalg.RESIDUAL_TOL * spectral:
-        raise RuntimeError(f"eigenpair residual {residual:.3e} exceeds tolerance")
-    ortho = linalg.gram_defect(vecs)
-    if not ortho <= linalg.ORTHO_TOL:
-        raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
-    return linalg.EigenDecomposition(vals, vecs)
+def tridiagonal_qr(h, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Implicit symmetric QR steps with a Wilkinson shift on the Hermitian
+    tridiagonal h, held as separate diagonal and off-diagonal arrays of
+    its real form, with a separate real Q and a copy of each pair of its
+    columns that a rotation turns: the eigenvalues, unsorted, and the
+    eigenvectors D Q, where D is the diagonal unitary that makes h real."""
+    n = h.shape[0]
+    subdiagonal = h.diagonal(-1).tolist()
+    phases = [1.0]
+    for entry in subdiagonal:
+        phases.append(phases[-1] * (entry / abs(entry)) if abs(entry) else phases[-1])
+    d = h.diagonal().real.copy()
+    e = np.array([abs(entry) for entry in subdiagonal], dtype=float)
+    q = np.eye(n)
+    tiny = 1e-18 * scale
+
+    def negligible(k):
+        return abs(e[k]) <= 2.0**-52 * (abs(d[k]) + abs(d[k + 1])) or abs(e[k]) <= tiny
+
+    steps = 0
+    hi = n - 1
+    while hi > 0:
+        if negligible(hi - 1):
+            e[hi - 1] = 0.0
+            hi -= 1
+            continue
+        lo = hi - 1
+        while lo > 0 and not negligible(lo - 1):
+            lo -= 1
+        steps += 1
+        if steps > linalg._MAX_QR_STEPS * n:
+            raise RuntimeError("QR iteration did not converge")
+        delta = (d[hi - 1] - d[hi]) / 2.0
+        mu = d[hi] - e[hi - 1] * e[hi - 1] / (
+            delta + math.copysign(math.hypot(delta, e[hi - 1]), delta)
+        )
+        x = d[lo] - mu
+        z = e[lo]
+        for k in range(lo, hi):
+            r = math.hypot(x, z)
+            if r == 0.0:
+                c, s = 1.0, 0.0
+            else:
+                c, s = x / r, z / r
+            if k > lo:
+                e[k - 1] = r
+            dk, dk1, ek = d[k], d[k + 1], e[k]
+            d[k] = c * c * dk + 2.0 * (c * s) * ek + s * s * dk1
+            d[k + 1] = s * s * dk - 2.0 * (c * s) * ek + c * c * dk1
+            e[k] = c * s * (dk1 - dk) + (c * c - s * s) * ek
+            qk = q[:, k].copy()
+            qk1 = q[:, k + 1].copy()
+            q[:, k] = c * qk + s * qk1
+            q[:, k + 1] = c * qk1 - s * qk
+            if k < hi - 1:
+                x = e[k]
+                z = s * e[k + 1]
+                e[k + 1] = c * e[k + 1]
+    phases = np.array(phases, dtype=complex)
+    v = np.empty((n, n), dtype=complex)
+    v.real = phases.real[:, None] * q
+    v.imag = phases.imag[:, None] * q
+    return d, v
 
 
 def recurrence_up(system, direction, h, k_end) -> np.ndarray:

@@ -1240,8 +1240,8 @@ MODEL_FLAGS = (
         REQUIRED,
     ),
 )
-# Each subcommand's flags.  spin verify runs the Jacobi oracle once per
-# answer, so it keeps to valid j <= 4; report never gets --golden, since
+# Each subcommand's flags.  spin verify solves one operator per sampled
+# direction, so it keeps to valid j <= 4; report never gets --golden, since
 # the battery runs for seconds and has its own tests.
 ARGV_FLAGS = {
     ("spin", "state"): (J_FLAG, DIR_FLAG, ("--h", tokens(("0.5", "-2.5", "4"), ("0.25",)), REQUIRED)),

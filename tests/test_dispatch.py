@@ -4,13 +4,18 @@ numpy picks its array loops by CPU level, and from AVX2 up they may fuse a
 multiply and an add (FMA), so CI runs this module (`pytest -m dispatch`)
 at the runner's full level and with AVX-512 and AVX2 switched off.
 
-`linalg.hermitian_eig` rotates the matrix and its eigenvectors as one
-stacked array, in place, through pair views and buffers made once per
-solve; its eigenvalues and eigenvectors must equal those of the
-copy-per-rotation loop in `float_reference` byte for byte.  So must those
-of each matrix of a `linalg.hermitian_eigs` stack, which sets up, sorts
-and checks all of its matrices at once: a pole beside rotating
-directions, and at small dimension random, diagonal and zero matrices.  The
+`linalg.hermitian_eig` solves a matrix whose entries off its three
+central diagonals are all exactly zero, such as every component operator,
+by tridiagonal QR steps, and any other by Jacobi rotations; each path
+turns its eigenvectors in place, through pair views and buffers made once
+per solve.  Its eigenvalues and eigenvectors must equal those of the
+copy-per-rotation loops in `float_reference`, which pick their path by
+the same rule, byte for byte.  So must those of each matrix of a
+`linalg.hermitian_eigs` stack, which sets up, sorts and checks all of its
+matrices at once: a pole beside rotating directions, and at small
+dimension random, diagonal and zero matrices, or band and general
+matrices mixed.  The QR path's bytes must also stay the same when
+OpenBLAS or numpy run other kernels, in subprocesses.  The
 recurrence, which carries its last two coefficients as locals, must give
 the bytes of the loop that reads them back from the array, at every h,
 over a full and a partial pass; so must every pass of a stepped batch,
@@ -27,11 +32,16 @@ where a bare a + b changes the ket's bytes.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import float_reference as ref
+import qastates
 from qastates import linalg, spin
 
 pytestmark = pytest.mark.dispatch
@@ -116,7 +126,10 @@ def outcome(solve, m):
 
 GOOD = {
     "diagonal": np.diag([1.0, 2.0, 3.0]).astype(complex),
+    # A component operator is tridiagonal, so it takes the QR path; the
+    # general matrix has a nonzero corner and takes the Jacobi path.
     "rotating": spin.component_operator(spin.SpinSystem(1.0), DIRECTIONS[2][0]),
+    "general": np.array([[1.0, 1j, 0.5], [-1j, 2.0, 1.0], [0.5, 1.0, 3.0]]),
 }
 BAD = {
     "non-hermitian": np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
@@ -133,9 +146,15 @@ BAD = {
         (["diagonal", "inf", "rotating", "non-hermitian"], None),
         (["overflow", "rotating"], None),
         (["diagonal", "rotating", "nan"], None),
-        # No rotating matrix converges in one sweep; a diagonal one needs none.
-        (["diagonal", "rotating", "non-hermitian"], ("_MAX_SWEEPS", 1)),
-        (["non-hermitian", "rotating"], ("_MAX_SWEEPS", 1)),
+        # No general matrix converges in one sweep; a diagonal one needs none.
+        (["diagonal", "general", "non-hermitian"], ("_MAX_SWEEPS", 1)),
+        (["non-hermitian", "general"], ("_MAX_SWEEPS", 1)),
+        # With no QR step allowed, a band matrix with a nonzero
+        # off-diagonal entry does not converge, before or after good
+        # matrices; a diagonal one deflates without a step, and the general
+        # one is swept.
+        (["rotating", "general"], ("_MAX_QR_STEPS", 0)),
+        (["diagonal", "general", "rotating", "nan"], ("_MAX_QR_STEPS", 0)),
         # Every rotated matrix fails its residual check, which comes after
         # the sweeps but still ahead of a later matrix's input checks.
         (["diagonal", "rotating", "inf"], ("RESIDUAL_TOL", 0.0)),
@@ -151,6 +170,120 @@ def test_stack_refuses_as_its_first_bad_matrix(monkeypatch, names, patch):
     got = outcome(linalg.hermitian_eigs, np.array(matrices, dtype=complex))
     assert got == (refused[0] if refused else sum(alone, []))
     assert refused or patch is None
+
+
+def tridiagonal(diagonal, subdiagonal):
+    """The Hermitian tridiagonal matrix with this diagonal and subdiagonal."""
+    m = np.diag(np.asarray(diagonal, dtype=complex))
+    m += np.diag(subdiagonal, -1) + np.diag(np.conj(subdiagonal), 1)
+    return m
+
+
+def _band_cases():
+    block = spin.component_operator(spin.SpinSystem(1.0), DIRECTIONS[2][0])
+    twice = np.zeros((6, 6), dtype=complex)
+    twice[:3, :3] = twice[3:, 3:] = block
+    rng = np.random.default_rng(37)
+    return {
+        "diagonal": np.diag([3.0, -1.0, 2.0, -1.0, 0.5]).astype(complex),
+        # A zero subdiagonal entry splits the matrix into two blocks.
+        "split": tridiagonal([1.0, 2.0, 3.0, 4.0, 5.0], [1 + 1j, 0.0, 0.5j, -2.0]),
+        # Repeated eigenvalues: -1, 0 and 1 twice each.
+        "repeated": twice,
+        "random": tridiagonal(
+            rng.standard_normal(7), rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        ),
+    }
+
+
+BAND_CASES = _band_cases()
+
+
+@pytest.mark.parametrize("name", sorted(BAND_CASES))
+def test_band_matrices_match_reference(name):
+    m = BAND_CASES[name]
+    got = linalg.hermitian_eig(m)
+    assert_same_bytes(got, ref.hermitian_eig(m), name)
+    assert np.allclose(got.eigenvalues, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-13)
+
+
+def test_mixed_stack_keeps_each_paths_bits(reference_eig):
+    # Band and general matrices in one stack: each gets the bytes it gets
+    # alone, on its own path.  The nearly-band matrix differs from a
+    # component operator by 1e-30 at (0, 3) and (3, 0), which sends it to
+    # the Jacobi path, whose bits differ.
+    system = spin.SpinSystem(3)
+    band = [spin.component_operator(system, a) for a in DIRECTIONS[6][:2]]
+    rng = np.random.default_rng(37)
+    g = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    nearly = band[0].copy()
+    nearly[0, 3] = nearly[3, 0] = 1e-30
+    matrices = [band[0], (g + g.conj().T) / 2.0, nearly, np.diag(np.arange(7.0)), band[1]]
+    decompositions = linalg.hermitian_eigs(np.array(matrices))
+    for k, (m, got) in enumerate(zip(matrices, decompositions)):
+        assert_same_bytes(got, reference_eig(m), k)
+    assert decompositions[0].eigenvectors.tobytes() != decompositions[2].eigenvectors.tobytes()
+    assert np.allclose(decompositions[0].eigenvalues, decompositions[2].eigenvalues, atol=1e-13)
+
+
+# Kernel settings a solve's bytes must not depend on: OpenBLAS's core
+# type, and numpy's CPU dispatch with AVX-512 off and at the SSE baseline
+# (numpy 2.4 names; numpy skips a level the CPU lacks with an
+# ImportWarning and runs the next one down).
+KERNEL_SETTINGS = {
+    "default": {},
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "avx512-off": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "sse": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+SOLVE_STACKS = """
+import sys
+import numpy as np
+from qastates import linalg
+for path in sys.argv[1:]:
+    for dec in linalg.hermitian_eigs(np.load(path)):
+        print(dec.eigenvalues.tobytes().hex() + dec.eigenvectors.tobytes().hex())
+"""
+
+
+@pytest.fixture(scope="module")
+def operator_stacks(tmp_path_factory):
+    """The component operators along each j's seven directions, for j in
+    {1/2, 3, 25/2, 25}, one .npy stack per j, and the bytes this process
+    solves them to, in the form SOLVE_STACKS prints."""
+    folder = tmp_path_factory.mktemp("operators")
+    paths, lines = [], []
+    for twice_j in (1, 6, 25, 50):
+        system = spin.SpinSystem(twice_j / 2)
+        ops = np.array([spin.component_operator(system, a) for a in DIRECTIONS[twice_j]])
+        path = folder / f"ops_{twice_j}.npy"
+        np.save(path, ops)
+        paths.append(str(path))
+        for dec in linalg.hermitian_eigs(ops):
+            lines.append(dec.eigenvalues.tobytes().hex() + dec.eigenvectors.tobytes().hex())
+    return paths, lines
+
+
+@pytest.mark.parametrize("setting", sorted(KERNEL_SETTINGS))
+def test_band_solves_do_not_depend_on_kernels(operator_stacks, setting):
+    paths, want = operator_stacks
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    }
+    env.update(KERNEL_SETTINGS[setting])
+    env["PYTHONPATH"] = str(Path(qastates.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", SOLVE_STACKS, *paths],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    if run.returncode < 0:
+        pytest.skip(f"this CPU cannot run {setting}: signal {-run.returncode}")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == want
 
 
 @pytest.mark.parametrize("twice_j", sorted(DIRECTIONS))

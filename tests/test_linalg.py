@@ -1,9 +1,11 @@
 """Tests for the linear algebra kernel.
 
-The eigensolver tests cross-check the hand-rolled Jacobi route against both
-closed forms worked out independently (2x2 Hermitian) and numpy.linalg.eigh,
-which the package itself never calls.  `TestFloatReference` holds its
-stacked rotation loop to the loop it replaced, byte for byte.
+The eigensolver tests cross-check the hand-rolled tridiagonal QR and Jacobi
+routes against both closed forms worked out independently (2x2 Hermitian,
+which the QR route solves) and numpy.linalg.eigh, which the package itself
+never calls.  `TestFloatReference` holds both routes, which rotate their
+eigenvectors in place, to the copy-per-rotation loops in
+`float_reference`, byte for byte.
 """
 
 import math
@@ -365,6 +367,25 @@ class TestHermitianEig:
             with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
                 linalg.hermitian_eig(m)
 
+    def test_step_caps_refuse(self, monkeypatch):
+        # A component operator, tridiagonal, takes the QR path and a dense
+        # matrix the Jacobi path; each refuses once its own cap is spent.
+        # Spin operators up to j = 25 converge within 3 QR steps per
+        # eigenvalue, a tenth of the cap.
+        band = spin.component_operator(spin.SpinSystem(3), spin.Direction(0.6, 0.0, 0.8))
+        dense = random_hermitian(np.random.default_rng(7), 7)
+        monkeypatch.setattr(linalg, "_MAX_QR_STEPS", 0)
+        with pytest.raises(RuntimeError, match="^QR iteration did not converge$"):
+            linalg.hermitian_eig(band)
+        linalg.hermitian_eig(dense)
+        # A diagonal matrix deflates without a step.
+        linalg.hermitian_eig(np.diag([3.0, 1.0, 2.0]))
+        monkeypatch.setattr(linalg, "_MAX_QR_STEPS", 3)
+        linalg.hermitian_eig(band)
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="^Jacobi iteration did not converge$"):
+            linalg.hermitian_eig(dense)
+
     def test_solves_leave_input_alone_and_share_no_memory(self):
         rng = np.random.default_rng(11)
         a = random_hermitian(rng, 6)
@@ -416,8 +437,9 @@ def assert_same_as_reference(m):
 
 
 class TestFloatReference:
-    """The stacked rotation loop against the copy-per-rotation loop it
-    replaced: the same bytes, or the same error and message."""
+    """The in-place QR and Jacobi paths against the copy-per-rotation
+    loops, each matrix on the path the band rule picks: the same bytes, or
+    the same error and message."""
 
     @pytest.mark.parametrize("j", SPINS)
     def test_component_operators(self, j):

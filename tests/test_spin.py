@@ -410,8 +410,8 @@ SPECTRUM_OFFSETS = st.sampled_from(
 
 
 class TestOracleCatalog:
-    # One random direction at j=12.5: the per-answer path costs 26 Jacobi
-    # runs at d=26 per direction.
+    # One random direction at j=12.5: the per-answer path costs 26
+    # eigensolver runs at d=26 per direction.
     @pytest.mark.parametrize("j, n_random", [(0.5, 3), (3.0, 3), (12.5, 1)])
     def test_matches_per_answer_path_bit_for_bit(self, j, n_random):
         s = SpinSystem(j)
@@ -484,8 +484,8 @@ class TestOracleCatalog:
         plant_eig(monkeypatch, shifted)
         text = (
             "the component operator's spectrum along Direction(x=0.6, y=0.0, z=0.8) is "
-            "not -j, ..., +j: eigenvalue 0 is -0.9899999999999997, more than 1e-6 from "
-            "the answer -1.0"
+            "not -j, ..., +j: eigenvalue 2 is 1.0100000000000002, more than 1e-6 from "
+            "the answer 1.0"
         )
         for build in (
             lambda: spin.oracle_catalog(system, direction),
@@ -739,8 +739,8 @@ class TestTrustedConstructors:
     @pytest.mark.parametrize("j", ALL_SPINS)
     def test_oracle_matches_public_constructor(self, j):
         s = SpinSystem(j)
-        # Jacobi at d=51 takes about 0.1 s a direction: the random, one
-        # near-pole and one pole route direction per spin, and the draw.
+        # The random, one near-pole and one pole route direction per spin,
+        # and the draw.
         routes = [route_directions(j)[k] for k in (0, 1, 4)]
         for direction in routes + DRAWN_DIRECTIONS[j]:
             for h, state in zip(s.m_values.tolist(), spin.oracle_catalog(s, direction)):
